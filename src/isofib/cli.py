@@ -298,6 +298,14 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     return checks
 
 
+def _golden_diffs() -> tuple[int, list[str]]:
+    """Record count of the complete catalog (simple-K cases included) and
+    its diff lines against the checked-in golden lists."""
+    full = catalog(CatalogConfig(include_simple_k=True))
+    goldens = {name: load_golden(name) for name in dynkin.GOLDEN_FILES}
+    return len(full.records), golden_diff(golden_projection(full), goldens)
+
+
 def _selfcheck_checks(cfg: RunConfig) -> list[Check]:
     checks: list[Check] = []
 
@@ -332,9 +340,11 @@ def _selfcheck_checks(cfg: RunConfig) -> list[Check]:
     # diagram automorphisms: brute-force orders against the known table
     expected = {("A", 1): 1, ("A", 3): 2, ("D", 4): 6, ("E", 6): 2, ("F", 4): 1, ("G", 2): 1}
     bad = []
+    count = 0
     for (fam, rank), want in expected.items():
         if rank > max(cfg.rank_cap, 4):
             continue
+        count += 1
         d = dynkin.diagram_of(SimpleType(fam, rank))
         order, perms = dynkin.diagram_automorphisms(d)
         if order != want or len(perms) != want:
@@ -352,18 +362,16 @@ def _selfcheck_checks(cfg: RunConfig) -> list[Check]:
         "diagram-automorphism-table",
         "symmetry-counts-match-brute-force",
         not bad,
-        "6 diagrams checked" + (f"; {bad}" if bad else ""),
+        f"{count} diagrams checked" + (f"; {bad}" if bad else ""),
     )
 
     # golden catalog integrity
-    res = catalog(CatalogConfig(include_simple_k=True))
-    goldens = {name: load_golden(name) for name in dynkin.GOLDEN_FILES}
-    diffs = golden_diff(golden_projection(res), goldens)
+    n_records, diffs = _golden_diffs()
     add(
         "golden-catalog-match",
         "enumeration-reproduces-checked-in-lists",
         not diffs,
-        f"{len(res.records)} records vs {len(goldens)} golden files"
+        f"{n_records} records vs {len(dynkin.GOLDEN_FILES)} golden files"
         + ("; first diffs: " + " | ".join(diffs[:10]) if diffs else ""),
     )
 
@@ -407,61 +415,31 @@ def _case_dict(case, record_count: int) -> dict:
     }
 
 
-def _split_family_filters(
-    families: tuple[str, ...] | None,
-) -> tuple[tuple[str, ...] | None, set[str]]:
-    """Family arguments may be bare letters (whole family) or letter+rank
-    labels like E8 (one group); the latter become post-filters on g."""
-    if not families:
-        return None, set()
-    letters, exact = [], set()
-    for f in families:
-        f = f.strip().upper()
-        if len(f) == 1:
-            letters.append(f)
-        else:
-            letters.append(f[0])
-            exact.add(f)
-    return tuple(dict.fromkeys(letters)), exact
-
-
 def cmd_catalog(cfg: RunConfig) -> tuple[int, dict]:
-    letters, exact = _split_family_filters(cfg.families)
-    try:
-        ccfg = CatalogConfig(
-            families=letters,
+    res = catalog(
+        CatalogConfig(
+            families=cfg.families,
             rank_cap=cfg.rank_cap,
             classes=cfg.classes,
             include_simple_k=cfg.simple_k,
         )
-        res = catalog(ccfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cases = list(res.cases)
-    records = list(res.records)
-    if exact:
-        keep = lambda label: label in exact or label[0] not in {e[0] for e in exact}
-        cases = [c for c in cases if keep(c.g_label)]
-        records = [r for r in records if keep(r.g_label)]
-
+    )
     by_base: dict[str, int] = {}
-    for r in records:
+    for r in res.records:
         by_base[r.base_label] = by_base.get(r.base_label, 0) + 1
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "catalog",
         "config": cfg.echo(),
-        "cases": [_case_dict(c, by_base.get(c.base_label, 0)) for c in cases],
-        "records": [dynkin.record_to_dict(r) for r in records],
+        "cases": [_case_dict(c, by_base.get(c.base_label, 0)) for c in res.cases],
+        "records": [dynkin.record_to_dict(r) for r in res.records],
         "failures": [],
     }
     code = 0
     if cfg.golden:
         # the golden lists cover the complete default catalog; diff that,
         # independent of any filters applied to the emitted stream
-        full = catalog(CatalogConfig(include_simple_k=True))
-        goldens = {name: load_golden(name) for name in dynkin.GOLDEN_FILES}
-        diffs = golden_diff(golden_projection(full), goldens)
+        _, diffs = _golden_diffs()
         payload["failures"] = [
             {"claim": "enumeration-reproduces-checked-in-lists", "detail": d}
             for d in diffs
@@ -471,7 +449,10 @@ def cmd_catalog(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
-    rec = _resolve_case(cfg.case_id)
+    try:
+        rec = liealg.find_record(cfg.case_id)
+    except LookupError as exc:
+        raise ConfigError(str(exc)) from exc
     if rec.model_spec is None:
         raise ConfigError(
             f"no concrete model for {rec.slug} ({rec.base_label}): catalog-only case"
@@ -507,25 +488,6 @@ def cmd_selfcheck(cfg: RunConfig) -> tuple[int, dict]:
         ],
     }
     return (1 if failures else 0), payload
-
-
-def _resolve_case(case_id: str):
-    try:
-        return liealg.find_record(case_id)
-    except LookupError:
-        pass
-    res = catalog(CatalogConfig())
-    matches = [r for r in res.records if r.slug.startswith(case_id)]
-    if not matches:
-        raise ConfigError(f"no catalog case matches {case_id!r}")
-    with_model = [r for r in matches if r.model_spec is not None]
-    if len(with_model) == 1:
-        return with_model[0]
-    if not with_model:
-        return matches[0]  # caller reports the catalog-only error uniformly
-    raise ConfigError(
-        f"ambiguous case id {case_id!r}: " + ", ".join(r.slug for r in matches[:6])
-    )
 
 
 # --- rendering --------------------------------------------------------------------
@@ -609,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("catalog", help="emit the fibration catalog")
     sp.add_argument("--family", action="append", default=None,
-                    help="restrict to a simple family letter (repeatable)")
+                    help="restrict to a simple family: letter or letter+rank "
+                         "label, e.g. E or E8 (repeatable)")
     sp.add_argument("--rank-cap", type=int, default=8)
     sp.add_argument("--class", action="append", default=None, dest="classes",
                     help="restrict to a geometry class (repeatable)")
@@ -620,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("verify", help="run the numeric suite on a concrete model")
-    sp.add_argument("case_id", help="record slug or alias (su3-hopf, so6-stiefel)")
+    sp.add_argument("case_id",
+                    help="record slug, unique slug prefix or alias (su3-hopf, so6-stiefel)")
     common(sp)
 
     sp = sub.add_parser("selfcheck", help="structural self-tests")
@@ -662,10 +626,7 @@ def main(argv: list[str] | None = None) -> int:
             code, payload = cmd_verify(cfg)
         else:
             code, payload = cmd_selfcheck(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render(payload, cfg.fmt)

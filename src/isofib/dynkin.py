@@ -177,6 +177,7 @@ def diagram_from_roots(
     )
 
 
+@lru_cache(maxsize=None)
 def diagram_of(stype: SimpleType) -> DynkinDiagram:
     rs = build_root_system(stype)
     labels = tuple(f"a{i+1}" for i in range(rs.rank))
@@ -318,6 +319,7 @@ def length_tag(d: DynkinDiagram, comp: DiagramComponent) -> str:
     return "mixed"
 
 
+@lru_cache(maxsize=None)
 def diagram_automorphisms(d: DynkinDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """All vertex permutations preserving squared lengths and bond
     multiplicities, by backtracking.  Returns (order, permutations); the
@@ -810,16 +812,16 @@ def stiefel_records(s: int, t: int) -> list[FibrationRecord]:
 
 @dataclass(frozen=True)
 class CatalogConfig:
-    families: tuple[str, ...] | None = None  # subset of "ABCDEFG"; None = all
+    # letters ("E": the whole family) or letter+rank labels ("E8", "A5":
+    # that one type); None = all
+    families: tuple[str, ...] | None = None
     rank_cap: int = 8
     classes: tuple[str, ...] | None = None  # subset of CLASS_NAMES; None = all
     include_simple_k: bool = False
 
     def __post_init__(self) -> None:
-        if self.families is not None:
-            bad = [f for f in self.families if f not in _FAMILY_ORDER]
-            if bad:
-                raise ValueError(f"unknown families {bad}; expected letters A..G")
+        for f in self.families or ():
+            _parse_family(f)
         if self.classes is not None:
             bad = [c for c in self.classes if c not in CLASS_NAMES]
             if bad:
@@ -837,31 +839,60 @@ _RANK_LO = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _RANK_HI = {"E": 8, "F": 4, "G": 2}
 
 
-def _types_in_scope(cfg: CatalogConfig) -> list[SimpleType]:
-    fams = cfg.families if cfg.families is not None else tuple(_FAMILY_ORDER)
+def _parse_family(f: str) -> tuple[str, int | None]:
+    """(letter, rank) for a family filter; rank None for a bare letter.
+    Case and surrounding spaces are ignored; a label must name a valid
+    simple type, so B1 or E9 is as unknown as H."""
+    f = f.strip().upper()
+    if len(f) == 1 and f in _FAMILY_ORDER:
+        return f, None
+    if len(f) > 1 and f[1:].isdigit():
+        stype = SimpleType(f[0], int(f[1:]))
+        return stype.family, stype.rank
+    raise ValueError(f"unknown family {f!r}; expected a letter A..G or a label like E8")
+
+
+def _family_scope(cfg: CatalogConfig) -> dict[str, set[int] | None]:
+    """Selected ranks per family letter; None selects the whole family."""
+    if cfg.families is None:
+        return dict.fromkeys(_FAMILY_ORDER)
+    scope: dict[str, set[int] | None] = {}
+    for letter, rank in map(_parse_family, cfg.families):
+        ranks = scope.setdefault(letter, set())
+        if rank is None:
+            scope[letter] = None
+        elif ranks is not None:
+            ranks.add(rank)
+    return scope
+
+
+def _types_in_scope(scope: dict[str, set[int] | None], rank_cap: int) -> list[SimpleType]:
     out = []
     for f in _FAMILY_ORDER:
-        if f not in fams:
+        if f not in scope:
             continue
-        lo = _RANK_LO[f]
-        hi = min(cfg.rank_cap, _RANK_HI.get(f, cfg.rank_cap))
-        for r in range(lo, hi + 1):
-            out.append(SimpleType(f, r))
+        hi = min(rank_cap, _RANK_HI.get(f, rank_cap))
+        for r in range(_RANK_LO[f], hi + 1):
+            if scope[f] is None or r in scope[f]:
+                out.append(SimpleType(f, r))
     return out
 
 
 def catalog(cfg: CatalogConfig | None = None) -> CatalogResult:
     """Enumerate fibration records over all simple types within the rank cap,
-    plus the rank-deficient family over s + t <= rank cap.  Deterministic
-    order: family letter, rank, deleted vertex, K1 bitmask; the
-    rank-deficient records follow, ordered by (s + t, s, side)."""
+    plus the rank-deficient family over s + t <= rank cap.  For family
+    labels the rank-deficient SO(2s+2t+2) records count as type D_{s+t+1}
+    (D4 selects SO(8)/SO(3)SO(5)) while the rank cap still bounds s + t.
+    Deterministic order: family letter, rank, deleted vertex, K1 bitmask;
+    the rank-deficient records follow, ordered by (s + t, s, side)."""
     cfg = cfg or CatalogConfig()
+    scope = _family_scope(cfg)
     cases: list[BdSCase] = []
     records: list[FibrationRecord] = []
     want_class = (
         set(cfg.classes) if cfg.classes is not None else set(CLASS_NAMES)
     )
-    for stype in _types_in_scope(cfg):
+    for stype in _types_in_scope(scope, cfg.rank_cap):
         for case in bds_enumerate(stype):
             if case.base_class not in want_class:
                 continue
@@ -886,8 +917,10 @@ def catalog(cfg: CatalogConfig | None = None) -> CatalogResult:
         if r.psi0 is None
         or min_psi[(r.base_label, r.k1_label, r.k2_label, r.k1_length_tags)] == r.psi0
     ]
-    if "stiefel" in want_class and (cfg.families is None or "D" in cfg.families):
+    if "stiefel" in want_class and "D" in scope:
         for tot in range(2, cfg.rank_cap + 1):
+            if scope["D"] is not None and tot + 1 not in scope["D"]:
+                continue
             for s in range(1, tot):
                 t = tot - s
                 if s > t:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .liealg import BlockFactor, GroupModel, matrix_exp, realify
+from .liealg import BlockFactor, GroupModel, complexify, matrix_exp, realify
 
 COSET_TOL = 1e-8
 CERT_RESIDUAL_TOL = 1e-9
@@ -126,20 +126,12 @@ def embed_factor_element(
         theta = rng.uniform(0.0, factor.period)
         return matrix_exp(theta * model.circle_mat)
     if factor.kind == "so":
-        k = len(factor.cols)
-        small = haar_orthogonal(k, rng)
         out = np.eye(model.n)
-        for a, ra in enumerate(factor.cols):
-            for b, rb in enumerate(factor.cols):
-                out[ra, rb] = small[a, b]
+        out[np.ix_(factor.cols, factor.cols)] = haar_orthogonal(len(factor.cols), rng)
         return out
     # su block
-    m = model.complex_size
-    small = haar_unitary(len(factor.cols), rng)
-    Z = np.eye(m, dtype=complex)
-    for a, ca in enumerate(factor.cols):
-        for b, cb in enumerate(factor.cols):
-            Z[ca, cb] = small[a, b]
+    Z = np.eye(model.complex_size, dtype=complex)
+    Z[np.ix_(factor.cols, factor.cols)] = haar_unitary(len(factor.cols), rng)
     return realify(Z)
 
 
@@ -246,23 +238,9 @@ def _so_procrustes(A: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(vals)), U @ D @ Vt
 
 
-def _embed_complex(model: GroupModel, kc: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    m = model.complex_size
-    Z = np.eye(m, dtype=complex)
-    for a, ca in enumerate(cols):
-        for b, cb in enumerate(cols):
-            Z[ca, cb] = kc[a, b]
-    return Z
-
-
 def _circle_phases(model: GroupModel) -> np.ndarray:
     """Diagonal speeds a_j with exp(theta z) = diag(e^{i a_j theta})."""
-    m = model.complex_size
-    Zc = np.zeros((m, m), dtype=complex)
-    R = model.circle_mat
-    A, B = R[:m, :m], R[m:, :m]
-    Zc = A + 1j * B
-    return np.diag(Zc).imag
+    return np.diag(complexify(model.circle_mat)).imag
 
 
 def chord_to_coset(
@@ -294,13 +272,11 @@ def chord_to_coset(
         rows_in = set()
         total, k_star = 0.0, np.eye(N)
         for f in so_factors:
-            rows = list(f.cols)
-            rows_in |= set(rows)
-            val, k = _so_procrustes(M[np.ix_(rows, rows)])
+            rows_in |= set(f.cols)
+            ix = np.ix_(f.cols, f.cols)
+            val, k = _so_procrustes(M[ix])
+            k_star[ix] = k
             total += val
-            for a, ra in enumerate(rows):
-                for b, rb in enumerate(rows):
-                    k_star[ra, rb] = k[a, b]
         total += sum(M[i, i] for i in range(N) if i not in rows_in)
         upper = float(np.linalg.norm(U @ k_star - V))
         return ChordResult(lower=min(lower_from(total), upper), upper=upper, k_star=k_star)
@@ -324,7 +300,7 @@ def chord_to_coset(
             total_relax += relax
             if len(f.cols) > 2:
                 all_exact = False  # ascent block: only the relaxation certifies
-            Kc = Kc @ _embed_complex(model, k, f.cols)
+            Kc[np.ix_(f.cols, f.cols)] = k  # the blocks are disjoint
         ident = float(sum(P[j, j].real for j in free_cols))
         total_feas += ident
         total_relax += ident
@@ -404,9 +380,9 @@ def chord_to_coset(
     Kc = np.diag(np.exp(1j * speeds * theta_best))
     for f in su_factors:
         a = speeds[f.cols[0]]
-        sub = np.exp(-1j * a * theta_best) * P[np.ix_(f.cols, f.cols)]
-        _, _, k = _su_procrustes(sub)
-        Kc = Kc @ _embed_complex(model, k, f.cols)
+        ix = np.ix_(f.cols, f.cols)
+        _, _, k = _su_procrustes(np.exp(-1j * a * theta_best) * P[ix])
+        Kc[ix] = Kc[ix] @ k
     k_star = realify(Kc)
     upper = float(np.linalg.norm(U @ k_star - V))
     # relaxation: full torus on free columns, full unitary group on blocks

@@ -362,7 +362,7 @@ def _validate_model(model: GroupModel) -> None:
         for Y in k2.basis:
             if np.linalg.norm(bracket(X, Y)) > STRUCTURAL_TOL:
                 raise ValueError("k1 and k2 do not commute")
-            if abs(killing_form_model(model, X, Y)) > STRUCTURAL_TOL * 100:
+            if abs(model.kappa_ip(X, Y)) > STRUCTURAL_TOL * 100:
                 raise ValueError("k1 not kappa-orthogonal to k2")
     # reductivity: [k1, m1] inside m1
     for X in k1.basis:
@@ -419,10 +419,6 @@ def _validate_model(model: GroupModel) -> None:
         for B in g.basis[:: max(1, g.dim // 6)]:
             if np.linalg.norm(cmat @ B - B @ cmat) > STRUCTURAL_TOL:
                 raise ValueError("center element does not commute with g")
-
-
-def killing_form_model(model: GroupModel, X: np.ndarray, Y: np.ndarray) -> float:
-    return float(model.g.coords(X) @ model.kappa @ model.g.coords(Y))
 
 
 def _build_su(s: int, t: int, k1_blocks: tuple[str, ...], rec: FibrationRecord) -> GroupModel:
@@ -566,17 +562,31 @@ def build_model(rec: FibrationRecord) -> GroupModel:
     raise ValueError(f"unknown model spec {rec.model_spec!r}")
 
 
-def find_record(slug_or_alias: str):
-    """Resolve a case id (slug or friendly alias) to a catalog record."""
+_ALIASES = {
+    "su3-hopf": "su3-su1u2--k1-0a1",
+    "so6-stiefel": "so6-so3so3--k1-0so3",
+}
+
+
+def find_record(case_id: str):
+    """Resolve a case id to a catalog record: a friendly alias, an exact
+    slug, or a slug prefix.  A prefix resolves to the one matching record
+    with a concrete model; when only catalog-only records match, the first
+    of them is returned so the caller can report that no model exists.
+    Raises LookupError when nothing matches or several models do."""
     from .dynkin import CatalogConfig, catalog
 
-    aliases = {
-        "su3-hopf": "su3-su1u2--k1-0a1",
-        "so6-stiefel": "so6-so3so3--k1-0so3",
-    }
-    slug = aliases.get(slug_or_alias, slug_or_alias)
-    res = catalog(CatalogConfig())
-    for r in res.records:
+    slug = _ALIASES.get(case_id, case_id)
+    records = catalog(CatalogConfig()).records
+    for r in records:
         if r.slug == slug:
             return r
-    raise LookupError(f"no catalog record with id {slug_or_alias!r}")
+    matches = [r for r in records if r.slug.startswith(case_id)]
+    with_model = [r for r in matches if r.model_spec is not None]
+    if len(with_model) > 1:
+        raise LookupError(
+            f"ambiguous case id {case_id!r}: " + ", ".join(r.slug for r in with_model[:6])
+        )
+    if not matches:
+        raise LookupError(f"no catalog record with id {case_id!r}")
+    return (with_model or matches)[0]

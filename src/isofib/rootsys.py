@@ -21,6 +21,7 @@ E in {6,7,8}, F = 4, G = 2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -283,25 +284,29 @@ def highest_root(rs: RootSystem) -> HighestRoot:
     simple roots.  Requires an irreducible system."""
     if rs.stype is None:
         raise ValueError("highest root is defined here for irreducible systems only")
-    best: tuple[Fraction, Vector, tuple[Fraction, ...]] | None = None
-    ties = 0
-    for r in rs.all_roots:
-        coeffs = root_coefficients(rs, r)
-        h = sum(coeffs, Q(0))
-        if best is None or h > best[0]:
-            best = (h, r, coeffs)
-            ties = 1
-        elif h == best[0]:
-            ties += 1
-    assert best is not None
-    if ties != 1:
+    # The height of v (sum of its simple-root coefficients c, gram c = S v)
+    # is dot(v, w) with w = sum_i u_i alpha_i and gram u = (1, ..., 1): one
+    # exact solve per system instead of one per root.
+    n = rs.rank
+    gram = [[dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
+    u = _solve_fraction(gram, [Q(1)] * n)
+    w = tuple(
+        sum((u[i] * rs.simple_roots[i][j] for i in range(n)), Q(0))
+        for j in range(rs.ambient_dim)
+    )
+    heights = [(dot(r, w), r) for r in rs.all_roots]
+    top = max(h for h, _ in heights)
+    best = [r for h, r in heights if h == top]
+    if len(best) != 1:
         raise AssertionError("highest root is not unique; system not irreducible?")
-    _, vec, coeffs = best
+    vec = best[0]
+    coeffs = root_coefficients(rs, vec)
     if any(c.denominator != 1 or c <= 0 for c in coeffs):
         raise AssertionError("highest-root coefficients must be positive integers")
     ints = tuple(int(c) for c in coeffs)
+    roots = set(rs.all_roots)
     for a in rs.simple_roots:
-        if tuple(x + y for x, y in zip(vec, a)) in set(rs.all_roots):
+        if tuple(x + y for x, y in zip(vec, a)) in roots:
             raise AssertionError("found a root above the candidate highest root")
     return HighestRoot(vector=vec, coefficients=ints)
 
@@ -406,9 +411,7 @@ def weyl_orbit_spans(rs: RootSystem, v: Vector) -> bool:
     mats = _reflection_matrices_coeff_basis(rs)
 
     # integer working vectors: clear denominators (scaling preserves spans)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     start = tuple(int(c * den) for c in coeffs)
 
     pivots: dict[int, tuple[Fraction, ...]] = {}
@@ -455,8 +458,3 @@ def weyl_orbit(rs: RootSystem, v: Vector, max_size: int = 100_000) -> tuple[Vect
                 queue.append(u)
     return tuple(sorted(seen))
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from isofib import cli
+from isofib import cli, dynkin
 
 
 def run_main(argv):
@@ -40,6 +40,40 @@ def test_catalog_whole_family_letter():
     code, payload = payload_for(["catalog", "--family", "G"])
     assert code == 0
     assert {r["g"] for r in payload["records"]} == {"G2"}
+
+
+def _family_flags(families):
+    return [arg for f in families for arg in ("--family", f)]
+
+
+@pytest.mark.parametrize(
+    "families,rank_cap,letters,groups",
+    [
+        (("A5",), 7, ("A",), {"SU(6)"}),
+        (("A", "A5"), 8, ("A",), None),
+        (("G2", "B"), 3, ("B", "G"), None),
+        (("D4",), 8, ("D",), {"SO(8)"}),
+        (("D4",), 3, ("D",), {"SO(8)"}),
+    ],
+)
+def test_catalog_family_labels(families, rank_cap, letters, groups):
+    """A label selects one group, a bare letter its whole family; the
+    expected records are those of the bare letters, filtered by group
+    (None keeps every group).  D4 takes the SO(8)/SO(3)SO(5) stiefel
+    records, which the rank cap bounds by s + t = 3, not by 4."""
+    cap = ["--rank-cap", str(rank_cap)]
+    code, got = payload_for(["catalog", *_family_flags(families), *cap])
+    _, whole = payload_for(["catalog", *_family_flags(letters), *cap])
+    keep = lambda entries: [e for e in entries if groups is None or e["g"] in groups]
+    assert code == 0 and got["records"]
+    assert got["records"] == keep(whole["records"])
+    assert got["cases"] == keep(whole["cases"])
+
+
+@pytest.mark.parametrize("label", ["B1", "E9"])
+def test_catalog_invalid_family_label_exit_2(label, capsys):
+    assert run_main(["catalog", "--family", label]) == 2
+    assert "out of bounds" in capsys.readouterr().err
 
 
 def test_catalog_rank_zero_empty_success():
@@ -138,6 +172,20 @@ def test_verify_unknown_case_exit_2(capsys):
     assert run_main(["verify", "definitely-not-a-case"]) == 2
 
 
+def test_verify_prefix_enumerates_catalog_once(monkeypatch, capsys):
+    calls = []
+    real = dynkin.catalog
+
+    def counting(cfg=None):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(dynkin, "catalog", counting)
+    assert run_main(["verify", "e8-a4a4"]) == 2
+    assert "no concrete model" in capsys.readouterr().err
+    assert len(calls) == 1
+
+
 def test_verify_deterministic_bytes():
     _, a = payload_for(["verify", "su3-hopf", "--seed", "3", *FAST_VERIFY])
     _, b = payload_for(["verify", "su3-hopf", "--seed", "3", *FAST_VERIFY])
@@ -158,6 +206,9 @@ def test_selfcheck_passes():
     code, payload = payload_for(["selfcheck", "--rank-cap", "2"])
     assert code == 0
     assert payload["failures"] == []
+    # E6 exceeds the rank cap, so five of the six table entries are compared
+    details = {c["name"]: c["detail"] for c in payload["checks"]}
+    assert details["diagram-automorphism-table"] == "5 diagrams checked"
 
 
 def test_selfcheck_detects_corrupted_golden(monkeypatch):

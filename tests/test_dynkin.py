@@ -419,6 +419,9 @@ def test_catalog_chi_always_positive_integer():
 def test_catalog_invalid_inputs():
     with pytest.raises(ValueError):
         CatalogConfig(families=("X",))
+    for label in ("B1", "E9", "AB", ""):
+        with pytest.raises(ValueError):
+            CatalogConfig(families=(label,))
     with pytest.raises(ValueError):
         CatalogConfig(classes=("riemannian",))
 

@@ -265,6 +265,17 @@ def test_find_record_aliases():
         find_record("no-such-case")
 
 
+def test_find_record_prefix_resolution():
+    # only catalog-only records match: the first is returned for reporting
+    rec = find_record("e8-a4a4")
+    assert rec.slug == "e8-a4a4--k1-0a4" and rec.model_spec is None
+    # an exact slug wins over the longer slugs it prefixes
+    assert find_record("su4-su2u2--k1-0a1").slug == "su4-su2u2--k1-0a1"
+    assert find_record("su4-su2u2--k1-0a1-t").slug == "su4-su2u2--k1-0a1-t1"
+    with pytest.raises(LookupError, match="su3-su1u2--k1-0a1, su3-su1u2--k1-t1"):
+        find_record("su3")
+
+
 def test_algebra_rejects_dependent_basis():
     b = np.zeros((2, 2, 2))
     b[0, 0, 1], b[0, 1, 0] = 1.0, -1.0
