@@ -79,6 +79,16 @@ class Check:
         }
 
 
+# Solver outputs below this floor are roundoff: their digits vary between
+# runs of one input (summation order follows memory alignment), so check
+# details print them as "< 1e-12".  Verdicts compare the unrounded values.
+SOLVER_FLOOR = 1e-12
+
+
+def _solver_value(x: float, spec: str = ".3e") -> str:
+    return f"< {SOLVER_FLOOR:.0e}" if x < SOLVER_FLOOR else format(x, spec)
+
+
 def _spread(vals: list[float]) -> float:
     return max(vals) - min(vals)
 
@@ -159,7 +169,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         "fiber-geodesic-vertical",
         "isotropy-direction-geodesics-stay-in-fiber",
         worst < tol["coset"],
-        f"max base-coset residual {worst:.3e} along the vertical geodesic",
+        f"max base-coset residual {_solver_value(worst)} along the vertical geodesic",
     )
 
     # log inverts the exponential at moderate range
@@ -177,7 +187,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         "log-roundtrip",
         "riemannian-log-inverts-geodesics",
         max(errs) < 1e-6,
-        f"max |recovered - true| {max(errs):.3e} over 3 pairs",
+        f"max |recovered - true| {_solver_value(max(errs))} over 3 pairs",
     )
 
     # lower bounds never exceed upper bounds
@@ -194,7 +204,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         "bounds-ordered",
         "chord-lower-bounds-below-log-upper-bounds",
         bad <= 1e-9,
-        f"max (lower - upper) {bad:.3e} over 4 random pairs",
+        f"max (lower - upper) {_solver_value(bad)} over 4 random pairs",
     )
 
     # displacement: central x right translations are constant
@@ -218,7 +228,10 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         "displacement-central-constant",
         "center-times-right-translations-constant-displacement",
         ok,
-        "; ".join(f"{r.label}: {r.verdict} (rel {r.rel_spread:.1e})" for r in central_reports),
+        "; ".join(
+            f"{r.label}: {r.verdict} (rel {_solver_value(r.rel_spread, '.1e')})"
+            for r in central_reports
+        ),
     )
 
     # displacement: noncentral left translations are certified nonconstant
@@ -260,7 +273,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         seed=cfg.seed,
         tol=tol["coset"],
     )
-    detail = f"isotropy sample residual {resid:.3e}"
+    detail = f"isotropy sample residual {_solver_value(resid)}"
     ok = found is not None
     if model.record.equal_rank:
         # equal rank: every element fixes some base coset
@@ -269,7 +282,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
             homspace.Isometry(model, left=g), restarts=6, seed=cfg.seed, tol=tol["coset"]
         )
         ok = ok and found2 is not None
-        detail += f"; generic sample residual {resid2:.3e}"
+        detail += f"; generic sample residual {_solver_value(resid2)}"
     add(
         "fixed-fiber-witness",
         "rotation-isometries-admit-fixed-base-cosets",

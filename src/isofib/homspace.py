@@ -16,6 +16,15 @@ chord, where lambda_min is the smallest eigenvalue of the normal metric
 against the ambient Frobenius form).  A profile is reported
 constant-within-tol, certified-nonconstant (some point's upper bound lies
 below another point's lower bound), or inconclusive.
+
+The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
+solves whose cost is the finite-difference Jacobian: d + 1 residuals per
+Jacobian, each needing the chord maximizer k*.  `_k_star_batch` computes
+k* for a whole stack of points in one numpy pass (batched SO Procrustes,
+closed-form SU(2) pairing, one theta grid for every row), and `_lm` feeds
+scipy's own 2-point rule through it as one batch, with the residual alone
+as a batch of one.  The iterates, and so the results, are those of the
+per-point solver up to roundoff.
 """
 from __future__ import annotations
 
@@ -154,38 +163,38 @@ class ChordResult:
     k_star: np.ndarray  # feasible embedded K-element achieving the upper value
 
 
-def _complex_pairing(M: np.ndarray, m: int) -> np.ndarray:
-    """P with Re tr(k^H P) = tr(realify(k)^T M) for complex k."""
-    M11, M12 = M[:m, :m], M[:m, m:]
-    M21, M22 = M[m:, :m], M[m:, m:]
+def _complex_pairing(M: np.ndarray) -> np.ndarray:
+    """P with Re tr(k^H P) = tr(realify(k)^T M) for complex k; leading
+    axes are a batch."""
+    m = M.shape[-1] // 2
+    M11, M12 = M[..., :m, :m], M[..., :m, m:]
+    M21, M22 = M[..., m:, :m], M[..., m:, m:]
     return (M11 + M22) + 1j * (M21 - M12)
 
 
-_SU2_BASIS = (
-    np.eye(2, dtype=complex),
-    np.diag([1j, -1j]),
-    np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
-    np.array([[0.0, 1j], [1j, 0.0]], dtype=complex),
+# SU(2) basis 1, diag(i, -i), [[0, 1], [-1, 0]], [[0, i], [i, 0]], flattened
+_SU2_BASIS = np.array(
+    [[1, 0, 0, 1], [1j, 0, 0, -1j], [0, 1, -1, 0], [0, 1j, 1j, 0]], dtype=complex
 )
 
 
 def _su2_pairing(P: np.ndarray) -> np.ndarray:
     """Complex 4-vector w with Re tr(k^H P) = sum_a q_a Re(w_a) for the
-    unit-quaternion coordinates q of k in the SU(2) basis above."""
-    return np.array([np.trace(b.conj().T @ P) for b in _SU2_BASIS])
+    unit-quaternion coordinates q of k in the SU(2) basis above; leading
+    axes are a batch."""
+    return P.reshape(P.shape[:-2] + (4,)) @ _SU2_BASIS.conj().T
 
 
-def _su2_procrustes(P: np.ndarray) -> tuple[float, np.ndarray]:
+def _su2_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact max of Re tr(k^H P) over SU(2), with maximizer.  The group is
     the unit sphere in the real span of the basis, so the max is the norm
-    of the pairing vector."""
+    of the pairing vector.  Leading axes are a batch."""
     t = _su2_pairing(P).real
-    norm = float(np.linalg.norm(t))
-    if norm < 1e-300:
-        return 0.0, np.asarray(_SU2_BASIS[0])
-    q = t / norm
-    k = sum(qi * bi for qi, bi in zip(q, _SU2_BASIS))
-    return norm, k
+    norm = np.sqrt(np.sum(t * t, axis=-1))
+    zero = norm < 1e-300
+    q = t / np.where(zero, 1.0, norm)[..., None]
+    q = np.where(zero[..., None], (1.0, 0.0, 0.0, 0.0), q)
+    return norm, (q @ _SU2_BASIS).reshape(P.shape)
 
 
 def _su_procrustes(P: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -200,7 +209,7 @@ def _su_procrustes(P: np.ndarray) -> tuple[float, float, np.ndarray]:
     relaxed = float(np.sum(sig))
     if c == 2:
         val, k = _su2_procrustes(P)
-        return val, relaxed, k
+        return float(val), relaxed, k
     # det constraint: k = U diag(e^{i phi_j}) V^h needs sum(phi) = -arg det(U V^h)
     tau = -np.angle(np.linalg.det(U @ Vh))
 
@@ -227,20 +236,185 @@ def _su_procrustes(P: np.ndarray) -> tuple[float, float, np.ndarray]:
     return best_val, relaxed, k
 
 
-def _so_procrustes(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact max of tr(k^T A) over SO(c), with maximizer."""
+def _su_block_maximizers(P: np.ndarray) -> np.ndarray:
+    """Feasible maximizers of Re tr(k^H P) over SU(c) for a stack of c x c
+    blocks: closed form for c <= 2, the ascent of `_su_procrustes` row by
+    row for larger blocks."""
+    c = P.shape[-1]
+    if c == 1:
+        return np.ones_like(P)
+    if c == 2:
+        return _su2_procrustes(P)[1]
+    return np.array([_su_procrustes(sub)[2] for sub in P])
+
+
+def _so_procrustes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact max of tr(k^T A) over SO(c), with maximizer; leading axes are
+    a batch."""
     U, sig, Vt = np.linalg.svd(A)
     d = np.sign(np.linalg.det(U @ Vt))
-    vals = sig.copy()
-    vals[-1] *= d
-    D = np.eye(A.shape[0])
-    D[-1, -1] = d
-    return float(np.sum(vals)), U @ D @ Vt
+    sig[..., -1] *= d
+    U[..., :, -1] *= d[..., None]  # U diag(1, ..., 1, d)
+    return np.sum(sig, axis=-1), U @ Vt
 
 
 def _circle_phases(model: GroupModel) -> np.ndarray:
     """Diagonal speeds a_j with exp(theta z) = diag(e^{i a_j theta})."""
     return np.diag(complexify(model.circle_mat)).imag
+
+
+def _split_columns(
+    model: GroupModel, factors: tuple[BlockFactor, ...]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(single columns, SU blocks of two or more columns) of a unitary
+    model, both empty for a real one: the single columns are those outside
+    every SU block, then the one-column SU blocks, the columns on which a
+    circle acts by a phase."""
+    su = [f.cols for f in factors if f.kind == "su"]
+    in_blocks = {j for cols in su for j in cols}
+    singles = [j for j in range(model.complex_size) if j not in in_blocks]
+    singles += [cols[0] for cols in su if len(cols) == 1]
+    return singles, [cols for cols in su if len(cols) > 1]
+
+
+def _circle_angles(
+    model: GroupModel, P: np.ndarray, factors: tuple[BlockFactor, ...]
+) -> np.ndarray:
+    """Per row of the pairing stack P, the circle angle maximizing the
+    trace with every SU block maximized at that angle: a grid over the
+    period for all rows at once, then a brentq polish of each row's zero
+    crossing of the derivative."""
+    speeds = _circle_phases(model)
+    period = next(f.period for f in factors if f.kind == "circle")
+    singles, blocks = _split_columns(model, factors)
+    rows = np.arange(len(P))
+    diag = P[:, singles, singles]
+    fs = speeds[singles]
+    su2_data = []  # (speed, pairing 4-vectors) for exact SU(2) blocks
+    big_blocks = []  # (speed, submatrices) for blocks solved by ascent
+    for cols in blocks:
+        sub = P[np.ix_(rows, cols, cols)]
+        if len(cols) == 2:
+            su2_data.append((float(speeds[cols[0]]), _su2_pairing(sub)))
+        else:
+            big_blocks.append((float(speeds[cols[0]]), sub))
+
+    def trace_at(thetas: np.ndarray) -> np.ndarray:
+        # thetas (1 or B, T) -> maximized traces (B, T)
+        rot = np.exp(-1j * (thetas[..., None] * fs)) * diag[:, None, :]
+        vals = rot.real.sum(axis=-1)
+        for a, w in su2_data:
+            t = (np.exp(-1j * a * thetas)[..., None] * w[:, None, :]).real
+            vals += np.sqrt((t**2).sum(axis=-1))
+        thetas = np.broadcast_to(thetas, vals.shape)
+        for a, sub in big_blocks:
+            vals += np.array([
+                [_su_procrustes(np.exp(-1j * a * th) * sub[r])[0] for th in ths]
+                for r, ths in zip(rows, thetas)
+            ])
+        return vals
+
+    # the derivative is polished one row at a time: plain Python numbers
+    # cost less than numpy calls on a handful of entries
+    fs_list, diag_rows = fs.tolist(), diag.tolist()
+    su2_rows = [(a, w.tolist()) for a, w in su2_data]
+
+    def phase(x: float) -> complex:  # exp(-ix)
+        return complex(math.cos(x), -math.sin(x))
+
+    def slope(theta: float, r: int) -> float:
+        # d/d theta of the maximized trace; block terms by the envelope rule
+        der = sum(f * (phase(f * theta) * d).imag for f, d in zip(fs_list, diag_rows[r]))
+        for a, w in su2_rows:
+            ph = phase(a * theta)
+            tvec = [ph * x for x in w[r]]
+            n = math.sqrt(sum(x.real * x.real for x in tvec))
+            if n > 1e-12:
+                der += a * sum(x.real * x.imag for x in tvec) / n
+        for a, sub in big_blocks:
+            rot = np.exp(-1j * a * theta) * sub[r]
+            _, _, k = _su_procrustes(rot)
+            der += a * float(np.trace(k.conj().T @ rot).imag)
+        return der
+
+    grid = np.linspace(0.0, period, CIRCLE_GRID, endpoint=False)
+    i0 = np.argmax(trace_at(grid[None, :]), axis=1)
+    span = period / CIRCLE_GRID
+    best = grid[i0]
+    for r, theta in enumerate(best.tolist()):
+        lo, hi = theta - span, theta + span
+        try:
+            # the maximizer is a zero crossing of the derivative
+            if slope(lo, r) > 0 > slope(hi, r):
+                best[r] = scipy.optimize.brentq(slope, lo, hi, args=(r,), xtol=1e-14)
+        except ValueError:
+            pass
+    cand = np.stack([best, grid[i0]], axis=1)
+    return cand[rows, np.argmax(trace_at(cand), axis=1)]
+
+
+def _k_star_batch(
+    model: GroupModel,
+    U_stack: np.ndarray,
+    V: np.ndarray,
+    factors: tuple[BlockFactor, ...],
+) -> np.ndarray:
+    """The feasible maximizer k* of tr(k^T U^T V) over the factor subgroup
+    (the `k_star` of `chord_to_coset`) for every U of a (B, n, n) stack; V
+    is one matrix or a matching stack.  SO blocks take a batched
+    Procrustes, SU(2) blocks the closed-form quaternion pairing, a circle
+    the angle of `_circle_angles` with the blocks maximized at it; only
+    SU(c >= 3) blocks loop over the rows."""
+    M = np.swapaxes(U_stack, -1, -2) @ V  # maximize tr(k^T M) per row
+    rows = np.arange(len(M))
+    if {f.kind for f in factors} == {"so"}:
+        K = np.tile(np.eye(model.n), (len(M), 1, 1))
+        for f in factors:
+            ix = np.ix_(rows, f.cols, f.cols)
+            K[ix] = _so_procrustes(M[ix])[1]
+        return K
+    # unitary models
+    P = _complex_pairing(M)
+    m = model.complex_size
+    Kc = np.tile(np.eye(m, dtype=complex), (len(M), 1, 1))
+    theta = None
+    if any(f.kind == "circle" for f in factors):
+        speeds = _circle_phases(model)
+        theta = _circle_angles(model, P, factors)
+        Kc[:, np.arange(m), np.arange(m)] = np.exp(1j * speeds * theta[:, None])
+    for f in factors:
+        if f.kind != "su":
+            continue
+        ix = np.ix_(rows, f.cols, f.cols)
+        sub = P[ix]
+        if theta is not None:
+            sub = np.exp(-1j * speeds[f.cols[0]] * theta)[:, None, None] * sub
+        Kc[ix] = Kc[ix] @ _su_block_maximizers(sub)  # the blocks are disjoint
+    return realify(Kc)
+
+
+def _max_trace_bound(
+    model: GroupModel,
+    M: np.ndarray,
+    factors: tuple[BlockFactor, ...],
+    k_star: np.ndarray,
+) -> float:
+    """An upper bound on the max of tr(k^T M) over the factor subgroup.
+    Where the block maximizers are exact (SO blocks, or SU blocks of at
+    most two columns without a circle) it is the value at k*; otherwise
+    the relaxation to the full unitary group on each block and, with a
+    circle, the full torus on the single columns."""
+    circle = any(f.kind == "circle" for f in factors)
+    singles, blocks = _split_columns(model, factors)
+    if not circle and all(len(cols) == 2 for cols in blocks):
+        return float(np.sum(k_star * M))
+    P = _complex_pairing(M)
+    diag = P[singles, singles]
+    relax = float(np.sum(np.abs(diag) if circle else diag.real))
+    for cols in blocks:
+        sig = np.linalg.svd(P[np.ix_(cols, cols)], compute_uv=False)
+        relax += float(np.sum(sig))
+    return relax
 
 
 def chord_to_coset(
@@ -258,143 +432,11 @@ def chord_to_coset(
     value comes from a relaxation trace with a small slack subtracted, so
     roundoff cannot push it above the true chord.
     """
-    N = model.n
-    M = U.T @ V  # maximize tr(k^T M)
-
-    def lower_from(trace_val: float) -> float:
-        return math.sqrt(max(2 * N - 2 * trace_val - TRACE_SLACK, 0.0))
-
-    su_factors = [f for f in factors if f.kind == "su"]
-    so_factors = [f for f in factors if f.kind == "so"]
-    circle = any(f.kind == "circle" for f in factors)
-
-    if so_factors and not su_factors and not circle:
-        rows_in = set()
-        total, k_star = 0.0, np.eye(N)
-        for f in so_factors:
-            rows_in |= set(f.cols)
-            ix = np.ix_(f.cols, f.cols)
-            val, k = _so_procrustes(M[ix])
-            k_star[ix] = k
-            total += val
-        total += sum(M[i, i] for i in range(N) if i not in rows_in)
-        upper = float(np.linalg.norm(U @ k_star - V))
-        return ChordResult(lower=min(lower_from(total), upper), upper=upper, k_star=k_star)
-
-    # unitary models
-    m = model.complex_size
-    P = _complex_pairing(M, m)
-    block_cols = set()
-    for f in su_factors:
-        block_cols |= set(f.cols)
-    free_cols = [j for j in range(m) if j not in block_cols]
-
-    if not circle:
-        total_feas, total_relax = 0.0, 0.0
-        all_exact = True
-        Kc = np.eye(m, dtype=complex)
-        for f in su_factors:
-            sub = P[np.ix_(f.cols, f.cols)]
-            feas, relax, k = _su_procrustes(sub)
-            total_feas += feas
-            total_relax += relax
-            if len(f.cols) > 2:
-                all_exact = False  # ascent block: only the relaxation certifies
-            Kc[np.ix_(f.cols, f.cols)] = k  # the blocks are disjoint
-        ident = float(sum(P[j, j].real for j in free_cols))
-        total_feas += ident
-        total_relax += ident
-        k_star = realify(Kc)
-        upper = float(np.linalg.norm(U @ k_star - V))
-        lower = lower_from(total_feas if all_exact else total_relax)
-        return ChordResult(lower=min(lower, upper), upper=upper, k_star=k_star)
-
-    # circle present: vectorized 1-parameter grid over theta, then a scalar
-    # polish; block maxima re-solved per theta
-    speeds = _circle_phases(model)
-    period = next(f.period for f in factors if f.kind == "circle")
-    diag = np.array([P[j, j] for j in free_cols])
-    fs = np.array([speeds[j] for j in free_cols])
-
-    su2_data = []  # (speed, pairing 4-vector) for exact SU(2) blocks
-    big_blocks = []  # (speed, submatrix) for blocks solved by ascent
-    for f in su_factors:
-        a = float(speeds[f.cols[0]])
-        sub = P[np.ix_(f.cols, f.cols)]
-        if len(f.cols) == 2:
-            su2_data.append((a, _su2_pairing(sub)))
-        elif len(f.cols) == 1:
-            su2_data.append((a, None))
-            diag = np.append(diag, sub[0, 0])
-            fs = np.append(fs, a)
-        else:
-            big_blocks.append((a, sub))
-
-    def grid_values(thetas: np.ndarray) -> np.ndarray:
-        vals = (np.exp(-1j * np.outer(thetas, fs)) * diag).real.sum(axis=1)
-        for a, w in su2_data:
-            if w is None:
-                continue
-            t = (np.exp(-1j * a * thetas)[:, None] * w[None, :]).real
-            vals += np.sqrt((t**2).sum(axis=1))
-        for a, sub in big_blocks:
-            vals += np.array(
-                [_su_procrustes(np.exp(-1j * a * th) * sub)[0] for th in thetas]
-            )
-        return vals
-
-    def trace_prime(theta: float) -> float:
-        # d/d theta of the maximized trace; block terms by the envelope rule
-        ph = np.exp(-1j * fs * theta) * diag
-        der = float((fs * ph.imag).sum())
-        for a, w in su2_data:
-            if w is None:
-                continue
-            tvec = np.exp(-1j * a * theta) * w
-            n = float(np.linalg.norm(tvec.real))
-            if n > 1e-12:
-                der += a * float(tvec.real @ tvec.imag) / n
-        for a, sub in big_blocks:
-            _, _, k = _su_procrustes(np.exp(-1j * a * theta) * sub)
-            c = np.trace(k.conj().T @ (np.exp(-1j * a * theta) * sub))
-            der += a * float(c.imag)
-        return der
-
-    thetas = np.linspace(0.0, period, CIRCLE_GRID, endpoint=False)
-    vals = grid_values(thetas)
-    i0 = int(np.argmax(vals))
-    span = period / CIRCLE_GRID
-    lo, hi = thetas[i0] - span, thetas[i0] + span
-    theta_best = float(thetas[i0])
-    try:
-        # the maximizer is a zero crossing of the derivative
-        if trace_prime(lo) > 0 > trace_prime(hi):
-            theta_best = float(
-                scipy.optimize.brentq(trace_prime, lo, hi, xtol=1e-14)
-            )
-    except ValueError:
-        pass
-    cand = np.array([theta_best, thetas[i0]])
-    theta_best = float(cand[np.argmax(grid_values(cand))])
-    # assemble the feasible maximizer at theta_best
-    Kc = np.diag(np.exp(1j * speeds * theta_best))
-    for f in su_factors:
-        a = speeds[f.cols[0]]
-        ix = np.ix_(f.cols, f.cols)
-        _, _, k = _su_procrustes(np.exp(-1j * a * theta_best) * P[ix])
-        Kc[ix] = Kc[ix] @ k
-    k_star = realify(Kc)
+    k_star = _k_star_batch(model, U[None], V, factors)[0]
     upper = float(np.linalg.norm(U @ k_star - V))
-    # relaxation: full torus on free columns, full unitary group on blocks
-    relax = float(np.sum(np.abs(diag)))
-    for f in su_factors:
-        if len(f.cols) == 1:
-            continue  # already counted through the torus term
-        _, r, _ = _su_procrustes(P[np.ix_(f.cols, f.cols)])
-        relax += r
-    return ChordResult(
-        lower=min(lower_from(relax), upper), upper=upper, k_star=k_star
-    )
+    bound = _max_trace_bound(model, U.T @ V, factors, k_star)
+    lower = math.sqrt(max(2 * model.n - 2 * bound - TRACE_SLACK, 0.0))
+    return ChordResult(lower=min(lower, upper), upper=upper, k_star=k_star)
 
 
 def chord_k1(model: GroupModel, x: CosetPoint, y: CosetPoint) -> ChordResult:
@@ -461,6 +503,37 @@ def geodesic(x: CosetPoint, xi: np.ndarray, t: float) -> CosetPoint:
     return CosetPoint(model, g @ matrix_exp(t * xi))
 
 
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _fd_jacobian(residuals, x: np.ndarray) -> np.ndarray:
+    """scipy's 2-point forward-difference Jacobian of x -> residuals(x[None])[0]
+    (step sqrt(eps) sign0(x) max(1, |x|), divided by (x + h) - x),
+    evaluated as one batch of d + 1 points, row 0 the unperturbed point."""
+    h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    idx = np.arange(len(x))
+    X = np.repeat(x[None], len(x) + 1, axis=0)
+    X[idx + 1, idx] = x + h
+    F = residuals(X)
+    return ((F[1:] - F[0]) / ((x + h) - x)[:, None]).T
+
+
+def _lm(residuals, c0: np.ndarray) -> scipy.optimize.OptimizeResult:
+    """Levenberg-Marquardt from c0 on a batched residual map (B, d) ->
+    (B, r), with the Jacobian of `_fd_jacobian`.  The residual alone is
+    the same map on a batch of one, so both come from identical
+    arithmetic and the iterates are those of scipy's own 2-point rule."""
+    return scipy.optimize.least_squares(
+        lambda x: residuals(x[None])[0],
+        c0,
+        jac=lambda x: _fd_jacobian(residuals, x),
+        method="lm",
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+    )
+
+
 @dataclass(frozen=True)
 class LogResult:
     xi: np.ndarray | None
@@ -485,10 +558,10 @@ def riemannian_log(
     U, V = x.rep, y.rep
     d = model.dim_m1
 
-    def residual_vec(c: np.ndarray) -> np.ndarray:
-        P = U @ matrix_exp(model.from_m1_coords(c))
-        ch = chord_to_coset(model, P, V, model.k1_factors)
-        return (P @ ch.k_star - V).ravel()
+    def residuals(C: np.ndarray) -> np.ndarray:
+        P = U @ matrix_exp(model.from_m1_coords(C))
+        K = _k_star_batch(model, P, V, model.k1_factors)
+        return (P @ K - V).reshape(len(C), -1)
 
     # smart start: project the ambient log of the chord-aligned difference
     ch = chord_to_coset(model, U, V, model.k1_factors)
@@ -508,14 +581,7 @@ def riemannian_log(
     converged: list[tuple[float, float, np.ndarray]] = []  # (norm, resid, c)
     best_r, best_c = np.inf, None
     for c_init in starts:
-        res = scipy.optimize.least_squares(
-            residual_vec,
-            c_init,
-            method="lm",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
+        res = _lm(residuals, c_init)
         r = float(np.linalg.norm(res.fun))
         if r < best_r:
             best_r, best_c = r, res.x
@@ -648,24 +714,17 @@ def fixed_fiber(
     k_factors = model.k1_factors + model.k2_factors
     rng = np.random.default_rng(seed)
 
-    def residual_vec(c: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        X = x0 @ matrix_exp(model.g.from_coords(c))
+    def residuals(C: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        X = x0 @ matrix_exp(model.g.from_coords(C))
         Y = gmat @ X
-        ch = chord_to_coset(model, Y, X, k_factors)
-        return (Y @ ch.k_star - X).ravel()
+        K = _k_star_batch(model, Y, X, k_factors)
+        return (Y @ K - X).reshape(len(C), -1)
 
     best_val, best_X = np.inf, None
     for trial in range(max(1, restarts)):
         x0 = np.eye(model.n) if trial == 0 else haar_point(model, rng).rep
         c0 = np.zeros(dg) if trial == 0 else rng.normal(scale=0.3, size=dg)
-        res = scipy.optimize.least_squares(
-            lambda c: residual_vec(c, x0),
-            c0,
-            method="lm",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
+        res = _lm(lambda C, x0=x0: residuals(C, x0), c0)
         r = float(np.linalg.norm(res.fun))
         if r < best_val:
             best_val = r

@@ -34,11 +34,12 @@ AD_INVARIANCE_TOL = 1e-9
 
 
 def realify(Z: np.ndarray) -> np.ndarray:
-    """Complex m x m -> real 2m x 2m, [[A, -B], [B, A]] for Z = A + iB."""
+    """Complex m x m -> real 2m x 2m, [[A, -B], [B, A]] for Z = A + iB;
+    leading axes are a batch."""
     A, B = Z.real, Z.imag
-    top = np.hstack([A, -B])
-    bot = np.hstack([B, A])
-    return np.vstack([top, bot])
+    top = np.concatenate([A, -B], axis=-1)
+    bot = np.concatenate([B, A], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def complexify(R: np.ndarray) -> np.ndarray:
@@ -72,7 +73,8 @@ class MatrixAlgebra:
         return self._pinv @ X.reshape(-1)
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ijk->jk", c, self.basis)
+        """The matrix with coordinates c; leading axes of c are a batch."""
+        return np.einsum("...i,ijk->...jk", c, self.basis)
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return self.from_coords(self.coords(X))
@@ -194,7 +196,8 @@ def killing_form(a: MatrixAlgebra, X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def matrix_exp(X: np.ndarray) -> np.ndarray:
-    """Thin wrapper over the scaling-and-squaring exponential."""
+    """Thin wrapper over the scaling-and-squaring exponential; leading axes
+    are a batch."""
     return scipy.linalg.expm(X)
 
 
@@ -274,7 +277,8 @@ class GroupModel:
         return float(np.sqrt(c @ c))
 
     def from_m1_coords(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ijk->jk", c, self.m1_basis)
+        """The m1 matrix with coordinates c; leading axes of c are a batch."""
+        return np.einsum("...i,ijk->...jk", c, self.m1_basis)
 
 
 def _gram_schmidt_kappa(
@@ -568,16 +572,29 @@ _ALIASES = {
 }
 
 
-def find_record(case_id: str):
-    """Resolve a case id to a catalog record: a friendly alias, an exact
-    slug, or a slug prefix.  A prefix resolves to the one matching record
-    with a concrete model; when only catalog-only records match, the first
-    of them is returned so the caller can report that no model exists.
-    Raises LookupError when nothing matches or several models do."""
-    from .dynkin import CatalogConfig, catalog
+def _slug_family(slug: str) -> str | None:
+    """The family letter that the group token of a slug names: suN is A,
+    soN is B for odd N and D for even N, sp2 is B, spN (N >= 3) is C, and
+    e*, f*, g* are E, F, G.  None when the token is not complete (no "-"
+    follows it, so "so1" may still grow into so10 or so11) or names no
+    family."""
+    token, dash, _ = slug.partition("-")
+    if not dash:
+        return None
+    kind, digits = token[:2], token[2:]
+    if kind not in ("su", "so", "sp") or not digits.isdecimal():
+        return token[0].upper() if token[:1] in ("e", "f", "g") else None
+    n = int(digits)
+    if kind == "su":
+        return "A"
+    if kind == "so":
+        return "B" if n % 2 else "D"
+    return "B" if n == 2 else "C" if n >= 3 else None
 
+
+def _resolve(case_id: str, records) -> FibrationRecord:
+    """The record a case id names among `records` (see `find_record`)."""
     slug = _ALIASES.get(case_id, case_id)
-    records = catalog(CatalogConfig()).records
     for r in records:
         if r.slug == slug:
             return r
@@ -590,3 +607,18 @@ def find_record(case_id: str):
     if not matches:
         raise LookupError(f"no catalog record with id {case_id!r}")
     return (with_model or matches)[0]
+
+
+def find_record(case_id: str) -> FibrationRecord:
+    """Resolve a case id to a catalog record: a friendly alias, an exact
+    slug, or a slug prefix.  A prefix resolves to the one matching record
+    with a concrete model; when only catalog-only records match, the first
+    of them is returned so the caller can report that no model exists.
+    Raises LookupError when nothing matches or several models do.  Only
+    the family that the id's group token names is enumerated; an id
+    without one searches the whole catalog."""
+    from .dynkin import CatalogConfig, catalog
+
+    family = _slug_family(_ALIASES.get(case_id, case_id))
+    cfg = CatalogConfig(families=(family,)) if family else CatalogConfig()
+    return _resolve(case_id, catalog(cfg).records)

@@ -145,6 +145,11 @@ def test_verify_su3_passes():
     code, payload = payload_for(["verify", "su3-hopf", "--seed", "42", *FAST_VERIFY])
     assert code == 0
     assert payload["failures"] == []
+    # roundoff-level solver residuals print as the floor, not as digits
+    details = {c["name"]: c["detail"] for c in payload["checks"]}
+    assert details["fixed-fiber-witness"] == (
+        "isotropy sample residual < 1e-12; generic sample residual < 1e-12"
+    )
     names = {c["name"] for c in payload["checks"]}
     assert {
         "natural-reductivity",

@@ -6,11 +6,14 @@ generator z has metric norm 6, exp(pi z) lands in the isotropy block, so
 the fiber geodesic closes after arc length 6 pi, and for small arc t the
 distance from the base point to exp((t/6) z) K1 equals t.
 """
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
+from isofib import homspace
 from isofib.homspace import (
     CosetPoint,
     Isometry,
@@ -31,11 +34,18 @@ from isofib.homspace import (
     metric_vs_frobenius_min,
     riemannian_log,
     sample_subgroup_element,
+    _fd_jacobian,
+    _k_star_batch,
     _so_procrustes,
     _su_procrustes,
     _su2_procrustes,
 )
 from isofib.liealg import build_model, find_record, matrix_exp, realify
+
+
+@functools.lru_cache(maxsize=None)
+def model_for(case_id):
+    return build_model(find_record(case_id))
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +183,60 @@ def test_fiber_closes_at_pi(su3):
     assert chord_k1(su3, e, far).upper < 1e-10
 
 
+# one case per branch of the maximizer: SO blocks; an SU(2) block; a circle
+# alone; a circle with an SU(2) block; an SU(3) block by ascent; a circle
+# with an SU(3) block, where the ascent runs at every grid angle (~2 s a
+# row at the full grid), so that case takes a coarser one
+K_STAR_CASES = [
+    ("so6-stiefel", "k1", None),
+    ("so6-stiefel", "k", None),
+    ("su3-hopf", "k1", None),
+    ("su3-hopf", "k", None),
+    ("su3-su1u2--k1-t1", "k1", None),
+    ("su4-su1u3--k1-0a2", "k1", None),
+    ("su4-su1u3--k1-0a2", "k", 16),
+]
+
+
+@pytest.mark.parametrize("case_id, group, grid", K_STAR_CASES)
+def test_k_star_batch_matches_per_row_chords(case_id, group, grid, monkeypatch):
+    if grid is not None:
+        monkeypatch.setattr(homspace, "CIRCLE_GRID", grid)
+    model = model_for(case_id)
+    factors = model.k1_factors + (model.k2_factors if group == "k" else ())
+    rng = np.random.default_rng(30)
+    U = np.array([haar_point(model, rng).rep for _ in range(3)])
+    V = haar_point(model, rng).rep
+    K = _k_star_batch(model, U, V, factors)
+    # a stack of targets, as the fixed-fiber residual passes, gives the same
+    assert np.array_equal(K, _k_star_batch(model, U, np.array([V] * 3), factors))
+    for u, k in zip(U, K):
+        ch = chord_to_coset(model, u, V, factors)
+        np.testing.assert_allclose(k, ch.k_star, rtol=0, atol=1e-14)
+        for _ in range(20):
+            s = sample_subgroup_element(model, factors, rng)
+            assert ch.upper <= np.linalg.norm(u @ s - V) + 1e-9
+
+
+@pytest.mark.parametrize("case_id", ["so6-stiefel", "su3-hopf", "su3-su1u2--k1-t1"])
+def test_fd_jacobian_is_scipy_two_point(case_id):
+    model = model_for(case_id)
+    rng = np.random.default_rng(31)
+    U, V = haar_point(model, rng).rep, haar_point(model, rng).rep
+
+    def residuals(C):
+        P = U @ matrix_exp(model.from_m1_coords(C))
+        K = _k_star_batch(model, P, V, model.k1_factors)
+        return (P @ K - V).reshape(len(C), -1)
+
+    # zero, negative, and beyond-unit coordinates take different steps
+    x = 2.0 * rng.normal(size=model.dim_m1)
+    x[:2] = (0.0, -0.3)
+    J = _fd_jacobian(residuals, x)
+    ref = approx_derivative(lambda c: residuals(c[None])[0], x, method="2-point")
+    assert np.array_equal(J, ref)
+
+
 # --- metric constants ---------------------------------------------------------------
 
 
@@ -262,6 +326,24 @@ def test_log_roundtrip(su3, so6):
         log = riemannian_log(x, y, restarts=2, seed=17)
         assert log.converged and log.residual < 1e-8
         assert log.upper == pytest.approx(0.4, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "case_id, seed, upper",
+    [
+        ("so6-stiefel", 101, 7.945000786600988),
+        ("su3-hopf", 102, 8.12172184187215),
+        ("su3-su1u2--k1-t1", 103, 3.685358953487963),
+    ],
+)
+def test_log_matches_recorded_upper(case_id, seed, upper):
+    # recorded from the solver with scipy's per-point 2-point Jacobian
+    model = model_for(case_id)
+    rng = np.random.default_rng(seed)
+    x, y = haar_point(model, rng), haar_point(model, rng)
+    log = riemannian_log(x, y, restarts=2, seed=7)
+    assert log.converged
+    assert log.upper == pytest.approx(upper, rel=0, abs=1e-12)
 
 
 def test_log_of_same_point_is_zero(su3):
@@ -377,6 +459,7 @@ def test_fixed_fiber_found_generic_su3(su3):
     g = haar_point(su3, rng).rep
     pt, resid = fixed_fiber(Isometry(su3, left=g), restarts=4, seed=4)
     assert pt is not None and resid < 1e-8
+    assert resid < 1e-12  # recorded from the per-point solver: 5.1e-16
     moved = g @ pt.rep
     assert chord_k(su3, CosetPoint(su3, moved), pt).upper < 1e-7
 
@@ -398,6 +481,8 @@ def test_fixed_fiber_honest_negative(so6):
     pt, resid = fixed_fiber(Isometry(so6, left=rot), restarts=4, seed=6)
     assert pt is None
     assert resid > 0.5
+    # recorded from the solver with scipy's per-point 2-point Jacobian
+    assert resid == pytest.approx(1.2302683150099174, rel=0, abs=1e-12)
 
 
 # --- invariant-plane certificates ----------------------------------------------------------

@@ -4,14 +4,18 @@ Killing-form oracles are the closed trace forms, computed here from first
 principles and compared against the library's ad-trace computation.
 """
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from isofib import dynkin
 from isofib.liealg import (
+    _ALIASES,
     BlockFactor,
     MatrixAlgebra,
     _build_su,
+    _resolve,
     _validate_model,
     algebra_so,
     algebra_su,
@@ -274,6 +278,36 @@ def test_find_record_prefix_resolution():
     assert find_record("su4-su2u2--k1-0a1-t").slug == "su4-su2u2--k1-0a1-t1"
     with pytest.raises(LookupError, match="su3-su1u2--k1-0a1, su3-su1u2--k1-t1"):
         find_record("su3")
+
+
+def test_find_record_family_scope_matches_full_catalog(monkeypatch):
+    records = dynkin.catalog(dynkin.CatalogConfig()).records
+    configs = []
+    cached = functools.lru_cache(maxsize=None)(dynkin.catalog)
+
+    def counting(cfg=None):
+        configs.append(cfg)
+        return cached(cfg)
+
+    monkeypatch.setattr(dynkin, "catalog", counting)
+    ids = [r.slug for r in records] + list(_ALIASES)
+    # prefixes the tests use, plus ids whose group token is incomplete
+    # ("so1" grows into so10..so17) or names the family by its letter
+    ids += ["e8-a4a4", "su4-su2u2--k1-0a1-t", "su3", "no-such-case", "so1", "sp2-", "g2-"]
+    for case_id in ids:
+        configs.clear()
+        try:
+            want = _resolve(case_id, records)
+        except LookupError as exc:
+            with pytest.raises(LookupError) as got:
+                find_record(case_id)
+            assert str(got.value) == str(exc)
+        else:
+            assert find_record(case_id) == want
+        assert len(configs) == 1
+    configs.clear()
+    find_record("so6-stiefel")
+    assert configs == [dynkin.CatalogConfig(families=("D",))]
 
 
 def test_algebra_rejects_dependent_basis():
