@@ -144,10 +144,13 @@ class FibrationRecord:
     isometry_component_counts: tuple[int, int]
     outer_proxy_exception: bool
     quaternion_kaehler: bool
-    model_available: bool
     model_spec: tuple | None
     k1_length_tags: tuple[str, ...]
     k2_length_tags: tuple[str, ...]
+
+    @property
+    def model_available(self) -> bool:
+        return self.model_spec is not None
 
 
 def diagram_from_roots(
@@ -725,7 +728,6 @@ def splittings(case: BdSCase) -> list[FibrationRecord]:
                 isometry_component_counts=(proxy, proxy),
                 outer_proxy_exception=exception,
                 quaternion_kaehler=case.quaternion_kaehler,
-                model_available=model_spec is not None,
                 model_spec=model_spec,
                 k1_length_tags=tuple(tags[i] for i in k1 if i < ncomps),
                 k2_length_tags=tuple(tags[i] for i in k2 if i < ncomps),
@@ -801,7 +803,6 @@ def stiefel_records(s: int, t: int) -> list[FibrationRecord]:
                 isometry_component_counts=(2, 1),
                 outer_proxy_exception=(s == t),
                 quaternion_kaehler=False,
-                model_available=True,
                 model_spec=("so_odd", s, t, k1_pos),
                 k1_length_tags=("",),
                 k2_length_tags=("",),

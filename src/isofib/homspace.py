@@ -6,9 +6,12 @@ Frobenius norm ||x k - y||.  Every chord evaluation returns a certified
 pair (lower, upper): the upper value comes from an explicit feasible k,
 the lower value from a group relaxation (full unitary / diagonal torus),
 so distance certificates built on the lower value are sound even when a
-block maximizer is only locally optimized.  For the shipped models the
-K1 factors are an SU(2) block, an SO block, or a circle, and both sides
-agree to grid-polish accuracy.
+block maximizer is only locally optimized.  The factors of K1 and K2 are
+SO blocks, SU blocks of two or more columns, and a circle.  SO and SU(2)
+blocks have exact maximizers, so without a circle both sides agree to
+roundoff; with a circle they agree to grid-polish accuracy.  An SU(c >= 3)
+block is maximized by a det-phase-constrained ascent, which is only
+locally optimal.
 
 Displacement verdicts compare per-point upper bounds (from a multistart
 Riemannian log) against per-point lower bounds (sqrt(lambda_min) times the
@@ -20,8 +23,10 @@ below another point's lower bound), or inconclusive.
 The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
 solves whose cost is the finite-difference Jacobian: d + 1 residuals per
 Jacobian, each needing the chord maximizer k*.  `_k_star_batch` computes
-k* for a whole stack of points in one numpy pass (batched SO Procrustes,
-closed-form SU(2) pairing, one theta grid for every row), and `_lm` feeds
+k* for a whole stack of points in one numpy pass (batched SO Procrustes;
+`_su_procrustes` for SU blocks, closed form for SU(2) and the ascent on
+the whole stack for larger blocks; one theta grid for every row, with
+the SU blocks maximized at every grid angle in one call), and `_lm` feeds
 scipy's own 2-point rule through it as one batch, with the residual alone
 as a batch of one.  The iterates, and so the results, are those of the
 per-point solver up to roundoff.
@@ -197,55 +202,46 @@ def _su2_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norm, (q @ _SU2_BASIS).reshape(P.shape)
 
 
-def _su_procrustes(P: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(feasible max, unitary-relaxation max, feasible maximizer) of
-    Re tr(k^H P) over SU(c).  Exact for c <= 2; for larger blocks the
-    feasible value comes from a det-phase-constrained ascent and the
-    relaxation from the full unitary polar bound."""
-    c = P.shape[0]
-    if c == 1:
-        return float(P[0, 0].real), float(P[0, 0].real), np.eye(1, dtype=complex)
-    U, sig, Vh = np.linalg.svd(P)
-    relaxed = float(np.sum(sig))
+def _su_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(feasible max, maximizer) of Re tr(k^H P) over SU(c), c >= 2;
+    leading axes are a batch.  Exact for c = 2; for larger blocks a
+    det-phase-constrained ascent, run on the whole stack with a per-block
+    stop mask, so every block follows the iterates it would follow alone."""
+    c = P.shape[-1]
     if c == 2:
-        val, k = _su2_procrustes(P)
-        return float(val), relaxed, k
+        return _su2_procrustes(P)
+    U, sig, Vh = np.linalg.svd(P)
     # det constraint: k = U diag(e^{i phi_j}) V^h needs sum(phi) = -arg det(U V^h)
     tau = -np.angle(np.linalg.det(U @ Vh))
+    step = (0.5 / (np.max(sig, axis=-1) + 1e-12))[..., None]
 
     def value(phis):
-        return float(np.sum(sig * np.cos(phis)))
+        return np.sum(sig * np.cos(phis), axis=-1)
 
-    best_val, best_phis = -np.inf, None
+    best_val, best_phis = np.full(tau.shape, -np.inf), np.zeros(sig.shape)
     for tau_shift in (tau, tau - 2 * np.pi, tau + 2 * np.pi):
         # init: whole phase on the smallest singular value
-        phis = np.zeros(c)
-        phis[-1] = tau_shift
+        phis = np.zeros(sig.shape)
+        phis[..., -1] = tau_shift
+        val = value(phis)
+        moving = np.ones(tau.shape, dtype=bool)
         for _ in range(200):
             grad = -sig * np.sin(phis)
-            grad -= grad.mean()  # project onto the constraint plane
-            step = 0.5 / (np.max(sig) + 1e-12)
+            grad -= grad.mean(axis=-1, keepdims=True)  # project onto the constraint plane
             new = phis + step * grad
-            new[-1] = tau_shift - np.sum(new[:-1])
-            if value(new) <= value(phis) + 1e-15:
+            new[..., -1] = tau_shift - np.sum(new[..., :-1], axis=-1)
+            new_val = value(new)
+            moving &= ~(new_val <= val + 1e-15)
+            if not moving.any():
                 break
-            phis = new
-        if value(phis) > best_val:
-            best_val, best_phis = value(phis), phis
-    k = U @ np.diag(np.exp(1j * best_phis)) @ Vh
-    return best_val, relaxed, k
-
-
-def _su_block_maximizers(P: np.ndarray) -> np.ndarray:
-    """Feasible maximizers of Re tr(k^H P) over SU(c) for a stack of c x c
-    blocks: closed form for c <= 2, the ascent of `_su_procrustes` row by
-    row for larger blocks."""
-    c = P.shape[-1]
-    if c == 1:
-        return np.ones_like(P)
-    if c == 2:
-        return _su2_procrustes(P)[1]
-    return np.array([_su_procrustes(sub)[2] for sub in P])
+            phis = np.where(moving[..., None], new, phis)
+            val = np.where(moving, new_val, val)
+        better = val > best_val
+        best_val = np.where(better, val, best_val)
+        best_phis = np.where(better[..., None], phis, best_phis)
+    D = np.zeros(P.shape, dtype=complex)
+    D[..., np.arange(c), np.arange(c)] = np.exp(1j * best_phis)
+    return best_val, U @ D @ Vh
 
 
 def _so_procrustes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,15 +262,12 @@ def _circle_phases(model: GroupModel) -> np.ndarray:
 def _split_columns(
     model: GroupModel, factors: tuple[BlockFactor, ...]
 ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(single columns, SU blocks of two or more columns) of a unitary
-    model, both empty for a real one: the single columns are those outside
-    every SU block, then the one-column SU blocks, the columns on which a
-    circle acts by a phase."""
-    su = [f.cols for f in factors if f.kind == "su"]
-    in_blocks = {j for cols in su for j in cols}
-    singles = [j for j in range(model.complex_size) if j not in in_blocks]
-    singles += [cols[0] for cols in su if len(cols) == 1]
-    return singles, [cols for cols in su if len(cols) > 1]
+    """(single columns, SU blocks) of a unitary model, both empty for a
+    real one: the single columns are those outside every SU block, the
+    columns on which a circle acts by a phase."""
+    blocks = [f.cols for f in factors if f.kind == "su"]
+    in_blocks = {j for cols in blocks for j in cols}
+    return [j for j in range(model.complex_size) if j not in in_blocks], blocks
 
 
 def _circle_angles(
@@ -290,8 +283,13 @@ def _circle_angles(
     rows = np.arange(len(P))
     diag = P[:, singles, singles]
     fs = speeds[singles]
-    su2_data = []  # (speed, pairing 4-vectors) for exact SU(2) blocks
-    big_blocks = []  # (speed, submatrices) for blocks solved by ascent
+    # SU(2) blocks keep their own pairing-vector terms in trace_at and
+    # slope: `_su_procrustes` would also assemble every maximizer, and
+    # numpy calls in slope cost more than plain Python numbers; routed
+    # through it, a 9-row su3 kernel under a circle ran 3-5x slower (2-core
+    # x86 VM)
+    su2_data = []  # (speed, pairing 4-vectors)
+    big_blocks = []  # (speed, submatrices) of SU(c >= 3) blocks
     for cols in blocks:
         sub = P[np.ix_(rows, cols, cols)]
         if len(cols) == 2:
@@ -306,12 +304,9 @@ def _circle_angles(
         for a, w in su2_data:
             t = (np.exp(-1j * a * thetas)[..., None] * w[:, None, :]).real
             vals += np.sqrt((t**2).sum(axis=-1))
-        thetas = np.broadcast_to(thetas, vals.shape)
         for a, sub in big_blocks:
-            vals += np.array([
-                [_su_procrustes(np.exp(-1j * a * th) * sub[r])[0] for th in ths]
-                for r, ths in zip(rows, thetas)
-            ])
+            rot = np.exp(-1j * a * thetas)[..., None, None] * sub[:, None]
+            vals += _su_procrustes(rot)[0]
         return vals
 
     # the derivative is polished one row at a time: plain Python numbers
@@ -333,7 +328,7 @@ def _circle_angles(
                 der += a * sum(x.real * x.imag for x in tvec) / n
         for a, sub in big_blocks:
             rot = np.exp(-1j * a * theta) * sub[r]
-            _, _, k = _su_procrustes(rot)
+            _, k = _su_procrustes(rot)
             der += a * float(np.trace(k.conj().T @ rot).imag)
         return der
 
@@ -363,8 +358,8 @@ def _k_star_batch(
     (the `k_star` of `chord_to_coset`) for every U of a (B, n, n) stack; V
     is one matrix or a matching stack.  SO blocks take a batched
     Procrustes, SU(2) blocks the closed-form quaternion pairing, a circle
-    the angle of `_circle_angles` with the blocks maximized at it; only
-    SU(c >= 3) blocks loop over the rows."""
+    the angle of `_circle_angles` with the blocks maximized at it, SU(c >= 3)
+    blocks the batched ascent of `_su_procrustes`."""
     M = np.swapaxes(U_stack, -1, -2) @ V  # maximize tr(k^T M) per row
     rows = np.arange(len(M))
     if {f.kind for f in factors} == {"so"}:
@@ -389,7 +384,7 @@ def _k_star_batch(
         sub = P[ix]
         if theta is not None:
             sub = np.exp(-1j * speeds[f.cols[0]] * theta)[:, None, None] * sub
-        Kc[ix] = Kc[ix] @ _su_block_maximizers(sub)  # the blocks are disjoint
+        Kc[ix] = Kc[ix] @ _su_procrustes(sub)[1]  # the blocks are disjoint
     return realify(Kc)
 
 
@@ -400,10 +395,10 @@ def _max_trace_bound(
     k_star: np.ndarray,
 ) -> float:
     """An upper bound on the max of tr(k^T M) over the factor subgroup.
-    Where the block maximizers are exact (SO blocks, or SU blocks of at
-    most two columns without a circle) it is the value at k*; otherwise
-    the relaxation to the full unitary group on each block and, with a
-    circle, the full torus on the single columns."""
+    Where the block maximizers are exact (SO blocks, or SU(2) blocks
+    without a circle) it is the value at k*; otherwise the relaxation to
+    the full unitary group on each block and, with a circle, the full torus
+    on the single columns."""
     circle = any(f.kind == "circle" for f in factors)
     singles, blocks = _split_columns(model, factors)
     if not circle and all(len(cols) == 2 for cols in blocks):
@@ -448,10 +443,6 @@ def chord_k(model: GroupModel, x: CosetPoint, y: CosetPoint) -> ChordResult:
     return chord_to_coset(
         model, x.rep, y.rep, model.k1_factors + model.k2_factors
     )
-
-
-def coset_equal(model: GroupModel, x: CosetPoint, y: CosetPoint, tol=COSET_TOL) -> bool:
-    return chord_k1(model, x, y).upper < tol
 
 
 # --- metric constants ----------------------------------------------------------

@@ -21,7 +21,7 @@ are validated at build time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -68,6 +68,12 @@ class MatrixAlgebra:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def killing_gram(self) -> np.ndarray:
+        """The basis Gram matrix of the Killing form (`killing_matrix`),
+        computed once per algebra."""
+        return killing_matrix(self)
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         return self._pinv @ X.reshape(-1)
@@ -174,16 +180,6 @@ def killing_matrix(a: MatrixAlgebra) -> np.ndarray:
     return K
 
 
-_KILLING_CACHE: dict[str, np.ndarray] = {}
-
-
-def _killing_cached(a: MatrixAlgebra) -> np.ndarray:
-    key = a.name
-    if key not in _KILLING_CACHE:
-        _KILLING_CACHE[key] = killing_matrix(a)
-    return _KILLING_CACHE[key]
-
-
 def killing_form(a: MatrixAlgebra, X: np.ndarray, Y: np.ndarray) -> float:
     """kappa(X, Y) = tr(ad X ad Y) through the cached basis Gram matrix."""
     for M in (X, Y):
@@ -192,7 +188,7 @@ def killing_form(a: MatrixAlgebra, X: np.ndarray, Y: np.ndarray) -> float:
             raise ValueError(
                 f"matrix outside {a.name} (projection residual {r:.2e})"
             )
-    return float(a.coords(X) @ _killing_cached(a) @ a.coords(Y))
+    return float(a.coords(X) @ a.killing_gram @ a.coords(Y))
 
 
 def matrix_exp(X: np.ndarray) -> np.ndarray:
@@ -463,7 +459,7 @@ def _build_su(s: int, t: int, k1_blocks: tuple[str, ...], rec: FibrationRecord) 
 
     k1 = MatrixAlgebra(name=f"k1[{rec.slug}]", n=2 * m, basis=np.array(k1_mats))
     k2 = MatrixAlgebra(name=f"k2[{rec.slug}]", n=2 * m, basis=np.array(k2_mats))
-    kappa = _killing_cached(g)
+    kappa = g.killing_gram
 
     m1 = orthogonal_complement(g, kappa, k1)
     # reorder m1 so the k2 directions come first (Gram-Schmidt from k2)
@@ -516,7 +512,7 @@ def _build_so_odd(s: int, t: int, k1_pos: int, rec: FibrationRecord) -> GroupMod
         k2_mats, k2_rows = basis1, rows1
     k1 = MatrixAlgebra(name=f"k1[{rec.slug}]", n=n, basis=np.array(k1_mats))
     k2 = MatrixAlgebra(name=f"k2[{rec.slug}]", n=n, basis=np.array(k2_mats))
-    kappa = _killing_cached(g)
+    kappa = g.killing_gram
     m1 = orthogonal_complement(g, kappa, k1)
     seed = list(k2.basis) + [M for M in m1]
     m1_ordered = _gram_schmidt_kappa(g, kappa, seed)

@@ -138,6 +138,19 @@ def test_killing_ad_invariance():
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-8)
 
 
+def test_killing_form_is_per_algebra_not_per_name():
+    # algebras may share a name; each keeps the Gram matrix of its own basis
+    so3 = algebra_so(3)
+    L = so3.basis[0]
+    assert killing_form(so3, L, L) == pytest.approx(-2.0, abs=1e-12)
+    scaled = MatrixAlgebra(name=so3.name, n=3, basis=2.0 * so3.basis)
+    assert killing_form(scaled, 2.0 * L, 2.0 * L) == pytest.approx(-8.0, abs=1e-12)
+    bigger = MatrixAlgebra(name=so3.name, n=4, basis=algebra_so(4).basis)
+    X = bigger.basis[0]
+    # kappa = (n - 2) tr on so(4)
+    assert killing_form(bigger, X, X) == pytest.approx(2.0 * np.trace(X @ X), abs=1e-12)
+
+
 def test_killing_rejects_outsiders():
     a = algebra_su(2)
     with pytest.raises(ValueError, match="outside"):
