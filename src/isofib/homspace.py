@@ -37,8 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
+import scipy  # bare: .linalg/.optimize load on first use, catalog runs skip them
 
 from .liealg import BlockFactor, GroupModel, complexify, matrix_exp, realify
 
@@ -445,27 +444,6 @@ def chord_k(model: GroupModel, x: CosetPoint, y: CosetPoint) -> ChordResult:
     )
 
 
-# --- metric constants ----------------------------------------------------------
-
-_LAMBDA_CACHE: dict[str, float] = {}
-
-
-def metric_vs_frobenius_min(model: GroupModel) -> float:
-    """Smallest eigenvalue of the normal metric on m1 against the ambient
-    Frobenius form: -kappa(xi, xi) >= lambda_min ||xi||_F^2 on m1."""
-    key = model.name
-    if key not in _LAMBDA_CACHE:
-        E = model.m1_basis  # -kappa-orthonormal
-        d = len(E)
-        F = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                F[i, j] = F[j, i] = float(np.sum(E[i] * E[j]))
-        lam = 1.0 / float(np.linalg.eigvalsh(F)[-1])
-        _LAMBDA_CACHE[key] = lam
-    return _LAMBDA_CACHE[key]
-
-
 # --- Killing fields and geodesics ---------------------------------------------
 
 
@@ -595,7 +573,7 @@ def distance_lower_bound(x: CosetPoint, y: CosetPoint) -> float:
     """sqrt(lambda_min) times the certified chord lower value: a true lower
     bound for the Riemannian distance between the cosets."""
     model = x.model
-    lam = metric_vs_frobenius_min(model)
+    lam = model.frobenius_lambda_min
     return math.sqrt(lam) * chord_k1(model, x, y).lower
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
+import scipy  # bare: scipy.linalg loads on first use, so catalog runs skip it
 
 from .dynkin import FibrationRecord
 
@@ -254,6 +254,18 @@ class GroupModel:
     @property
     def dim_m(self) -> int:
         return self.m_basis.shape[0]
+
+    @cached_property
+    def frobenius_lambda_min(self) -> float:
+        """Smallest eigenvalue of the normal metric on m1 against the ambient
+        Frobenius form: -kappa(xi, xi) >= lambda_min ||xi||_F^2 on m1."""
+        E = self.m1_basis  # -kappa-orthonormal
+        d = len(E)
+        F = np.empty((d, d))
+        for i in range(d):
+            for j in range(i, d):
+                F[i, j] = F[j, i] = float(np.sum(E[i] * E[j]))
+        return 1.0 / float(np.linalg.eigvalsh(F)[-1])
 
     def kappa_ip(self, X: np.ndarray, Y: np.ndarray) -> float:
         """The metric inner product -kappa(X, Y) on g."""

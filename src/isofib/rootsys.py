@@ -178,16 +178,36 @@ def _cartan_matrix(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
 
 
 def _reflection_closure(simple: Sequence[Vector]) -> tuple[Vector, ...]:
-    roots: set[Vector] = set(simple)
-    queue: list[Vector] = list(simple)
+    """Closure of the simple roots under the simple reflections, sorted.
+
+    Every simple root of these conventions lies in (1/2)Z^dim, so the closure
+    runs on doubled integer vectors: a reflection coefficient
+    2 (v, a) / (a, a) is unchanged by the doubling and, for a root system,
+    an integer, checked by `divmod` on every step against the norms (a, a)
+    computed once per simple root.  Raises ValueError on a simple root
+    outside (1/2)Z^dim or a non-integral reflection coefficient.
+    """
+    doubled = []
+    for a in simple:
+        twice = [2 * x for x in a]
+        if any(x.denominator != 1 for x in twice):
+            raise ValueError(f"simple root {a!r} lies outside (1/2)Z^dim")
+        doubled.append(tuple(int(x) for x in twice))
+    gens = [(a, sum(x * x for x in a)) for a in doubled]
+    roots: set[tuple[int, ...]] = set(doubled)
+    queue = list(doubled)
     while queue:
         v = queue.pop()
-        for a in simple:
-            w = reflect(v, a)
-            if w not in roots:
-                roots.add(w)
-                queue.append(w)
-    return tuple(sorted(roots))
+        for a, norm in gens:
+            c, rem = divmod(2 * sum(x * y for x, y in zip(v, a)), norm)
+            if rem:
+                raise ValueError("non-integral reflection coefficient; roots are not a base")
+            if c:
+                w = tuple(x - c * y for x, y in zip(v, a))
+                if w not in roots:
+                    roots.add(w)
+                    queue.append(w)
+    return tuple(tuple(Q(x, 2) for x in v) for v in sorted(roots))
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,13 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isofib
 from isofib import cli, dynkin
 
 
@@ -68,6 +72,26 @@ def test_catalog_family_labels(families, rank_cap, letters, groups):
     assert code == 0 and got["records"]
     assert got["records"] == keep(whole["records"])
     assert got["cases"] == keep(whole["cases"])
+
+
+def test_catalog_loads_no_scipy_submodules():
+    # a fresh interpreter: catalog commands run on the exact layer alone,
+    # so scipy.linalg and scipy.optimize must wait for verify
+    child = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(Path(isofib.__file__).parents[1])!r})\n"
+        "from isofib import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['catalog', '--family', 'G'])\n"
+        "print(code, ' '.join(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[0] == "0"
+    loaded = set(out[1:])
+    assert "isofib.homspace" in loaded and "isofib.dynkin" in loaded
+    assert not loaded & {"scipy.linalg", "scipy.optimize"}
 
 
 @pytest.mark.parametrize("label", ["B1", "E9"])

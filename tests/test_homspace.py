@@ -6,6 +6,7 @@ generator z has metric norm 6, exp(pi z) lands in the isotropy block, so
 the fiber geodesic closes after arc length 6 pi, and for small arc t the
 distance from the base point to exp((t/6) z) K1 equals t.
 """
+import dataclasses
 import functools
 import math
 
@@ -31,7 +32,6 @@ from isofib.homspace import (
     haar_point,
     haar_unitary,
     killing_length,
-    metric_vs_frobenius_min,
     riemannian_log,
     sample_subgroup_element,
     _fd_jacobian,
@@ -264,8 +264,21 @@ def test_fd_jacobian_is_scipy_two_point(case_id):
 
 
 def test_metric_constants(su3, so6):
-    assert metric_vs_frobenius_min(su3) == pytest.approx(3.0, abs=1e-9)
-    assert metric_vs_frobenius_min(so6) == pytest.approx(4.0, abs=1e-9)
+    assert su3.frobenius_lambda_min == pytest.approx(3.0, abs=1e-9)
+    assert so6.frobenius_lambda_min == pytest.approx(4.0, abs=1e-9)
+
+
+def test_lower_bound_metric_is_per_model_not_per_name(su3):
+    # a model whose m1 basis is halved keeps su3's name but has lambda_min
+    # 12, so the chord (which does not see m1) gives twice the lower bound
+    rng = np.random.default_rng(30)
+    x, y = haar_point(su3, rng), haar_point(su3, rng)
+    lower = distance_lower_bound(x, y)
+    half = dataclasses.replace(su3, m1_basis=su3.m1_basis / 2)
+    assert half.name == su3.name
+    lower_half = distance_lower_bound(CosetPoint(half, x.rep), CosetPoint(half, y.rep))
+    assert lower_half == pytest.approx(2 * lower, rel=1e-12)
+    assert half.frobenius_lambda_min == pytest.approx(12.0, abs=1e-9)
 
 
 # --- Killing-field lengths ------------------------------------------------------------

@@ -13,6 +13,8 @@ import pytest
 from isofib.rootsys import (
     Q,
     SimpleType,
+    _reflection_closure,
+    _simple_roots_for,
     build_root_system,
     dot,
     highest_root,
@@ -77,6 +79,49 @@ def test_roots_closed_under_simple_reflections(family, rank):
     for alpha in rs.simple_roots:
         for v in rs.all_roots:
             assert reflect(v, alpha) in roots
+
+
+CLOSURE_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(3, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def fraction_closure(simple):
+    """Reference: the closure on Fraction vectors, reflecting with the
+    textbook formula v - 2 (v, a) / (a, a) a on every step."""
+
+    def ip(u, v):
+        return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+    roots = set(simple)
+    queue = list(simple)
+    while queue:
+        v = queue.pop()
+        for a in simple:
+            c = 2 * ip(v, a) / ip(a, a)
+            w = tuple(x - c * y for x, y in zip(v, a))
+            if w not in roots:
+                roots.add(w)
+                queue.append(w)
+    return tuple(sorted(roots))
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_TYPES)
+def test_integer_closure_matches_fraction_closure(family, rank):
+    simple = _simple_roots_for(SimpleType(family, rank))
+    roots = _reflection_closure(simple)
+    assert roots == fraction_closure(simple)
+    assert all(type(x) is Fraction for v in roots for x in v)
+
+
+def test_closure_rejects_root_outside_half_integers():
+    simple = ((Q(1), Q(-1), Q(0)), (Q(0), Q(1, 3), Q(-1)))
+    with pytest.raises(ValueError, match="outside"):
+        _reflection_closure(simple)
 
 
 @pytest.mark.parametrize("family,rank", sorted(ROOT_COUNTS))
