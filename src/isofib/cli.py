@@ -13,6 +13,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -629,10 +631,28 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def check_config(cfg: RunConfig) -> None:
+    """Reject, before any work runs, inputs that would otherwise surface as
+    a traceback or as a failed check."""
+    out_dir = os.path.dirname(cfg.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ConfigError(f"--out: no such directory {out_dir!r}")
+    for name, value in cfg.tolerances.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--tol-{name} must be finite and positive, got {value}")
+    if cfg.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {cfg.samples}")
+    if cfg.restarts < 0:
+        raise ConfigError(f"--restarts must be at least 0, got {cfg.restarts}")
+    if cfg.command == "selfcheck" and cfg.rank_cap < 1:
+        raise ConfigError(f"--rank-cap must be at least 1, got {cfg.rank_cap}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
+        check_config(cfg)
         if cfg.command == "catalog":
             code, payload = cmd_catalog(cfg)
         elif cfg.command == "verify":

@@ -21,15 +21,18 @@ constant-within-tol, certified-nonconstant (some point's upper bound lies
 below another point's lower bound), or inconclusive.
 
 The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
-solves whose cost is the finite-difference Jacobian: d + 1 residuals per
+solves whose cost is the finite-difference Jacobian: d residuals per
 Jacobian, each needing the chord maximizer k*.  `_k_star_batch` computes
 k* for a whole stack of points in one numpy pass (batched SO Procrustes;
 `_su_procrustes` for SU blocks, closed form for SU(2) and the ascent on
 the whole stack for larger blocks; one theta grid for every row, with
-the SU blocks maximized at every grid angle in one call), and `_lm` feeds
-scipy's own 2-point rule through it as one batch, with the residual alone
-as a batch of one.  The iterates, and so the results, are those of the
-per-point solver up to roundoff.
+the SU blocks maximized at every grid angle in one call).  `_lm` advances
+a stack of problems in lockstep, each with its own damping and stop, and
+sends the Jacobian points or trial points of all of them through stacked
+residual calls; a displacement profile solves all of its (point, start)
+problems in one `_lm` call.  Every per-problem operation, the
+matrix exponential included, acts on that problem's rows alone, so a
+point's result does not depend on the problems it is solved with.
 """
 from __future__ import annotations
 
@@ -473,34 +476,99 @@ def geodesic(x: CosetPoint, xi: np.ndarray, t: float) -> CosetPoint:
 
 
 _FD_STEP = math.sqrt(np.finfo(float).eps)
+_LM_TOL = 1e-15  # step and cost-reduction floors: stop only at roundoff
+_LM_LAM0, _LM_LAM_MAX = 1e-3, 1e16
+_LM_MAX_ITER = 200
+# points per residual call: the kernel's temporaries, and so the peak
+# memory, grow with the stack, while a so8 verify ran as fast in stacks
+# of 128 points as of 256 (2-core x86 VM)
+_LM_SLICE = 128
 
 
-def _fd_jacobian(residuals, x: np.ndarray) -> np.ndarray:
-    """scipy's 2-point forward-difference Jacobian of x -> residuals(x[None])[0]
-    (step sqrt(eps) sign0(x) max(1, |x|), divided by (x + h) - x),
-    evaluated as one batch of d + 1 points, row 0 the unperturbed point."""
-    h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    idx = np.arange(len(x))
-    X = np.repeat(x[None], len(x) + 1, axis=0)
-    X[idx + 1, idx] = x + h
-    F = residuals(X)
-    return ((F[1:] - F[0]) / ((x + h) - x)[:, None]).T
+def _fd_jacobian(residuals, X: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """scipy's 2-point forward-difference Jacobian (step sqrt(eps) sign0(x)
+    max(1, |x|), divided by (x + h) - x) of every problem of a stack: X (p,
+    d) coordinates with residuals F (p, r), and `residuals` a map (p, k, d)
+    -> (p, k, r) that evaluates the d perturbed points of all problems in
+    one batch.  Returns J with shape (p, r, d)."""
+    d = X.shape[-1]
+    H = _FD_STEP * np.where(X >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(X))
+    idx = np.arange(d)
+    Xs = np.repeat(X[:, None], d, axis=1)
+    Xs[:, idx, idx] = X + H
+    Fs = residuals(Xs)  # (p, d, r): row j perturbed in coordinate j
+    Fs -= F[:, None]
+    Fs /= ((X + H) - X)[..., None]
+    return np.swapaxes(Fs, 1, 2)
 
 
-def _lm(residuals, c0: np.ndarray) -> scipy.optimize.OptimizeResult:
-    """Levenberg-Marquardt from c0 on a batched residual map (B, d) ->
-    (B, r), with the Jacobian of `_fd_jacobian`.  The residual alone is
-    the same map on a batch of one, so both come from identical
-    arithmetic and the iterates are those of scipy's own 2-point rule."""
-    return scipy.optimize.least_squares(
-        lambda x: residuals(x[None])[0],
-        c0,
-        jac=lambda x: _fd_jacobian(residuals, x),
-        method="lm",
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
+def _lm(residuals, C0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt from every row of C0 (p, d), all problems
+    advanced in lockstep.  `residuals(C, rows)` maps the (len(rows), k, d)
+    coordinates of the problems `rows` to their (len(rows), k, r)
+    residuals; each step evaluates it on stacks of at most _LM_SLICE
+    points.  Each problem keeps its own damping lam against diag J^T J
+    (Marquardt scaling, Nielsen's update), takes a step only when it
+    lowers the cost, and stops on its own: at a step or relative cost
+    reduction below _LM_TOL, at damping above _LM_LAM_MAX, or after
+    _LM_MAX_ITER steps.  The Jacobian is `_fd_jacobian`, and every
+    per-problem operation acts on that problem's rows alone, so a problem
+    follows the iterates it would follow in a stack of one.  Returns (C,
+    F): final coordinates and the residuals there."""
+    p, d = C0.shape
+
+    def sliced(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        step = max(1, _LM_SLICE // C.shape[1])
+        parts = [residuals(C[i : i + step], rows[i : i + step]) for i in range(0, len(rows), step)]
+        return np.concatenate(parts)
+
+    X = C0.astype(float)
+    F = sliced(X[:, None], np.arange(p))[:, 0]
+    cost = np.einsum("ij,ij->i", F, F)
+    lam, nu = np.full(p, _LM_LAM0), np.full(p, 2.0)
+    diag = np.arange(d)
+    A, g = np.empty((p, d, d)), np.empty((p, d))
+    fresh = np.ones(p, dtype=bool)  # the Jacobian at X is still to be taken
+    active = cost > 0
+    for _ in range(_LM_MAX_ITER):
+        act = np.flatnonzero(active)
+        if not act.size:
+            break
+        jr = act[fresh[act]]
+        if jr.size:
+            J = _fd_jacobian(lambda C, rows=jr: sliced(C, rows), X[jr], F[jr])
+            Jt = np.swapaxes(J, 1, 2)
+            A[jr] = Jt @ J
+            g[jr] = (Jt @ F[jr][..., None])[..., 0]
+            fresh[jr] = False
+        Aa, ga, la = A[act], g[act], lam[act]
+        D = np.diagonal(Aa, axis1=1, axis2=2).copy()
+        D[D <= 0] = 1.0
+        Aa[:, diag, diag] += la[:, None] * D
+        step = -np.linalg.solve(Aa, ga[..., None])[..., 0]
+        # reduction predicted by the linear model: -g.step + lam step.D.step
+        pred = np.einsum("ij,ij->i", step, la[:, None] * D * step - ga)
+        Xt = X[act] + step
+        Ft = sliced(Xt[:, None], act)[:, 0]
+        cost_t = np.einsum("ij,ij->i", Ft, Ft)
+        gain = cost[act] - cost_t
+        ok = gain > 0
+        rho = np.where(ok, gain / np.where(pred > 0, pred, np.inf), 0.0)
+        # Nielsen's update: shrink lam by up to 3 on a good step, double
+        # the growth factor after each rejection
+        lam[act] = np.where(ok, la * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), la * nu[act])
+        nu[act] = np.where(ok, 2.0, 2 * nu[act])
+        acc = act[ok]
+        small_gain = gain[ok] <= _LM_TOL * cost[acc]
+        X[acc], F[acc], cost[acc] = Xt[ok], Ft[ok], cost_t[ok]
+        fresh[acc] = True
+        small_step = np.sqrt(np.einsum("ij,ij->i", step, step)) <= _LM_TOL * (
+            _LM_TOL + np.sqrt(np.einsum("ij,ij->i", X[act], X[act]))
+        )
+        done = small_step | (lam[act] > _LM_LAM_MAX) | (cost[act] == 0)
+        done[ok] |= small_gain
+        active[act[done]] = False
+    return X, F
 
 
 @dataclass(frozen=True)
@@ -509,6 +577,61 @@ class LogResult:
     upper: float
     residual: float
     converged: bool
+
+
+def _multistart_logs(
+    model: GroupModel,
+    U: np.ndarray,
+    V: np.ndarray,
+    seeds: list[int],
+    restarts: int,
+    tol: float,
+) -> list[LogResult]:
+    """The multistart logs of `riemannian_log` for every pair (U[i], V[i])
+    of two (p, n, n) stacks, pair i drawing its restarts from seeds[i]; the
+    p x (1 + restarts) (pair, start) problems are solved in one lockstep
+    `_lm` call."""
+    n, d, factors = model.n, model.dim_m1, model.k1_factors
+    restarts = max(restarts, 0)
+    # smart start: project the ambient log of the chord-aligned difference
+    W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(_k_star_batch(model, U, V, factors), 1, 2)
+    starts = []
+    for w, seed in zip(W, seeds):
+        try:
+            c0 = model.m1_coords(model.g.project(np.real(scipy.linalg.logm(w))))
+        except Exception:
+            c0 = np.zeros(d)
+        rng = np.random.default_rng(seed)
+        scale = max(float(np.linalg.norm(c0)), 0.5)
+        starts.append(c0)
+        starts += [c0 + rng.normal(scale=0.35 * scale, size=d) for _ in range(restarts)]
+    pair = np.repeat(np.arange(len(U)), 1 + restarts)
+
+    def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        P = (U[pair[rows], None] @ matrix_exp(model.from_m1_coords(C))).reshape(-1, n, n)
+        T = np.repeat(V[pair[rows]], C.shape[1], axis=0)
+        K = _k_star_batch(model, P, T, factors)
+        return (P @ K - T).reshape(C.shape[:2] + (-1,))
+
+    X, F = _lm(residuals, np.array(starts))
+    X = X.reshape(len(U), 1 + restarts, d)
+    R = np.linalg.norm(F, axis=-1).reshape(len(U), 1 + restarts)
+    out = []
+    for xs, rs in zip(X, R):
+        conv = np.flatnonzero(rs < tol)
+        if not conv.size:
+            out.append(LogResult(xi=None, upper=math.inf, residual=float(rs.min()), converged=False))
+            continue
+        # among converged starts keep the shortest: the bound can only
+        # improve with more restarts
+        norms = [float(np.linalg.norm(xs[j])) for j in conv]
+        j = conv[int(np.argmin(norms))]
+        out.append(
+            LogResult(
+                xi=model.from_m1_coords(xs[j]), upper=min(norms), residual=float(rs[j]), converged=True
+            )
+        )
+    return out
 
 
 def riemannian_log(
@@ -523,50 +646,7 @@ def riemannian_log(
     norm); converged only when the residual drops below tol.  All restarts
     always run; the best result is kept, so the bound is monotone
     nonincreasing in the restart budget for a fixed seed."""
-    model = x.model
-    U, V = x.rep, y.rep
-    d = model.dim_m1
-
-    def residuals(C: np.ndarray) -> np.ndarray:
-        P = U @ matrix_exp(model.from_m1_coords(C))
-        K = _k_star_batch(model, P, V, model.k1_factors)
-        return (P @ K - V).reshape(len(C), -1)
-
-    # smart start: project the ambient log of the chord-aligned difference
-    ch = chord_to_coset(model, U, V, model.k1_factors)
-    W = U.T @ V @ ch.k_star.T
-    try:
-        L = np.real(scipy.linalg.logm(W))
-        c0 = model.m1_coords(model.g.project(L))
-    except Exception:
-        c0 = np.zeros(d)
-
-    rng = np.random.default_rng(seed)
-    starts = [c0]
-    scale = max(float(np.linalg.norm(c0)), 0.5)
-    for _ in range(max(restarts, 0)):
-        starts.append(c0 + rng.normal(scale=0.35 * scale, size=d))
-
-    converged: list[tuple[float, float, np.ndarray]] = []  # (norm, resid, c)
-    best_r, best_c = np.inf, None
-    for c_init in starts:
-        res = _lm(residuals, c_init)
-        r = float(np.linalg.norm(res.fun))
-        if r < best_r:
-            best_r, best_c = r, res.x
-        if r < tol:
-            converged.append((float(np.linalg.norm(res.x)), r, res.x))
-    if converged:
-        # among converged candidates keep the shortest: the bound can only
-        # improve with more restarts
-        norm, resid, c = min(converged, key=lambda t: t[0])
-        return LogResult(
-            xi=model.from_m1_coords(c),
-            upper=norm,
-            residual=resid,
-            converged=True,
-        )
-    return LogResult(xi=None, upper=math.inf, residual=best_r, converged=False)
+    return _multistart_logs(x.model, x.rep[None], y.rep[None], [seed], restarts, tol)[0]
 
 
 def distance_lower_bound(x: CosetPoint, y: CosetPoint) -> float:
@@ -626,12 +706,17 @@ def displacement_profile(
     points = [base_point(model)]
     while len(points) < n_samples:
         points.append(haar_point(model, rng))
-    uppers, lowers = [], []
-    for i, p in enumerate(points):
-        q = gamma.apply(p)
-        lowers.append(distance_lower_bound(p, q))
-        log = riemannian_log(p, q, restarts=restarts, seed=seed + 1000 + i)
-        uppers.append(log.upper)
+    images = [gamma.apply(p) for p in points]
+    lowers = [distance_lower_bound(p, q) for p, q in zip(points, images)]
+    logs = _multistart_logs(
+        model,
+        np.array([p.rep for p in points]),
+        np.array([q.rep for q in images]),
+        [seed + 1000 + i for i in range(len(points))],
+        restarts,
+        COSET_TOL,
+    )
+    uppers = [log.upper for log in logs]
     min_u, max_u = min(uppers), max(uppers)
     mean_u = sum(u for u in uppers if math.isfinite(u)) / max(
         1, sum(1 for u in uppers if math.isfinite(u))
@@ -684,20 +769,20 @@ def fixed_fiber(
     rng = np.random.default_rng(seed)
 
     def residuals(C: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        X = x0 @ matrix_exp(model.g.from_coords(C))
+        X = (x0 @ matrix_exp(model.g.from_coords(C))).reshape(-1, model.n, model.n)
         Y = gmat @ X
         K = _k_star_batch(model, Y, X, k_factors)
-        return (Y @ K - X).reshape(len(C), -1)
+        return (Y @ K - X).reshape(C.shape[:2] + (-1,))
 
     best_val, best_X = np.inf, None
     for trial in range(max(1, restarts)):
         x0 = np.eye(model.n) if trial == 0 else haar_point(model, rng).rep
         c0 = np.zeros(dg) if trial == 0 else rng.normal(scale=0.3, size=dg)
-        res = _lm(lambda C, x0=x0: residuals(C, x0), c0)
-        r = float(np.linalg.norm(res.fun))
+        C, F = _lm(lambda C, rows, x0=x0: residuals(C, x0), c0[None])
+        r = float(np.linalg.norm(F[0]))
         if r < best_val:
             best_val = r
-            best_X = x0 @ matrix_exp(model.g.from_coords(res.x))
+            best_X = x0 @ matrix_exp(model.g.from_coords(C[0]))
         if best_val < tol:
             break
     if best_val < tol:

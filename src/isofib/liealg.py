@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy  # bare: scipy.linalg loads on first use, so catalog runs skip it
 
 from .dynkin import FibrationRecord
 
@@ -191,10 +190,40 @@ def killing_form(a: MatrixAlgebra, X: np.ndarray, Y: np.ndarray) -> float:
     return float(a.coords(X) @ a.killing_gram @ a.coords(Y))
 
 
+# degree-13 Pade coefficients and the 1-norm bound theta_13 up to which
+# they reach double precision unscaled (Higham 2005, Table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
 def matrix_exp(X: np.ndarray) -> np.ndarray:
-    """Thin wrapper over the scaling-and-squaring exponential; leading axes
-    are a batch."""
-    return scipy.linalg.expm(X)
+    """exp of a real square matrix by degree-13 Pade scaling and squaring
+    (Higham 2005); leading axes are a batch.  Each matrix takes its own
+    scaling 2^-s from its own 1-norm, so its result does not depend on the
+    stack it rides in."""
+    n = X.shape[-1]
+    A = X.reshape(-1, n, n)
+    norm1 = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13)).clip(0).astype(int)
+    A = A * np.exp2(-s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(n)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(int(s.max(initial=0))):
+        sq = s > j
+        R[sq] = R[sq] @ R[sq]
+    return R.reshape(X.shape)
 
 
 # --- subgroup descriptors ----------------------------------------------------

@@ -74,9 +74,7 @@ class RootSystem:
 
     ``all_roots`` is the closure of the simple roots under the simple
     reflections, sorted lexicographically so identical inputs give identical
-    tuples.  ``bilinear`` is the Gram matrix of the ambient basis (identity
-    for these conventions, kept explicit so the form in use is part of the
-    value).  ``label`` is e.g. "E8", or "A1xA1" for reducible products built
+    tuples.  ``label`` is e.g. "E8", or "A1xA1" for reducible products built
     by :func:`product_system`.
     """
 
@@ -85,7 +83,6 @@ class RootSystem:
     simple_roots: tuple[Vector, ...]
     cartan: tuple[tuple[int, ...], ...]
     all_roots: tuple[Vector, ...]
-    bilinear: tuple[tuple[Fraction, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -222,17 +219,12 @@ def build_root_system(stype: SimpleType) -> RootSystem:
         if any(row[j] > 0 for j in range(len(row)) if j != i):
             raise AssertionError("Cartan off-diagonal must be <= 0")
     roots = _reflection_closure(simple)
-    dim = len(simple[0])
-    bilinear = tuple(
-        tuple(Q(1) if i == j else Q(0) for j in range(dim)) for i in range(dim)
-    )
     return RootSystem(
         stype=stype,
         label=str(stype),
         simple_roots=simple,
         cartan=cartan,
         all_roots=roots,
-        bilinear=bilinear,
     )
 
 
@@ -251,17 +243,12 @@ def product_system(a: RootSystem, b: RootSystem) -> RootSystem:
         pad_b(v) for v in b.simple_roots
     )
     roots = tuple(sorted([pad_a(v) for v in a.all_roots] + [pad_b(v) for v in b.all_roots]))
-    dim = da + db
-    bilinear = tuple(
-        tuple(Q(1) if i == j else Q(0) for j in range(dim)) for i in range(dim)
-    )
     return RootSystem(
         stype=None,
         label=f"{a.label}x{b.label}",
         simple_roots=simple,
         cartan=_cartan_matrix(simple),
         all_roots=roots,
-        bilinear=bilinear,
     )
 
 

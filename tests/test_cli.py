@@ -279,3 +279,29 @@ def test_failure_lines_name_claims():
         assert f["claim"]
     text = cli.render(payload, "text")
     assert "contradicts" in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalog", "--out", "missing-dir/cat.json"], "no such directory"),
+        (["verify", "su3-hopf", "--tol-coset", "nan"], "--tol-coset"),
+        (["verify", "su3-hopf", "--tol-gap", "inf"], "--tol-gap"),
+        (["verify", "su3-hopf", "--tol-structural", "0"], "--tol-structural"),
+        (["verify", "su3-hopf", "--tol-constant", "-0.5"], "--tol-constant"),
+        (["verify", "su3-hopf", "--samples", "1"], "--samples"),
+        (["verify", "su3-hopf", "--samples", "-3"], "--samples"),
+        (["verify", "su3-hopf", "--restarts", "-1"], "--restarts"),
+        (["selfcheck", "--rank-cap", "0"], "--rank-cap"),
+    ],
+)
+def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # nothing may run: a lookup, a build or a check would fail this test
+    monkeypatch.setattr(cli, "cmd_catalog", None)
+    monkeypatch.setattr(cli, "cmd_verify", None)
+    monkeypatch.setattr(cli, "cmd_selfcheck", None)
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "missing-dir").exists()

@@ -255,7 +255,7 @@ def test_fd_jacobian_is_scipy_two_point(case_id):
     # zero, negative, and beyond-unit coordinates take different steps
     x = 2.0 * rng.normal(size=model.dim_m1)
     x[:2] = (0.0, -0.3)
-    J = _fd_jacobian(residuals, x)
+    J = _fd_jacobian(lambda C: residuals(C[0])[None], x[None], residuals(x[None]))[0]
     ref = approx_derivative(lambda c: residuals(c[None])[0], x, method="2-point")
     assert np.array_equal(J, ref)
 
@@ -380,6 +380,26 @@ def test_log_matches_recorded_upper(case_id, seed, upper):
     log = riemannian_log(x, y, restarts=2, seed=7)
     assert log.converged
     assert log.upper == pytest.approx(upper, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case_id", ["su3-hopf", "so6-stiefel", "su3-su1u2--k1-t1", "so8-so3so5--k1-0so3"]
+)
+def test_profile_uppers_do_not_depend_on_the_batch(case_id):
+    # the profile solves all (point, start) problems in one lockstep stack;
+    # each must end exactly where its point's own log ends
+    model = model_for(case_id)
+    rng = np.random.default_rng(35)
+    gam = Isometry(model, left=sample_subgroup_element(model, model.k2_factors, rng))
+    seed, n, restarts = 9, 6, 2
+    report = displacement_profile(gam, n_samples=n, seed=seed, restarts=restarts)
+    prng = np.random.default_rng(seed)
+    points = [base_point(model)] + [haar_point(model, prng) for _ in range(n - 1)]
+    uppers = tuple(
+        riemannian_log(p, gam.apply(p), restarts=restarts, seed=seed + 1000 + i).upper
+        for i, p in enumerate(points)
+    )
+    assert report.uppers == uppers
 
 
 def test_log_of_same_point_is_zero(su3):

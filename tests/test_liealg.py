@@ -8,6 +8,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from isofib import dynkin
 from isofib.liealg import (
@@ -179,6 +180,45 @@ def test_matrix_exp_orthogonal_on_skew():
     S = A - A.T
     E = matrix_exp(S)
     assert np.allclose(E @ E.T, np.eye(5), atol=1e-12)
+
+
+def _assert_orthogonal(E):
+    eye = np.broadcast_to(np.eye(E.shape[-1]), E.shape)
+    np.testing.assert_allclose(E @ np.swapaxes(E, -1, -2), eye, rtol=0, atol=1e-13)
+
+
+def _assert_exp_matches_scipy(X):
+    E = matrix_exp(X)
+    assert E.shape == X.shape
+    np.testing.assert_allclose(E, scipy.linalg.expm(X), rtol=0, atol=1e-13)
+    _assert_orthogonal(E)
+
+
+@pytest.mark.parametrize(
+    "case_id",
+    ["su3-hopf", "so6-stiefel", "su3-su1u2--k1-t1", "su4-su1u3--k1-0a2", "so8-so3so5--k1-0so3"],
+)
+def test_matrix_exp_matches_scipy_expm(case_id):
+    model = build_model(find_record(case_id))
+    rng = np.random.default_rng(41)
+    for from_coords, d in ((model.from_m1_coords, model.dim_m1), (model.g.from_coords, model.dim_g)):
+        _assert_exp_matches_scipy(from_coords(rng.normal(size=(12, d))))
+        _assert_exp_matches_scipy(from_coords(rng.normal(size=d)))  # a single matrix
+    _assert_exp_matches_scipy(np.zeros((model.n, model.n)))
+    # one row far above theta_13 (1-norm 40: three squarings) beside a tiny
+    # one.  There scipy's expm is itself off by up to ~1e-13 (against a
+    # 40-digit reference, this exponential by ~1e-15), so the reference is
+    # the spectral exp(X) = W exp(-i w) W^H of the Hermitian iX = W w W^H.
+    X = model.from_m1_coords(rng.normal(size=(3, model.dim_m1)))
+    X[0] *= 40.0 / np.abs(X[0]).sum(axis=0).max()
+    X[2] *= 1e-9
+    w, W = np.linalg.eigh(1j * X)
+    ref = ((W * np.exp(-1j * w)[:, None, :]) @ np.swapaxes(W.conj(), 1, 2)).real
+    np.testing.assert_allclose(matrix_exp(X), ref, rtol=0, atol=1e-13)
+    _assert_orthogonal(matrix_exp(X))
+    _assert_exp_matches_scipy(X[1:])
+    # each matrix is scaled on its own: its result does not depend on the stack
+    assert np.array_equal(matrix_exp(X)[2], matrix_exp(X[2]))
 
 
 # --- validated models --------------------------------------------------------------
