@@ -3,14 +3,13 @@ Root systems and Weyl groups, two ways
 ======================================
 
 The catalog's integer bookkeeping rests on exact root-system arithmetic:
-roots are tuples of fractions, reflections are integer matrices on the
-simple-root basis, and Weyl-group orders come either from the Coxeter
-element's eigenvalues or from brute-force generation.  The two must
-agree, and orbits of generic vectors must span the reflection
-representation.
+roots are integer tuples in doubled ambient coordinates (so the
+half-integer roots of F4 and E8 are integers too), reflections are
+integer matrices on the simple-root basis, and Weyl-group orders come
+either from the Coxeter element's eigenvalues or from brute-force
+generation.  The two must agree, and orbits of generic vectors must span
+the reflection representation.
 """
-
-from fractions import Fraction
 
 from isofib.rootsys import (
     SimpleType,
@@ -23,7 +22,7 @@ from isofib.rootsys import (
 )
 
 # build a root system from its family letter and rank; everything
-# downstream is exact rational arithmetic
+# downstream is exact integer arithmetic
 rs = build_root_system(SimpleType("F", 4))
 print(f"F4: {len(rs.all_roots)} roots in ambient dimension {rs.ambient_dim}")
 
@@ -60,6 +59,6 @@ mixed = tuple(a + b for a, b in zip(*a1a1.simple_roots))
 print(f"A1 x A1, vector in one factor spans: {weyl_orbit_spans(a1a1, inside)}")
 print(f"A1 x A1, mixed vector spans:         {weyl_orbit_spans(a1a1, mixed)}")
 
-# fractions stay exact through the whole pipeline
-assert all(isinstance(x, Fraction) for x in rs.all_roots[0])
-print("\nall coordinates are exact fractions")
+# integers stay exact through the whole pipeline
+assert all(type(x) is int for v in rs.all_roots for x in v)
+print(f"\nall coordinates are integers; highest root, doubled: {hr.vector}")

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
 from .rootsys import (
-    Q,
+    _RANK_BOUNDS,
     RootSystem,
     SimpleType,
     Vector,
@@ -56,8 +55,9 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class DynkinDiagram:
-    """Vertices carry their generating root (ambient coordinates) and an
-    origin marker; edges carry the bond multiplicity."""
+    """Vertices carry their generating root (doubled integer ambient
+    coordinates, as in ``rootsys``) and an origin marker; edges carry the
+    bond multiplicity."""
 
     labels: tuple[str, ...]
     roots: tuple[Vector, ...]
@@ -68,7 +68,7 @@ class DynkinDiagram:
     def n_vertices(self) -> int:
         return len(self.labels)
 
-    def sq_length(self, i: int) -> Fraction:
+    def sq_length(self, i: int) -> int:
         return dot(self.roots[i], self.roots[i])
 
     def adjacency(self) -> dict[int, dict[int, int]]:
@@ -83,7 +83,7 @@ class DynkinDiagram:
 class DiagramComponent:
     stype: SimpleType
     vertex_ids: tuple[int, ...]
-    sq_lengths: tuple[Fraction, ...]
+    sq_lengths: tuple[int, ...]
 
     @property
     def label(self) -> str:
@@ -161,16 +161,17 @@ def diagram_from_roots(
     above 3 (proportional or non-root-like pairs)."""
     edges = []
     m = len(roots)
+    norms = [dot(r, r) for r in roots]
     for i in range(m):
         for j in range(i + 1, m):
-            a, b = roots[i], roots[j]
-            nij = 2 * dot(a, b) / dot(b, b)
-            nji = 2 * dot(b, a) / dot(a, a)
-            if nij.denominator != 1 or nji.denominator != 1:
+            twice = 2 * dot(roots[i], roots[j])
+            nij, rij = divmod(twice, norms[j])
+            nji, rji = divmod(twice, norms[i])
+            if rij or rji:
                 raise ValueError("non-integral Cartan pairing in diagram build")
             if nij > 0:
                 raise ValueError("acute pair; diagram vertices must be a base")
-            mult = int(nij) * int(nji)
+            mult = nij * nji
             if mult > 3:
                 raise ValueError("bond multiplicity above 3; vertices not a base")
             if mult:
@@ -836,10 +837,6 @@ class CatalogResult:
     records: tuple[FibrationRecord, ...]
 
 
-_RANK_LO = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
-_RANK_HI = {"E": 8, "F": 4, "G": 2}
-
-
 def _parse_family(f: str) -> tuple[str, int | None]:
     """(letter, rank) for a family filter; rank None for a bare letter.
     Case and surrounding spaces are ignored; a label must name a valid
@@ -872,8 +869,8 @@ def _types_in_scope(scope: dict[str, set[int] | None], rank_cap: int) -> list[Si
     for f in _FAMILY_ORDER:
         if f not in scope:
             continue
-        hi = min(rank_cap, _RANK_HI.get(f, rank_cap))
-        for r in range(_RANK_LO[f], hi + 1):
+        lo, hi = _RANK_BOUNDS[f]
+        for r in range(lo, min(rank_cap, hi) + 1):
             if scope[f] is None or r in scope[f]:
                 out.append(SimpleType(f, r))
     return out

@@ -87,9 +87,6 @@ class MatrixAlgebra:
     def membership_residual(self, X: np.ndarray) -> float:
         return float(np.linalg.norm(X - self.project(X)))
 
-    def contains(self, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership_residual(X) < tol
-
 
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X

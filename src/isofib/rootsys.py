@@ -1,9 +1,14 @@
 """Exact root-system combinatorics for the simple Lie types.
 
-All vectors are tuples of ``fractions.Fraction`` in an orthonormal ambient
-basis, so every inner product, reflection and coefficient below is exact.
+A root is a tuple of ``int``: its coordinates in an orthonormal ambient
+basis, doubled, so that the half-integer roots of F_4 and E_8 are integers
+too.  Inner products, Cartan integers and highest-root coefficients are
+then integer arithmetic, and every quotient of two of them is taken by
+``divmod`` with a remainder check.  ``Fraction`` enters only where a caller
+may pass a rational vector (in the same doubled coordinates): ``reflect``,
+``root_coefficients`` and ``weyl_orbit_spans``.
 
-Simple-root coordinate conventions (indexed 1..rank):
+Simple-root coordinate conventions (indexed 1..rank; stored doubled):
 
   A_n  in R^{n+1}: a_i = e_i - e_{i+1}
   B_n  in R^n    : a_i = e_i - e_{i+1} (i < n),  a_n = e_n
@@ -25,12 +30,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-Q = Fraction
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
+RationalVector = Sequence[Fraction | int]
 
 _RANK_BOUNDS = {
     "A": (1, 24),
@@ -101,60 +106,46 @@ class HighestRoot:
     coefficients: tuple[int, ...]
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Q(0))
+def dot(u: RationalVector, v: RationalVector) -> Fraction | int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def reflect(v: Vector, alpha: Vector) -> Vector:
+def reflect(v: RationalVector, alpha: RationalVector) -> tuple[Fraction, ...]:
     """Reflection of v in the hyperplane orthogonal to alpha (exact)."""
-    c = 2 * dot(v, alpha) / dot(alpha, alpha)
+    c = Fraction(2 * dot(v, alpha), dot(alpha, alpha))
     return tuple(vi - c * ai for vi, ai in zip(v, alpha))
 
 
-def _basis_vec(i: int, dim: int, value: Fraction = Q(1)) -> Vector:
-    return tuple(value if j == i else Q(0) for j in range(dim))
-
-
 def _simple_roots_for(stype: SimpleType) -> tuple[Vector, ...]:
+    """The simple roots of the conventions above, doubled."""
     f, n = stype.family, stype.rank
-    if f == "A":
-        dim = n + 1
-        return tuple(
-            tuple(Q(1) if j == i else Q(-1) if j == i + 1 else Q(0) for j in range(dim))
-            for i in range(n)
-        )
-    if f in ("B", "C", "D"):
-        chain = [
-            tuple(Q(1) if j == i else Q(-1) if j == i + 1 else Q(0) for j in range(n))
-            for i in range(n - 1)
+
+    def chain(dim: int) -> list[Vector]:  # 2(e_i - e_{i+1}), i < dim - 1
+        return [
+            tuple(2 if j == i else -2 if j == i + 1 else 0 for j in range(dim))
+            for i in range(dim - 1)
         ]
+
+    if f == "A":
+        return tuple(chain(n + 1))
+    if f in ("B", "C", "D"):
+        last = [0] * n
         if f == "B":
-            chain.append(_basis_vec(n - 1, n))
+            last[n - 1] = 2
         elif f == "C":
-            chain.append(_basis_vec(n - 1, n, Q(2)))
+            last[n - 1] = 4
         else:
-            last = [Q(0)] * n
-            last[n - 2] = Q(1)
-            last[n - 1] = Q(1)
-            chain.append(tuple(last))
-        return tuple(chain)
+            last[n - 2] = last[n - 1] = 2
+        return tuple(chain(n) + [tuple(last)])
     if f == "G":
-        return (
-            (Q(1), Q(-1), Q(0)),
-            (Q(-2), Q(1), Q(1)),
-        )
+        return ((2, -2, 0), (-4, 2, 2))
     if f == "F":
-        return (
-            (Q(0), Q(1), Q(-1), Q(0)),
-            (Q(0), Q(0), Q(1), Q(-1)),
-            (Q(0), Q(0), Q(0), Q(1)),
-            (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)),
-        )
+        return ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))
     if f == "E":
-        a1 = tuple([Q(1, 2)] + [Q(-1, 2)] * 6 + [Q(1, 2)])
-        a2 = (Q(1), Q(1)) + (Q(0),) * 6
+        a1 = (1,) + (-1,) * 6 + (1,)
+        a2 = (2, 2) + (0,) * 6
         rest = [
-            tuple(Q(-1) if j == k - 3 else Q(1) if j == k - 2 else Q(0) for j in range(8))
+            tuple(-2 if j == k - 3 else 2 if j == k - 2 else 0 for j in range(8))
             for k in range(3, 9)
         ]
         return tuple([a1, a2] + rest)[:n]
@@ -166,10 +157,10 @@ def _cartan_matrix(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
     for ai in simple:
         row = []
         for aj in simple:
-            c = 2 * dot(ai, aj) / dot(aj, aj)
-            if c.denominator != 1:
+            c, rem = divmod(2 * dot(ai, aj), dot(aj, aj))
+            if rem:
                 raise ValueError("non-integral Cartan entry; roots are not a base")
-            row.append(int(c))
+            row.append(c)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -177,26 +168,18 @@ def _cartan_matrix(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
 def _reflection_closure(simple: Sequence[Vector]) -> tuple[Vector, ...]:
     """Closure of the simple roots under the simple reflections, sorted.
 
-    Every simple root of these conventions lies in (1/2)Z^dim, so the closure
-    runs on doubled integer vectors: a reflection coefficient
-    2 (v, a) / (a, a) is unchanged by the doubling and, for a root system,
-    an integer, checked by `divmod` on every step against the norms (a, a)
-    computed once per simple root.  Raises ValueError on a simple root
-    outside (1/2)Z^dim or a non-integral reflection coefficient.
+    For a root system each reflection coefficient 2 (v, a) / (a, a) is an
+    integer, checked by `divmod` on every step against the norms (a, a)
+    computed once per simple root.  Raises ValueError on a non-integral
+    reflection coefficient.
     """
-    doubled = []
-    for a in simple:
-        twice = [2 * x for x in a]
-        if any(x.denominator != 1 for x in twice):
-            raise ValueError(f"simple root {a!r} lies outside (1/2)Z^dim")
-        doubled.append(tuple(int(x) for x in twice))
-    gens = [(a, sum(x * x for x in a)) for a in doubled]
-    roots: set[tuple[int, ...]] = set(doubled)
-    queue = list(doubled)
+    gens = [(a, dot(a, a)) for a in simple]
+    roots: set[Vector] = set(simple)
+    queue = list(simple)
     while queue:
         v = queue.pop()
         for a, norm in gens:
-            c, rem = divmod(2 * sum(x * y for x, y in zip(v, a)), norm)
+            c, rem = divmod(2 * dot(v, a), norm)
             if rem:
                 raise ValueError("non-integral reflection coefficient; roots are not a base")
             if c:
@@ -204,7 +187,7 @@ def _reflection_closure(simple: Sequence[Vector]) -> tuple[Vector, ...]:
                 if w not in roots:
                     roots.add(w)
                     queue.append(w)
-    return tuple(tuple(Q(x, 2) for x in v) for v in sorted(roots))
+    return tuple(sorted(roots))
 
 
 @lru_cache(maxsize=None)
@@ -234,10 +217,10 @@ def product_system(a: RootSystem, b: RootSystem) -> RootSystem:
     da, db = a.ambient_dim, b.ambient_dim
 
     def pad_a(v: Vector) -> Vector:
-        return v + (Q(0),) * db
+        return v + (0,) * db
 
     def pad_b(v: Vector) -> Vector:
-        return (Q(0),) * da + v
+        return (0,) * da + v
 
     simple = tuple(pad_a(v) for v in a.simple_roots) + tuple(
         pad_b(v) for v in b.simple_roots
@@ -252,10 +235,11 @@ def product_system(a: RootSystem, b: RootSystem) -> RootSystem:
     )
 
 
-def _solve_fraction(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination; mat must be square and invertible."""
+def _solve_fraction(mat: Sequence[RationalVector], rhs: RationalVector) -> list[Fraction]:
+    """Exact Gaussian elimination over the rationals (integer entries are
+    lifted to Fraction first); mat must be square and invertible."""
     n = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -270,16 +254,13 @@ def _solve_fraction(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     return [aug[i][n] for i in range(n)]
 
 
-def root_coefficients(rs: RootSystem, v: Vector) -> tuple[Fraction, ...]:
+def root_coefficients(rs: RootSystem, v: RationalVector) -> tuple[Fraction, ...]:
     """Coefficients of v over the simple roots.  Raises ValueError if v is
     not in the span of the simple roots."""
-    n = rs.rank
-    gram = [[dot(rs.simple_roots[i], rs.simple_roots[j]) for j in range(n)] for i in range(n)]
-    rhs = [dot(rs.simple_roots[i], v) for i in range(n)]
-    coeffs = _solve_fraction(gram, rhs)
+    gram = [[dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
+    coeffs = _solve_fraction(gram, [dot(a, v) for a in rs.simple_roots])
     recon = tuple(
-        sum((coeffs[i] * rs.simple_roots[i][j] for i in range(n)), Q(0))
-        for j in range(rs.ambient_dim)
+        sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rs.simple_roots)
     )
     if recon != tuple(v):
         raise ValueError("vector is outside the span of the simple roots")
@@ -293,14 +274,13 @@ def highest_root(rs: RootSystem) -> HighestRoot:
         raise ValueError("highest root is defined here for irreducible systems only")
     # The height of v (sum of its simple-root coefficients c, gram c = S v)
     # is dot(v, w) with w = sum_i u_i alpha_i and gram u = (1, ..., 1): one
-    # exact solve per system instead of one per root.
-    n = rs.rank
+    # exact solve per system instead of one per root.  Scaling u by the lcm
+    # of its denominators makes w an integer vector and keeps the ranking.
     gram = [[dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
-    u = _solve_fraction(gram, [Q(1)] * n)
-    w = tuple(
-        sum((u[i] * rs.simple_roots[i][j] for i in range(n)), Q(0))
-        for j in range(rs.ambient_dim)
-    )
+    u = _solve_fraction(gram, [1] * rs.rank)
+    den = math.lcm(*(x.denominator for x in u))
+    u_int = [int(x * den) for x in u]
+    w = tuple(sum(c * x for c, x in zip(u_int, col)) for col in zip(*rs.simple_roots))
     heights = [(dot(r, w), r) for r in rs.all_roots]
     top = max(h for h, _ in heights)
     best = [r for h, r in heights if h == top]
@@ -401,15 +381,15 @@ def weyl_order_bfs(rs: RootSystem, max_order: int = 2_000_000) -> int:
     return len(seen)
 
 
-def weyl_orbit_spans(rs: RootSystem, v: Vector) -> bool:
+def weyl_orbit_spans(rs: RootSystem, v: RationalVector) -> bool:
     """True iff the span of the Weyl orbit of v is the full span of the
     simple roots.
 
-    v is given in ambient coordinates and must be a nonzero rational vector
-    in the span of the simple roots.  The orbit span is computed as the
-    closure of span{v} under the simple reflections, which equals the span
-    of the full orbit (both are the smallest reflection-invariant subspace
-    containing v).
+    v is given in doubled ambient coordinates and must be a nonzero
+    rational vector in the span of the simple roots.  The orbit span is
+    computed as the closure of span{v} under the simple reflections, which
+    equals the span of the full orbit (both are the smallest
+    reflection-invariant subspace containing v).
     """
     coeffs = root_coefficients(rs, v)
     if all(c == 0 for c in coeffs):
@@ -424,7 +404,7 @@ def weyl_orbit_spans(rs: RootSystem, v: Vector) -> bool:
     pivots: dict[int, tuple[Fraction, ...]] = {}
 
     def try_add(w: Sequence[int]) -> bool:
-        row = [Q(x) for x in w]
+        row = [Fraction(x) for x in w]
         for col, prow in pivots.items():
             if row[col] != 0:
                 f = row[col]
@@ -449,7 +429,9 @@ def weyl_orbit_spans(rs: RootSystem, v: Vector) -> bool:
     return len(pivots) == n
 
 
-def weyl_orbit(rs: RootSystem, v: Vector, max_size: int = 100_000) -> tuple[Vector, ...]:
+def weyl_orbit(
+    rs: RootSystem, v: RationalVector, max_size: int = 100_000
+) -> tuple[tuple[Fraction | int, ...], ...]:
     """The full Weyl orbit of an ambient vector v, by closure under the
     simple reflections.  Exponential in rank; meant for cross-checks."""
     seen = {tuple(v)}

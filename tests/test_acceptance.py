@@ -9,6 +9,7 @@ reads as a checklist.
 """
 import itertools
 import time
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from isofib.liealg import (
     natural_reductivity_check,
 )
 from isofib.rootsys import (
-    Q,
     SimpleType,
     build_root_system,
     product_system,

@@ -10,6 +10,7 @@ import pytest
 from isofib.dynkin import (
     CatalogConfig,
     GOLDEN_FILES,
+    _types_in_scope,
     bds_enumerate,
     catalog,
     chi_from_types,
@@ -25,7 +26,7 @@ from isofib.dynkin import (
     splittings,
     stiefel_records,
 )
-from isofib.rootsys import Q, SimpleType, build_root_system
+from isofib.rootsys import SimpleType, build_root_system
 
 
 # --- diagram construction ----------------------------------------------------
@@ -73,8 +74,8 @@ def test_extended_diagram_a1_rejected():
 
 def test_diagram_from_roots_rejects_bad_pairing():
     # two vectors at 45 degrees with irrational-free but non-Cartan pairing
-    u = (Q(1), Q(0))
-    w = (Q(1), Q(1))
+    u = (2, 0)
+    w = (2, 2)
     with pytest.raises(ValueError):
         diagram_from_roots(["u", "w"], [u, w], [0, 1])
 
@@ -310,6 +311,15 @@ def test_automorphisms_preserve_structure():
                 assert adj[i].get(j, 0) == adj[p[i]].get(p[j], 0)
 
 
+@pytest.mark.parametrize("family,rank", [("F", 4), ("E", 8), ("G", 2), ("C", 4), ("B", 3)])
+def test_diagram_lengths_are_integers(family, rank):
+    for case in bds_enumerate(SimpleType(family, rank)):
+        d = case.k_diagram
+        assert all(type(x) is int for r in d.roots for x in r)
+        assert all(type(d.sq_length(i)) is int for i in range(d.n_vertices))
+        assert all(type(x) is int for c in case.k_components for x in c.sq_lengths)
+
+
 # --- outer-symmetry proxy and exception flags --------------------------------
 
 def test_proxy_counts_su22():
@@ -378,6 +388,17 @@ def test_catalog_rank_cap():
     assert {r.base_label for r in res.records} == {"SU(3)/S(U(1)U(2))"}
     empty = catalog(CatalogConfig(families=("A",), rank_cap=0))
     assert empty.records == ()
+
+
+def test_rank_cap_beyond_bounds_caps_every_family():
+    # a cap above the largest supported rank stops each family at its own
+    # upper bound instead of naming an out-of-bounds type
+    types = _types_in_scope(dict.fromkeys("ABCDEFG"), 25)
+    top = {}
+    for t in types:
+        top[t.family] = max(top.get(t.family, 0), t.rank)
+    assert top == {"A": 24, "B": 24, "C": 24, "D": 24, "E": 8, "F": 4, "G": 2}
+    assert _types_in_scope({"A": None}, 25)[-1] == SimpleType("A", 24)
 
 
 def test_catalog_class_filter():

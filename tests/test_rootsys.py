@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from isofib.rootsys import (
-    Q,
     SimpleType,
     _reflection_closure,
     _simple_roots_for,
@@ -26,6 +25,8 @@ from isofib.rootsys import (
     weyl_order,
     weyl_order_bfs,
 )
+
+Q = Fraction
 
 TYPES_RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -110,18 +111,44 @@ def fraction_closure(simple):
     return tuple(sorted(roots))
 
 
+def halved(vectors):
+    """Doubled integer vectors back in the textbook coordinates."""
+    return tuple(tuple(Q(x, 2) for x in v) for v in vectors)
+
+
 @pytest.mark.parametrize("family,rank", CLOSURE_TYPES)
 def test_integer_closure_matches_fraction_closure(family, rank):
     simple = _simple_roots_for(SimpleType(family, rank))
     roots = _reflection_closure(simple)
-    assert roots == fraction_closure(simple)
-    assert all(type(x) is Fraction for v in roots for x in v)
+    assert halved(roots) == fraction_closure(halved(simple))
+    assert all(type(x) is int for v in roots for x in v)
 
 
-def test_closure_rejects_root_outside_half_integers():
-    simple = ((Q(1), Q(-1), Q(0)), (Q(0), Q(1, 3), Q(-1)))
-    with pytest.raises(ValueError, match="outside"):
+def test_closure_rejects_non_base_pair():
+    # norms 8 and 10: 2 (a, b) / (b, b) = -4/10 is no Cartan integer
+    simple = ((2, -2, 0), (0, 1, -3))
+    with pytest.raises(ValueError, match="non-integral reflection coefficient"):
         _reflection_closure(simple)
+
+
+@pytest.mark.parametrize("family,rank", sorted(ROOT_COUNTS))
+def test_roots_are_integer_tuples(family, rank):
+    rs = build_root_system(SimpleType(family, rank))
+    for v in rs.simple_roots + rs.all_roots + (highest_root(rs).vector,):
+        assert all(type(x) is int for x in v), v
+        assert type(dot(v, v)) is int
+
+
+@pytest.mark.parametrize("family,rank", [("F", 4), ("E", 8), ("G", 2), ("C", 3)])
+def test_rational_paths_stay_exact_on_integer_roots(family, rank):
+    # an int / int in these paths would turn a coefficient into a float
+    rs = build_root_system(SimpleType(family, rank))
+    for alpha in rs.simple_roots:
+        for v in rs.all_roots:
+            assert all(type(x) is Fraction for x in reflect(v, alpha))
+    for v in rs.simple_roots + (highest_root(rs).vector,):
+        coeffs = root_coefficients(rs, v)
+        assert all(type(c) is Fraction and c.denominator == 1 for c in coeffs)
 
 
 @pytest.mark.parametrize("family,rank", sorted(ROOT_COUNTS))
