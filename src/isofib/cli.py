@@ -28,11 +28,11 @@ SCHEMA_VERSION = 1
 
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,  # natural-reductivity and validation residuals
-    "coset": 1e-8,  # coset-matching residuals (logs, fixed fibers)
+    "coset": homspace.COSET_TOL,  # coset-matching residuals (logs, fixed fibers)
     "length": 1e-9,  # allowed spread of a constant-length field
-    "constant": 1e-4,  # relative spread for a constant displacement verdict
-    "gap": 1e-3,  # certified separation for a nonconstant verdict
-    "cert": 1e-9,  # invariant-plane certificate residual
+    "constant": homspace.CONSTANT_SPREAD_TOL,  # relative spread, constant displacement
+    "gap": homspace.GAP_TOL,  # certified separation, nonconstant displacement
+    "cert": homspace.CERT_RESIDUAL_TOL,  # invariant-plane certificate residual
 }
 
 
@@ -174,17 +174,48 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         f"max base-coset residual {_solver_value(worst)} along the vertical geodesic",
     )
 
-    # log inverts the exponential at moderate range
-    errs = []
+    # the pairs of every Riemannian log of the job are drawn first and
+    # solved in one lockstep call: the log round trips, the bound-ordering
+    # pairs and the sampled points of the four displacement profiles
+    roundtrip = []
     for _ in range(3):
         x = homspace.haar_point(model, rng)
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(0.4 * c / np.linalg.norm(c))
-        y = homspace.geodesic(x, xi, 1.0)
-        log = homspace.riemannian_log(
-            x, y, restarts=cfg.restarts, seed=cfg.seed, tol=tol["coset"]
+        roundtrip.append((x, homspace.geodesic(x, xi, 1.0)))
+    ordered = []
+    for _ in range(4):
+        ordered.append((homspace.haar_point(model, rng), homspace.haar_point(model, rng)))
+    gammas = []
+    for i in range(2):
+        # central x right translations, predicted constant
+        z = model.center_elements[(i + 1) % len(model.center_elements)]
+        k2 = homspace.sample_subgroup_element(model, model.k2_factors, rng)
+        gammas.append(homspace.Isometry(model, left=z, right=k2, label=f"central-{i}"))
+    for factors, label in ((model.k1_factors, "k1-left"), (model.k2_factors, "k2-left")):
+        # noncentral left translations, predicted nonconstant
+        k = _noncentral_sample(model, factors, rng)
+        gammas.append(homspace.Isometry(model, left=k, label=label))
+    samples = [homspace.sample_profile(g, cfg.samples, cfg.seed) for g in gammas]
+    pairs = roundtrip + ordered + [pq for s in samples for pq in zip(s.points, s.images)]
+    seeds = [cfg.seed] * (len(roundtrip) + len(ordered))
+    seeds += [seed for s in samples for seed in s.log_seeds]
+    logs = iter(
+        homspace.riemannian_logs(
+            [x for x, _ in pairs], [y for _, y in pairs], seeds, cfg.restarts, tol["coset"]
         )
-        errs.append(abs(log.upper - 0.4) if log.converged else float("inf"))
+    )
+    roundtrip_logs = [next(logs) for _ in roundtrip]
+    ordered_logs = [next(logs) for _ in ordered]
+    reports = [
+        homspace.profile_report(
+            s, [next(logs) for _ in s.points], cfg.restarts, tol["constant"], tol["gap"]
+        )
+        for s in samples
+    ]
+
+    # log inverts the exponential at moderate range
+    errs = [abs(log.upper - 0.4) if log.converged else float("inf") for log in roundtrip_logs]
     add(
         "log-roundtrip",
         "riemannian-log-inverts-geodesics",
@@ -194,14 +225,9 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
 
     # lower bounds never exceed upper bounds
     bad = 0.0
-    for _ in range(4):
-        x, y = homspace.haar_point(model, rng), homspace.haar_point(model, rng)
-        lo = homspace.distance_lower_bound(x, y)
-        log = homspace.riemannian_log(
-            x, y, restarts=cfg.restarts, seed=cfg.seed, tol=tol["coset"]
-        )
+    for (x, y), log in zip(ordered, ordered_logs):
         if log.converged:
-            bad = max(bad, lo - log.upper)
+            bad = max(bad, homspace.distance_lower_bound(x, y) - log.upper)
     add(
         "bounds-ordered",
         "chord-lower-bounds-below-log-upper-bounds",
@@ -210,21 +236,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     )
 
     # displacement: central x right translations are constant
-    central_reports = []
-    for i in range(2):
-        z = model.center_elements[(i + 1) % len(model.center_elements)]
-        k2 = homspace.sample_subgroup_element(model, model.k2_factors, rng)
-        gam = homspace.Isometry(model, left=z, right=k2, label=f"central-{i}")
-        central_reports.append(
-            homspace.displacement_profile(
-                gam,
-                n_samples=cfg.samples,
-                seed=cfg.seed,
-                restarts=cfg.restarts,
-                tol_constant=tol["constant"],
-                tol_gap=tol["gap"],
-            )
-        )
+    central_reports, results = reports[:2], reports[2:]
     ok = all(r.verdict == "constant-within-tol" for r in central_reports)
     add(
         "displacement-central-constant",
@@ -237,24 +249,6 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     )
 
     # displacement: noncentral left translations are certified nonconstant
-    noncentral_reports = []
-    k1 = _noncentral_sample(model, model.k1_factors, rng)
-    noncentral_reports.append((k1, "k1-left"))
-    k2 = _noncentral_sample(model, model.k2_factors, rng)
-    noncentral_reports.append((k2, "k2-left"))
-    results = []
-    for mat, label in noncentral_reports:
-        gam = homspace.Isometry(model, left=mat, label=label)
-        results.append(
-            homspace.displacement_profile(
-                gam,
-                n_samples=cfg.samples,
-                seed=cfg.seed,
-                restarts=cfg.restarts,
-                tol_constant=tol["constant"],
-                tol_gap=tol["gap"],
-            )
-        )
     ok = all(r.verdict == "certified-nonconstant" for r in results)
     add(
         "displacement-noncentral-certified",
@@ -572,9 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--samples", type=int, default=16)
-        sp.add_argument("--restarts", type=int, default=2)
+        sp.add_argument("--seed", type=int, default=RunConfig.seed)
+        sp.add_argument("--samples", type=int, default=RunConfig.samples)
+        sp.add_argument("--restarts", type=int, default=RunConfig.restarts)
         sp.add_argument(
             "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
         )
@@ -588,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", action="append", default=None,
                     help="restrict to a simple family: letter or letter+rank "
                          "label, e.g. E or E8 (repeatable)")
-    sp.add_argument("--rank-cap", type=int, default=8)
+    sp.add_argument("--rank-cap", type=int, default=RunConfig.rank_cap)
     sp.add_argument("--class", action="append", default=None, dest="classes",
                     help="restrict to a geometry class (repeatable)")
     sp.add_argument("--simple-k", action="store_true",
@@ -617,7 +611,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         families=tuple(args.family) if getattr(args, "family", None) else None,
-        rank_cap=getattr(args, "rank_cap", 8),
+        rank_cap=getattr(args, "rank_cap", RunConfig.rank_cap),
         classes=tuple(args.classes) if getattr(args, "classes", None) else None,
         simple_k=getattr(args, "simple_k", False),
         golden=getattr(args, "golden", False),

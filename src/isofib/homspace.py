@@ -27,12 +27,17 @@ k* for a whole stack of points in one numpy pass (batched SO Procrustes;
 `_su_procrustes` for SU blocks, closed form for SU(2) and the ascent on
 the whole stack for larger blocks; one theta grid for every row, with
 the SU blocks maximized at every grid angle in one call).  `_lm` advances
-a stack of problems in lockstep, each with its own damping and stop, and
+a stack of problems in lockstep, each with its own damping and stop,
 sends the Jacobian points or trial points of all of them through stacked
-residual calls; a displacement profile solves all of its (point, start)
-problems in one `_lm` call.  Every per-problem operation, the
-matrix exponential included, acts on that problem's rows alone, so a
-point's result does not depend on the problems it is solved with.
+residual calls of at most `_LM_SLICE` points, and reduces the Jacobian to
+J^T J and J^T F one such call at a time.  `riemannian_logs` solves the
+(pair, start) problems of any number of point pairs in one `_lm` call:
+a verify job passes it every log it needs (round trips, bound-ordering
+pairs and the sampled points of its four displacement profiles), and
+`riemannian_log` and `displacement_profile` (`sample_profile`, then
+`profile_report`) are compositions of it.  Every per-problem operation,
+the matrix exponential included, acts on that problem's rows alone, so a
+pair's result does not depend on the problems it is solved with.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # bare: .linalg/.optimize load on first use, catalog runs skip them
 
-from .liealg import BlockFactor, GroupModel, complexify, matrix_exp, realify
+from .liealg import MEMBERSHIP_TOL, BlockFactor, GroupModel, complexify, matrix_exp, realify
 
 COSET_TOL = 1e-8
 CERT_RESIDUAL_TOL = 1e-9
@@ -99,7 +104,7 @@ class KillingField:
         if self.kind not in ("left", "right"):
             raise ValueError("kind must be 'left' or 'right'")
         alg = self.model.g if self.kind == "left" else self.model.k2
-        if alg.membership_residual(self.xi) > 1e-8:
+        if alg.membership_residual(self.xi) > MEMBERSHIP_TOL:
             raise ValueError(f"field generator outside {alg.name}")
 
 
@@ -511,16 +516,20 @@ def _lm(residuals, C0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (Marquardt scaling, Nielsen's update), takes a step only when it
     lowers the cost, and stops on its own: at a step or relative cost
     reduction below _LM_TOL, at damping above _LM_LAM_MAX, or after
-    _LM_MAX_ITER steps.  The Jacobian is `_fd_jacobian`, and every
-    per-problem operation acts on that problem's rows alone, so a problem
-    follows the iterates it would follow in a stack of one.  Returns (C,
-    F): final coordinates and the residuals there."""
+    _LM_MAX_ITER steps.  The Jacobian is `_fd_jacobian`, taken and reduced
+    to J^T J and J^T F one stack of at most _LM_SLICE points at a time, so
+    no array holds the Jacobians of all problems.  Every per-problem
+    operation acts on that problem's rows alone, so a problem follows the
+    iterates it would follow in a stack of one.  Returns (C, F): final
+    coordinates and the residuals there."""
     p, d = C0.shape
 
     def sliced(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
         step = max(1, _LM_SLICE // C.shape[1])
         parts = [residuals(C[i : i + step], rows[i : i + step]) for i in range(0, len(rows), step)]
         return np.concatenate(parts)
+
+    jac_step = max(1, _LM_SLICE // d)  # problems per Jacobian stack
 
     X = C0.astype(float)
     F = sliced(X[:, None], np.arange(p))[:, 0]
@@ -535,12 +544,13 @@ def _lm(residuals, C0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not act.size:
             break
         jr = act[fresh[act]]
-        if jr.size:
-            J = _fd_jacobian(lambda C, rows=jr: sliced(C, rows), X[jr], F[jr])
+        for i in range(0, len(jr), jac_step):
+            rows = jr[i : i + jac_step]
+            J = _fd_jacobian(lambda C: residuals(C, rows), X[rows], F[rows])
             Jt = np.swapaxes(J, 1, 2)
-            A[jr] = Jt @ J
-            g[jr] = (Jt @ F[jr][..., None])[..., 0]
-            fresh[jr] = False
+            A[rows] = Jt @ J
+            g[rows] = (Jt @ F[rows][..., None])[..., 0]
+        fresh[jr] = False
         Aa, ga, la = A[act], g[act], lam[act]
         D = np.diagonal(Aa, axis1=1, axis2=2).copy()
         D[D <= 0] = 1.0
@@ -579,19 +589,21 @@ class LogResult:
     converged: bool
 
 
-def _multistart_logs(
-    model: GroupModel,
-    U: np.ndarray,
-    V: np.ndarray,
+def riemannian_logs(
+    xs: list[CosetPoint],
+    ys: list[CosetPoint],
     seeds: list[int],
-    restarts: int,
-    tol: float,
+    restarts: int = 4,
+    tol: float = COSET_TOL,
 ) -> list[LogResult]:
-    """The multistart logs of `riemannian_log` for every pair (U[i], V[i])
-    of two (p, n, n) stacks, pair i drawing its restarts from seeds[i]; the
-    p x (1 + restarts) (pair, start) problems are solved in one lockstep
-    `_lm` call."""
+    """The multistart log of `riemannian_log` for every pair (xs[i], ys[i])
+    of points of one model, pair i drawing its restarts from seeds[i].  The
+    len(xs) x (1 + restarts) (pair, start) problems are solved in one
+    lockstep `_lm` call, and each pair's result is, bit for bit, the one it
+    gets when solved alone."""
+    model = xs[0].model
     n, d, factors = model.n, model.dim_m1, model.k1_factors
+    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
     restarts = max(restarts, 0)
     # smart start: project the ambient log of the chord-aligned difference
     W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(_k_star_batch(model, U, V, factors), 1, 2)
@@ -617,20 +629,17 @@ def _multistart_logs(
     X = X.reshape(len(U), 1 + restarts, d)
     R = np.linalg.norm(F, axis=-1).reshape(len(U), 1 + restarts)
     out = []
-    for xs, rs in zip(X, R):
+    for coords, rs in zip(X, R):
         conv = np.flatnonzero(rs < tol)
         if not conv.size:
             out.append(LogResult(xi=None, upper=math.inf, residual=float(rs.min()), converged=False))
             continue
         # among converged starts keep the shortest: the bound can only
         # improve with more restarts
-        norms = [float(np.linalg.norm(xs[j])) for j in conv]
+        norms = [float(np.linalg.norm(coords[j])) for j in conv]
         j = conv[int(np.argmin(norms))]
-        out.append(
-            LogResult(
-                xi=model.from_m1_coords(xs[j]), upper=min(norms), residual=float(rs[j]), converged=True
-            )
-        )
+        xi = model.from_m1_coords(coords[j])
+        out.append(LogResult(xi=xi, upper=min(norms), residual=float(rs[j]), converged=True))
     return out
 
 
@@ -646,7 +655,7 @@ def riemannian_log(
     norm); converged only when the residual drops below tol.  All restarts
     always run; the best result is kept, so the bound is monotone
     nonincreasing in the restart budget for a fixed seed."""
-    return _multistart_logs(x.model, x.rep[None], y.rep[None], [seed], restarts, tol)[0]
+    return riemannian_logs([x], [y], [seed], restarts, tol)[0]
 
 
 def distance_lower_bound(x: CosetPoint, y: CosetPoint) -> float:
@@ -691,31 +700,45 @@ class DisplacementReport:
         }
 
 
-def displacement_profile(
-    gamma: Isometry,
-    n_samples: int = 200,
-    seed: int = 42,
-    restarts: int = 4,
+@dataclass(frozen=True)
+class ProfileSample:
+    """The sampled points of a displacement profile (the identity coset
+    plus seeded Haar points) and their images under the isometry."""
+
+    gamma: Isometry
+    n_samples: int
+    seed: int
+    points: tuple[CosetPoint, ...]
+    images: tuple[CosetPoint, ...]
+
+    @property
+    def log_seeds(self) -> list[int]:
+        """The restart seed of each point's log."""
+        return [self.seed + 1000 + i for i in range(len(self.points))]
+
+
+def sample_profile(gamma: Isometry, n_samples: int = 200, seed: int = 42) -> ProfileSample:
+    """The seeded sample of `displacement_profile`."""
+    rng = np.random.default_rng(seed)
+    points = [base_point(gamma.model)]
+    while len(points) < n_samples:
+        points.append(haar_point(gamma.model, rng))
+    return ProfileSample(
+        gamma, n_samples, seed, tuple(points), tuple(gamma.apply(p) for p in points)
+    )
+
+
+def profile_report(
+    sample: ProfileSample,
+    logs: list[LogResult],
+    restarts: int,
     tol_constant: float = CONSTANT_SPREAD_TOL,
     tol_gap: float = GAP_TOL,
 ) -> DisplacementReport:
-    """Per-point displacement bounds of the isometry over a seeded sample
-    (the identity coset plus Haar points), with the three-way verdict."""
-    model = gamma.model
-    rng = np.random.default_rng(seed)
-    points = [base_point(model)]
-    while len(points) < n_samples:
-        points.append(haar_point(model, rng))
-    images = [gamma.apply(p) for p in points]
-    lowers = [distance_lower_bound(p, q) for p, q in zip(points, images)]
-    logs = _multistart_logs(
-        model,
-        np.array([p.rep for p in points]),
-        np.array([q.rep for q in images]),
-        [seed + 1000 + i for i in range(len(points))],
-        restarts,
-        COSET_TOL,
-    )
+    """The three-way verdict of a sampled profile, from the logs of its
+    (point, image) pairs (upper bounds) and `distance_lower_bound` (lower
+    bounds)."""
+    lowers = [distance_lower_bound(p, q) for p, q in zip(sample.points, sample.images)]
     uppers = [log.upper for log in logs]
     min_u, max_u = min(uppers), max(uppers)
     mean_u = sum(u for u in uppers if math.isfinite(u)) / max(
@@ -734,9 +757,9 @@ def displacement_profile(
         else:
             verdict = "inconclusive"
     return DisplacementReport(
-        label=gamma.label,
-        n_samples=n_samples,
-        seed=seed,
+        label=sample.gamma.label,
+        n_samples=sample.n_samples,
+        seed=sample.seed,
         uppers=tuple(uppers),
         lowers=tuple(lowers),
         verdict=verdict,
@@ -746,6 +769,21 @@ def displacement_profile(
         tol_constant=tol_constant,
         tol_gap=tol_gap,
     )
+
+
+def displacement_profile(
+    gamma: Isometry,
+    n_samples: int = 200,
+    seed: int = 42,
+    restarts: int = 4,
+    tol_constant: float = CONSTANT_SPREAD_TOL,
+    tol_gap: float = GAP_TOL,
+) -> DisplacementReport:
+    """Per-point displacement bounds of the isometry over a seeded sample
+    (the identity coset plus Haar points), with the three-way verdict."""
+    sample = sample_profile(gamma, n_samples, seed)
+    logs = riemannian_logs(list(sample.points), list(sample.images), sample.log_seeds, restarts)
+    return profile_report(sample, logs, restarts, tol_constant, tol_gap)
 
 
 # --- fixed fibers ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import isofib
-from isofib import cli, dynkin
+from isofib import cli, dynkin, homspace
 
 
 def run_main(argv):
@@ -219,6 +219,43 @@ def test_verify_deterministic_bytes():
     _, a = payload_for(["verify", "su3-hopf", "--seed", "3", *FAST_VERIFY])
     _, b = payload_for(["verify", "su3-hopf", "--seed", "3", *FAST_VERIFY])
     assert cli.render(a, "json") == cli.render(b, "json")
+
+
+def test_verify_displacement_honours_tol_coset():
+    # no log reaches a residual of 1e-300, so no profile has a finite upper
+    # bound and neither displacement verdict can be drawn
+    code, payload = payload_for(["verify", "su3-hopf", "--tol-coset", "1e-300"])
+    assert code == 1
+    checks = {c["name"]: c for c in payload["checks"]}
+    for name in ("displacement-central-constant", "displacement-noncentral-certified"):
+        assert not checks[name]["passed"]
+        assert checks[name]["detail"].count("inconclusive") == 2
+    assert "rel inf" in checks["displacement-central-constant"]["detail"]
+    assert "gap -inf" in checks["displacement-noncentral-certified"]["detail"]
+
+
+def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
+    # every Riemannian log of a job shares one lockstep solve; each
+    # fixed-fiber restart is a solve of its own
+    calls = {"lm": 0, "fiber_depth": 0}
+    real_lm, real_fiber = homspace._lm, homspace.fixed_fiber
+
+    def counting_lm(*args, **kwargs):
+        calls["lm"] += calls["fiber_depth"] == 0
+        return real_lm(*args, **kwargs)
+
+    def fiber(*args, **kwargs):
+        calls["fiber_depth"] += 1
+        try:
+            return real_fiber(*args, **kwargs)
+        finally:
+            calls["fiber_depth"] -= 1
+
+    monkeypatch.setattr(homspace, "_lm", counting_lm)
+    monkeypatch.setattr(homspace, "fixed_fiber", fiber)
+    code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
+    assert code == 0
+    assert calls["lm"] == 1
 
 
 def test_verify_csv_checks():

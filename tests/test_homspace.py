@@ -402,6 +402,61 @@ def test_profile_uppers_do_not_depend_on_the_batch(case_id):
     assert report.uppers == uppers
 
 
+@pytest.mark.parametrize(
+    "case_id", ["su3-hopf", "so6-stiefel", "su3-su1u2--k1-t1", "so8-so3so5--k1-0so3"]
+)
+def test_joint_logs_match_solo_logs(case_id):
+    # a verify job solves the logs of several profiles and unrelated pairs
+    # in one lockstep call; each pair must end exactly where it ends alone
+    model = model_for(case_id)
+    rng = np.random.default_rng(36)
+    xs, ys, seeds = [], [], []
+    for factors in (model.k1_factors, model.k2_factors):
+        gam = Isometry(model, left=sample_subgroup_element(model, factors, rng))
+        sample = homspace.sample_profile(gam, n_samples=3, seed=11)
+        xs += sample.points
+        ys += sample.images
+        seeds += sample.log_seeds
+    for seed in (5, 6):
+        xs.append(haar_point(model, rng))
+        ys.append(haar_point(model, rng))
+        seeds.append(seed)
+    joint = homspace.riemannian_logs(xs, ys, seeds, restarts=2)
+    for x, y, seed, log in zip(xs, ys, seeds, joint):
+        solo = riemannian_log(x, y, restarts=2, seed=seed)
+        assert (log.upper, log.residual, log.converged) == (
+            solo.upper,
+            solo.residual,
+            solo.converged,
+        )
+
+
+def test_lm_jacobian_chunks_are_exact(so6, monkeypatch):
+    # the Jacobian is reduced to J^T J and J^T F per stack of at most
+    # _LM_SLICE points; smaller stacks must not change a single iterate
+    rng = np.random.default_rng(37)
+    n, d = so6.n, so6.dim_m1
+    U = np.array([haar_point(so6, rng).rep for _ in range(5)])
+    V = np.array([haar_point(so6, rng).rep for _ in range(5)])
+    C0 = rng.normal(size=(5, d))
+    sizes = []
+
+    def residuals(C, rows):
+        sizes.append(C.shape[0] * C.shape[1])
+        P = (U[rows, None] @ matrix_exp(so6.from_m1_coords(C))).reshape(-1, n, n)
+        T = np.repeat(V[rows], C.shape[1], axis=0)
+        K = _k_star_batch(so6, P, T, so6.k1_factors)
+        return (P @ K - T).reshape(C.shape[:2] + (-1,))
+
+    X, F = homspace._lm(residuals, C0)
+    assert max(sizes) == 5 * d  # every Jacobian in one stack
+    sizes.clear()
+    monkeypatch.setattr(homspace, "_LM_SLICE", 2)
+    X2, F2 = homspace._lm(residuals, C0)
+    assert max(sizes) == d  # one problem's Jacobian points per stack
+    assert np.array_equal(X, X2) and np.array_equal(F, F2)
+
+
 def test_log_of_same_point_is_zero(su3):
     x = haar_point(su3, np.random.default_rng(18))
     log = riemannian_log(x, x, restarts=1, seed=0)
