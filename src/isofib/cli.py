@@ -209,7 +209,11 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     ordered_logs = [next(logs) for _ in ordered]
     reports = [
         homspace.profile_report(
-            s, [next(logs) for _ in s.points], cfg.restarts, tol["constant"], tol["gap"]
+            s,
+            homspace.share_logs(s, [next(logs) for _ in s.points], tol["coset"]),
+            cfg.restarts,
+            tol["constant"],
+            tol["gap"],
         )
         for s in samples
     ]

@@ -30,14 +30,20 @@ the SU blocks maximized at every grid angle in one call).  `_lm` advances
 a stack of problems in lockstep, each with its own damping and stop,
 sends the Jacobian points or trial points of all of them through stacked
 residual calls of at most `_LM_SLICE` points, and reduces the Jacobian to
-J^T J and J^T F one such call at a time.  `riemannian_logs` solves the
-(pair, start) problems of any number of point pairs in one `_lm` call:
-a verify job passes it every log it needs (round trips, bound-ordering
+J^T J and J^T F one such call at a time; a problem stops at the latest
+once its residual is at most 1e-6 times the tolerance of its solve.
+`riemannian_logs` solves the (pair, start) problems of any number of
+point pairs in one `_lm` call, starting each pair from the m1 part of one
+batched real log (`_orthogonal_log`) and seeded perturbations of it: a
+verify job passes it every log it needs (round trips, bound-ordering
 pairs and the sampled points of its four displacement profiles), and
 `riemannian_log` and `displacement_profile` (`sample_profile`, then
-`profile_report`) are compositions of it.  Every per-problem operation,
-the matrix exponential included, acts on that problem's rows alone, so a
-pair's result does not depend on the problems it is solved with.
+`share_logs` and `profile_report`) are compositions of it.  `share_logs`
+offers a profile's shortest converged log to each of its points, which
+adopt it where it also reaches the image coset and is shorter than their
+own.  Every per-problem operation, the matrix exponential included, acts
+on that problem's rows alone, so a pair's result does not depend on the
+problems it is solved with.
 """
 from __future__ import annotations
 
@@ -45,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # bare: .linalg/.optimize load on first use, catalog runs skip them
+import scipy  # bare: .linalg (schur), .optimize (brentq) load on first use
 
 from .liealg import MEMBERSHIP_TOL, BlockFactor, GroupModel, complexify, matrix_exp, realify
 
@@ -484,6 +490,9 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 _LM_TOL = 1e-15  # step and cost-reduction floors: stop only at roundoff
 _LM_LAM0, _LM_LAM_MAX = 1e-3, 1e16
 _LM_MAX_ITER = 200
+# a problem stops once its residual norm is at most _LM_STOP times the
+# tolerance of its solve: below that, steps only polish roundoff
+_LM_STOP = 1e-6
 # points per residual call: the kernel's temporaries, and so the peak
 # memory, grow with the stack, while a so8 verify ran as fast in stacks
 # of 128 points as of 256 (2-core x86 VM)
@@ -507,22 +516,23 @@ def _fd_jacobian(residuals, X: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.swapaxes(Fs, 1, 2)
 
 
-def _lm(residuals, C0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt from every row of C0 (p, d), all problems
     advanced in lockstep.  `residuals(C, rows)` maps the (len(rows), k, d)
     coordinates of the problems `rows` to their (len(rows), k, r)
     residuals; each step evaluates it on stacks of at most _LM_SLICE
     points.  Each problem keeps its own damping lam against diag J^T J
     (Marquardt scaling, Nielsen's update), takes a step only when it
-    lowers the cost, and stops on its own: at a step or relative cost
-    reduction below _LM_TOL, at damping above _LM_LAM_MAX, or after
-    _LM_MAX_ITER steps.  The Jacobian is `_fd_jacobian`, taken and reduced
-    to J^T J and J^T F one stack of at most _LM_SLICE points at a time, so
-    no array holds the Jacobians of all problems.  Every per-problem
-    operation acts on that problem's rows alone, so a problem follows the
-    iterates it would follow in a stack of one.  Returns (C, F): final
-    coordinates and the residuals there."""
+    lowers the cost, and stops on its own: at a residual norm of at most
+    _LM_STOP * tol, at a step or relative cost reduction below _LM_TOL, at
+    damping above _LM_LAM_MAX, or after _LM_MAX_ITER steps.  The Jacobian
+    is `_fd_jacobian`, taken and reduced to J^T J and J^T F one stack of at
+    most _LM_SLICE points at a time, so no array holds the Jacobians of all
+    problems.  Every per-problem operation acts on that problem's rows
+    alone, so a problem follows the iterates it would follow in a stack of
+    one.  Returns (C, F): final coordinates and the residuals there."""
     p, d = C0.shape
+    floor = (_LM_STOP * tol) ** 2  # underflows to 0.0 for a tol below ~1e-150
 
     def sliced(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
         step = max(1, _LM_SLICE // C.shape[1])
@@ -538,7 +548,7 @@ def _lm(residuals, C0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = np.arange(d)
     A, g = np.empty((p, d, d)), np.empty((p, d))
     fresh = np.ones(p, dtype=bool)  # the Jacobian at X is still to be taken
-    active = cost > 0
+    active = cost > floor
     for _ in range(_LM_MAX_ITER):
         act = np.flatnonzero(active)
         if not act.size:
@@ -575,10 +585,32 @@ def _lm(residuals, C0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         small_step = np.sqrt(np.einsum("ij,ij->i", step, step)) <= _LM_TOL * (
             _LM_TOL + np.sqrt(np.einsum("ij,ij->i", X[act], X[act]))
         )
-        done = small_step | (lam[act] > _LM_LAM_MAX) | (cost[act] == 0)
+        done = small_step | (lam[act] > _LM_LAM_MAX) | (cost[act] <= floor)
         done[ok] |= small_gain
         active[act[done]] = False
     return X, F
+
+
+# eigenvalues of (W + W^T) / 2 within this of -1 count as -1 (rotation
+# angles within ~1.4e-6 of pi, where the angle is lost to roundoff)
+_HALF_TURN_TOL = 1e-12
+
+
+def _orthogonal_log(W: np.ndarray) -> np.ndarray:
+    """The principal real log K g(S) of each matrix of a (B, n, n)
+    orthogonal stack, with S and K its symmetric and skew parts and
+    g(c) = arccos(c) / sqrt(1 - c^2) applied on the eigenvectors of S.  A
+    half turn (eigenvalue -1) has no preferred plane, so g is 0 on that
+    eigenspace, as in the real part of the complex principal log.  Each
+    matrix takes its own eigendecomposition and products, so its result
+    does not depend on the stack."""
+    Wt = np.swapaxes(W, 1, 2)
+    c, Q = np.linalg.eigh((W + Wt) / 2)
+    c = np.clip(c, -1.0, 1.0)
+    s = np.sqrt((1 - c) * (1 + c))
+    g = np.divide(np.arctan2(s, c), s, out=np.ones_like(c), where=s > 0)
+    g[1 + c <= _HALF_TURN_TOL] = 0.0
+    return ((W - Wt) / 2) @ (Q * g[:, None, :]) @ np.swapaxes(Q, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -605,14 +637,10 @@ def riemannian_logs(
     n, d, factors = model.n, model.dim_m1, model.k1_factors
     U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
     restarts = max(restarts, 0)
-    # smart start: project the ambient log of the chord-aligned difference
+    # smart start: the m1 part of the log of the chord-aligned difference
     W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(_k_star_batch(model, U, V, factors), 1, 2)
     starts = []
-    for w, seed in zip(W, seeds):
-        try:
-            c0 = model.m1_coords(model.g.project(np.real(scipy.linalg.logm(w))))
-        except Exception:
-            c0 = np.zeros(d)
+    for c0, seed in zip(model.m1_coords(_orthogonal_log(W)), seeds):
         rng = np.random.default_rng(seed)
         scale = max(float(np.linalg.norm(c0)), 0.5)
         starts.append(c0)
@@ -625,7 +653,7 @@ def riemannian_logs(
         K = _k_star_batch(model, P, T, factors)
         return (P @ K - T).reshape(C.shape[:2] + (-1,))
 
-    X, F = _lm(residuals, np.array(starts))
+    X, F = _lm(residuals, np.array(starts), tol)
     X = X.reshape(len(U), 1 + restarts, d)
     R = np.linalg.norm(F, axis=-1).reshape(len(U), 1 + restarts)
     out = []
@@ -728,6 +756,34 @@ def sample_profile(gamma: Isometry, n_samples: int = 200, seed: int = 42) -> Pro
     )
 
 
+def share_logs(
+    sample: ProfileSample, logs: list[LogResult], tol: float = COSET_TOL
+) -> list[LogResult]:
+    """The logs of a sampled profile after sharing its shortest converged
+    log xi: every point p where xi also joins p to gamma(p) (coset residual
+    below tol, all points in one `_k_star_batch` call) and is shorter than
+    p's own log adopts it.  Upper bounds only fall, each adopted one is an
+    explicit converged geodesic, and the lower bounds do not change.  For
+    a central gamma the problem is the same at every point up to a left
+    translation, so restart luck cannot spread the uppers; for a
+    non-central one the residual test fails away from xi's own point."""
+    converged = [log for log in logs if log.converged]
+    if not converged:
+        return logs
+    best = min(converged, key=lambda log: log.upper)
+    model = sample.gamma.model
+    U = np.array([p.rep for p in sample.points]) @ matrix_exp(best.xi)
+    V = np.array([q.rep for q in sample.images])
+    K = _k_star_batch(model, U, V, model.k1_factors)
+    R = np.linalg.norm((U @ K - V).reshape(len(U), -1), axis=1)
+    return [
+        LogResult(best.xi, best.upper, float(r), True)
+        if r < tol and best.upper < log.upper
+        else log
+        for log, r in zip(logs, R)
+    ]
+
+
 def profile_report(
     sample: ProfileSample,
     logs: list[LogResult],
@@ -780,10 +836,11 @@ def displacement_profile(
     tol_gap: float = GAP_TOL,
 ) -> DisplacementReport:
     """Per-point displacement bounds of the isometry over a seeded sample
-    (the identity coset plus Haar points), with the three-way verdict."""
+    (the identity coset plus Haar points), with the three-way verdict: the
+    logs of `riemannian_logs` after `share_logs`, then `profile_report`."""
     sample = sample_profile(gamma, n_samples, seed)
     logs = riemannian_logs(list(sample.points), list(sample.images), sample.log_seeds, restarts)
-    return profile_report(sample, logs, restarts, tol_constant, tol_gap)
+    return profile_report(sample, share_logs(sample, logs), restarts, tol_constant, tol_gap)
 
 
 # --- fixed fibers ---------------------------------------------------------------
@@ -816,7 +873,7 @@ def fixed_fiber(
     for trial in range(max(1, restarts)):
         x0 = np.eye(model.n) if trial == 0 else haar_point(model, rng).rep
         c0 = np.zeros(dg) if trial == 0 else rng.normal(scale=0.3, size=dg)
-        C, F = _lm(lambda C, rows, x0=x0: residuals(C, x0), c0[None])
+        C, F = _lm(lambda C, rows, x0=x0: residuals(C, x0), c0[None], tol)
         r = float(np.linalg.norm(F[0]))
         if r < best_val:
             best_val = r

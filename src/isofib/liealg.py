@@ -298,13 +298,21 @@ class GroupModel:
         return float(-(self.g.coords(X) @ self.kappa @ self.g.coords(Y)))
 
     def project_m1(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(X)
-        for E in self.m1_basis:
-            out += self.kappa_ip(X, E) * E
-        return out
+        return self.from_m1_coords(self.m1_coords(X))
+
+    @cached_property
+    def _m1_dual(self) -> np.ndarray:
+        """(n^2, d) matrix D with m1_coords(X) = vec(X) @ D: column j is the
+        functional X -> -kappa(X, E_j) on g coordinates."""
+        E = np.array([self.g.coords(B) for B in self.m1_basis])
+        return -self.g._pinv.T @ (self.kappa @ E.T)
 
     def m1_coords(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.kappa_ip(X, E) for E in self.m1_basis])
+        """The coordinates -kappa(X, E_j) on the m1 basis; leading axes of X
+        are a batch, each matrix taking its own (1, n^2) @ (n^2, d) product
+        so its result does not depend on the stack."""
+        flat = X.reshape(-1, 1, self.n * self.n)
+        return (flat @ self._m1_dual).reshape(X.shape[:-2] + (self.dim_m1,))
 
     def m1_norm(self, X: np.ndarray) -> float:
         c = self.m1_coords(X)
@@ -362,20 +370,10 @@ def orthogonal_complement(
 def natural_reductivity_check(model: GroupModel) -> float:
     """Max over basis triples of |<[x,y]_m1, z> + <y, [x,z]_m1>| on m1."""
     E = model.m1_basis
-    d = len(E)
-    # precompute projected brackets in m1 coordinates
-    proj = np.empty((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            proj[i, j] = model.m1_coords(bracket(E[i], E[j]))
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                r = abs(proj[i, j][k] + proj[i, k][j])
-                if r > worst:
-                    worst = r
-    return worst
+    prod = np.einsum("iab,jbc->ijac", E, E)
+    # proj[i, j, k]: the m1 coordinate k of [E_i, E_j]
+    proj = model.m1_coords(prod - np.swapaxes(prod, 0, 1))
+    return float(np.abs(proj + np.swapaxes(proj, 1, 2)).max())
 
 
 # --- model construction -------------------------------------------------------

@@ -258,6 +258,34 @@ def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
     assert calls["lm"] == 1
 
 
+def test_verify_job_makes_no_logm_call(monkeypatch):
+    # the smart starts of a job's logs come from one batched real log
+    import scipy.linalg
+
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("scipy.linalg.logm called")
+
+    monkeypatch.setattr(scipy.linalg, "logm", refuse)
+    for case in ("su3-hopf", "so6-stiefel"):
+        code, _ = payload_for(["verify", case, *FAST_VERIFY])
+        assert code == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [2, 1803])
+def test_verify_so8_central_constant_without_restart_luck(seed):
+    # at these seeds a restart converges at some points of central-0 to a
+    # shorter log than at the others; shared logs give every point the
+    # shortest one
+    _, payload = payload_for(["verify", "so8-so3so5--k1-0so3", "--seed", str(seed)])
+    checks = {c["name"]: c for c in payload["checks"]}
+    central = checks["displacement-central-constant"]
+    assert central["passed"], central["detail"]
+
+
 def test_verify_csv_checks():
     _, payload = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     out = cli.render(payload, "csv")

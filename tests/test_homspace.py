@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize._numdiff import approx_derivative
 
 from isofib import homspace
@@ -34,8 +35,10 @@ from isofib.homspace import (
     killing_length,
     riemannian_log,
     sample_subgroup_element,
+    share_logs,
     _fd_jacobian,
     _k_star_batch,
+    _orthogonal_log,
     _so_procrustes,
     _su_procrustes,
     _su2_procrustes,
@@ -455,6 +458,103 @@ def test_lm_jacobian_chunks_are_exact(so6, monkeypatch):
     X2, F2 = homspace._lm(residuals, C0)
     assert max(sizes) == d  # one problem's Jacobian points per stack
     assert np.array_equal(X, X2) and np.array_equal(F, F2)
+
+
+VERIFY_CASES = ["su3-hopf", "so6-stiefel", "su3-su1u2--k1-t1", "so8-so3so5--k1-0so3"]
+
+
+@pytest.mark.parametrize("case_id", VERIFY_CASES)
+def test_orthogonal_log_matches_scipy_logm(case_id):
+    # the smart start of a log: W = U^T V k*^T for Haar points U, V
+    model = model_for(case_id)
+    rng = np.random.default_rng(39)
+    U = np.array([haar_point(model, rng).rep for _ in range(12)])
+    V = np.array([haar_point(model, rng).rep for _ in range(12)])
+    K = _k_star_batch(model, U, V, model.k1_factors)
+    W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)
+    L = _orthogonal_log(W)
+    away = [w for w in range(len(W)) if np.abs(np.linalg.eigvals(W[w]) + 1).min() > 1e-3]
+    assert len(away) >= 10
+    for w in away:
+        np.testing.assert_allclose(L[w], np.real(scipy.linalg.logm(W[w])), rtol=0, atol=1e-10)
+    # each matrix is taken on its own: its log does not depend on the stack
+    assert np.array_equal(_orthogonal_log(W[3:4])[0], L[3])
+
+
+def test_orthogonal_log_leaves_out_half_turns():
+    # -1 eigenvalues carry no log, as in the real part of the principal one
+    a = 0.7
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    W = np.zeros((1, 5, 5))
+    W[0, :2, :2] = rot
+    W[0, 2:4, 2:4] = -np.eye(2)
+    W[0, 4, 4] = 1.0
+    L = _orthogonal_log(W)[0]
+    expected = np.zeros((5, 5))
+    expected[:2, :2] = [[0.0, -a], [a, 0.0]]
+    np.testing.assert_allclose(L, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("case_id", ["so6-stiefel", "so8-so3so5--k1-0so3"])
+def test_lm_stops_at_converged_starts(case_id):
+    # a problem stops once its residual is at most 1e-6 x its tolerance:
+    # from an exact start it takes no step, from a near one a few steps
+    model = model_for(case_id)
+    rng = np.random.default_rng(38)
+    n, d = model.n, model.dim_m1
+    U = np.array([haar_point(model, rng).rep for _ in range(3)])
+    C = rng.normal(size=(3, d))
+    C *= 0.5 / np.linalg.norm(C, axis=1, keepdims=True)
+    V = U @ matrix_exp(model.from_m1_coords(C))
+    calls = []
+
+    def residuals(X, rows):
+        calls.append(len(rows))
+        P = (U[rows, None] @ matrix_exp(model.from_m1_coords(X))).reshape(-1, n, n)
+        T = np.repeat(V[rows], X.shape[1], axis=0)
+        K = _k_star_batch(model, P, T, model.k1_factors)
+        return (P @ K - T).reshape(X.shape[:2] + (-1,))
+
+    X, F = homspace._lm(residuals, C, tol=1e-8)
+    assert len(calls) == 1 and np.array_equal(X, C)
+    calls.clear()
+    X, F = homspace._lm(residuals, C + 1e-3 * rng.normal(size=C.shape), tol=1e-8)
+    # one initial call, then a Jacobian and a trial call per step
+    assert len(calls) <= 1 + 2 * 6
+    assert np.linalg.norm(F, axis=1).max() <= 1e-14
+
+
+@pytest.mark.parametrize("case_id", VERIFY_CASES)
+def test_shared_logs_only_lower_uppers_by_converged_geodesics(case_id):
+    model = model_for(case_id)
+    rng = np.random.default_rng(40)
+    # a central x right translation, then left translations by K1 and K2
+    k2 = sample_subgroup_element(model, model.k2_factors, rng)
+    gammas = [Isometry(model, left=model.center_elements[1], right=k2)]
+    for factors in (model.k1_factors, model.k2_factors):
+        gammas.append(Isometry(model, left=sample_subgroup_element(model, factors, rng)))
+    samples = [homspace.sample_profile(gam, n_samples=8, seed=12) for gam in gammas]
+    adopted = []
+    for sample in samples:
+        logs = homspace.riemannian_logs(
+            list(sample.points), list(sample.images), sample.log_seeds, restarts=1
+        )
+        shared = share_logs(sample, logs)
+        adopted.append(sum(log is not own for own, log in zip(logs, shared)))
+        for p, q, own, log in zip(sample.points, sample.images, logs, shared):
+            assert log.upper <= own.upper
+            if log is not own:
+                # an adopted log is a converged geodesic from p to q's coset
+                assert log.converged and log.residual < homspace.COSET_TOL
+                assert log.upper == pytest.approx(model.m1_norm(log.xi), rel=1e-12)
+                assert chord_k1(model, geodesic(p, log.xi, 1.0), q).upper < homspace.COSET_TOL
+        if sample is samples[0]:
+            # a central isometry poses one problem at every point: the
+            # uppers agree
+            assert len({log.upper for log in shared}) == 1
+    # the central profile's points adopt its shortest log; away from its
+    # own point a non-central profile's shortest log misses the image coset
+    assert adopted[0] > 0 and adopted[1:] == [0, 0]
 
 
 def test_log_of_same_point_is_zero(su3):

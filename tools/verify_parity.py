@@ -6,8 +6,10 @@ Exports REF with `git archive` into a temporary directory (so no worktree
 is registered in the repository), runs every request of the parity set in
 a fresh `python -m isofib.cli` process against the working tree's `src/`
 and against the export's `src/`, and prints SAME or DIFF per request with
-both exit codes.  A request is SAME when stdout and exit code match.
-Exits 1 on any DIFF, 2 when REF cannot be exported.
+both exit codes.  A request is SAME when stdout and exit code match.  The
+last line counts the failing requests (exit code not 0) of each side, so
+the direction of any pass/fail change shows at a glance.  Exits 1 on any
+DIFF, 2 when REF cannot be exported.
 """
 from __future__ import annotations
 
@@ -21,15 +23,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the 18 requests of perfbench's verify_jobs decks 1-3, then further seeds
 # of the same cases used as parity checks since the batched Jacobian;
-# so8-so3so5--k1-0so3 fails at 1, 2, 1803 and 5100 (displacement-inconclusive),
-# and those failing outputs must match too
+# so8-so3so5--k1-0so3 at 1, 4242 and 5100 and su3-hopf at 6336 and 11 fail
+# (displacement-inconclusive: the k2-left profile is not separated), and
+# those failing outputs must match too.  The last four so8-so3so5--k1-0so3
+# seeds and the last two so6-stiefel seeds are restart-luck seeds, where a
+# change of solver iterates is most likely to flip a displacement verdict
 PARITY_SET = tuple(
     (case, seed)
     for case, seeds in (
-        ("so8-so3so5--k1-0so3", (5100, 1803, 8206, 1, 2, 17, 333, 4242, 7777)),
+        (
+            "so8-so3so5--k1-0so3",
+            (5100, 1803, 8206, 1, 2, 17, 333, 4242, 7777, 1988, 3609, 4166, 9292),
+        ),
         ("su3-hopf", (1705, 6869, 6336, 11)),
         ("su3-su1u2--k1-t1", (3546, 1046, 2454, 4651, 4805, 7656, 77, 901)),
-        ("so6-stiefel", (7991, 9215, 7294, 9042, 2298, 1177, 25, 3139)),
+        ("so6-stiefel", (7991, 9215, 7294, 9042, 2298, 1177, 25, 3139, 3370, 8743)),
     )
     for seed in seeds
 )
@@ -56,17 +64,20 @@ def main(argv: list[str]) -> int:
             print(archive.stderr.decode().strip(), file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", ref_dir], input=archive.stdout, check=True)
-        diffs = 0
+        diffs, failing = 0, [0, 0]
         for case, seed in PARITY_SET:
             # the two trees run side by side, one process each
             procs = [start(src, case, seed) for src in (ROOT / "src", Path(ref_dir) / "src")]
             (work, work_code), (ref, ref_code) = [(p.communicate()[0], p.returncode) for p in procs]
             same = work == ref and work_code == ref_code
             diffs += not same
+            failing[0] += work_code != 0
+            failing[1] += ref_code != 0
             status = "SAME" if same else "DIFF"
             request = f"verify {case} --seed {seed}"
             print(f"{status} {request} (exit {work_code} vs {ref_code})", flush=True)
     print(f"{len(PARITY_SET) - diffs} of {len(PARITY_SET)} requests byte-identical")
+    print(f"failing: {argv[0]} {failing[1]}, tree {failing[0]}")
     return 1 if diffs else 0
 
 
