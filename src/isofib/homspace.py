@@ -14,11 +14,13 @@ block is maximized by a det-phase-constrained ascent, which is only
 locally optimal.
 
 Displacement verdicts compare per-point upper bounds (from a multistart
-Riemannian log) against per-point lower bounds (sqrt(lambda_min) times the
-chord, where lambda_min is the smallest eigenvalue of the normal metric
-against the ambient Frobenius form).  A profile is reported
-constant-within-tol, certified-nonconstant (some point's upper bound lies
-below another point's lower bound), or inconclusive.
+Riemannian log) against per-point lower bounds (`distance_lower_bound`:
+the arc length sqrt(lambda_min N) 2 asin(c / (2 sqrt N)) that a certified
+chord lower value c forces on an n x n model, N = n, where lambda_min is
+the smallest eigenvalue of the normal metric against the ambient
+Frobenius form).  A profile is reported constant-within-tol,
+certified-nonconstant (some point's upper bound lies below another
+point's lower bound), or inconclusive.
 
 The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
 solves whose cost is the finite-difference Jacobian: d residuals per
@@ -687,11 +689,21 @@ def riemannian_log(
 
 
 def distance_lower_bound(x: CosetPoint, y: CosetPoint) -> float:
-    """sqrt(lambda_min) times the certified chord lower value: a true lower
-    bound for the Riemannian distance between the cosets."""
+    """sqrt(lambda_min N) 2 asin(c / (2 sqrt N)), with c the certified chord
+    lower value and N = model.n: a true lower bound for the Riemannian
+    distance between the cosets, never below sqrt(lambda_min) c.
+
+    A minimizing geodesic lifts to x exp(xi) = y k with xi in m1, so the
+    distance is at least sqrt(lambda_min) ||xi||_F, and ||xi||_F^2 is at
+    least the sum of theta_j^2 over the N principal angles of exp(xi).  The
+    chord satisfies c^2 <= ||exp(xi) - 1||_F^2 = sum 4 sin^2(theta_j / 2),
+    and theta^2 is convex and increasing in s = 4 sin^2(theta / 2), so
+    Jensen's inequality gives sum theta_j^2 >= N (2 asin(c / (2 sqrt N)))^2."""
     model = x.model
-    lam = model.frobenius_lambda_min
-    return math.sqrt(lam) * chord_k1(model, x, y).lower
+    root_n = math.sqrt(model.n)
+    chord = chord_k1(model, x, y).lower
+    arc = 2 * math.asin(min(1.0, chord / (2 * root_n)))
+    return math.sqrt(model.frobenius_lambda_min) * root_n * arc
 
 
 # --- displacement profiles -----------------------------------------------------

@@ -286,6 +286,25 @@ def test_verify_so8_central_constant_without_restart_luck(seed):
     assert central["passed"], central["detail"]
 
 
+@pytest.mark.parametrize(
+    "case, seed",
+    [
+        ("so8-so3so5--k1-0so3", 1),
+        ("so8-so3so5--k1-0so3", 5100),
+        ("su3-hopf", 6336),
+        ("su3-hopf", 11),
+    ],
+)
+def test_verify_k2_left_certified_by_arc_lower_bound(case, seed):
+    # with the chord itself as the lower bound, k2-left came out
+    # inconclusive at these seeds; the arc-length bound separates it
+    _, payload = payload_for(["verify", case, "--seed", str(seed)])
+    checks = {c["name"]: c for c in payload["checks"]}
+    noncentral = checks["displacement-noncentral-certified"]
+    assert noncentral["passed"], noncentral["detail"]
+    assert "k2-left: certified-nonconstant" in noncentral["detail"]
+
+
 def test_verify_csv_checks():
     _, payload = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     out = cli.render(payload, "csv")

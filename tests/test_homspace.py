@@ -284,6 +284,41 @@ def test_lower_bound_metric_is_per_model_not_per_name(su3):
     assert half.frobenius_lambda_min == pytest.approx(12.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("case_id", ["su3-hopf", "so6-stiefel", "so8-so3so5--k1-0so3"])
+def test_lower_bound_at_most_geodesic_length(case_id):
+    # geodesic(x, xi, 1) has metric length ||xi||, at least the distance it
+    # spans; at a short xi that geodesic is minimizing and the two agree
+    model = model_for(case_id)
+    rng = np.random.default_rng(38)
+    for length in (0.05, 0.3, 1.0, 2.5):
+        x = haar_point(model, rng)
+        c = rng.normal(size=model.dim_m1)
+        xi = model.from_m1_coords(c)
+        xi *= length / model.m1_norm(xi)
+        lower = distance_lower_bound(x, geodesic(x, xi, 1.0))
+        assert 0.0 < lower <= model.m1_norm(xi) + 1e-12
+
+
+def test_lower_bound_on_the_fiber_circle(su3):
+    # exp((t / 6) z) K1 lies at distance t from the base point for small t
+    e = base_point(su3)
+    for t in (0.05, 0.3, 1.0):
+        y = CosetPoint(su3, matrix_exp((t / 6.0) * su3.circle_mat))
+        assert 0.0 < distance_lower_bound(e, y) <= t + 1e-12
+
+
+@pytest.mark.parametrize("case_id", ["su3-hopf", "so6-stiefel", "so8-so3so5--k1-0so3"])
+def test_arc_lower_bound_never_below_chord_bound(case_id):
+    model = model_for(case_id)
+    rng = np.random.default_rng(39)
+    scale = math.sqrt(model.frobenius_lambda_min)
+    for _ in range(10):
+        x, y = haar_point(model, rng), haar_point(model, rng)
+        assert distance_lower_bound(x, y) >= scale * chord_k1(model, x, y).lower
+    x = haar_point(model, rng)
+    assert distance_lower_bound(x, x) == pytest.approx(0.0, abs=1e-6)
+
+
 # --- Killing-field lengths ------------------------------------------------------------
 
 
