@@ -16,9 +16,9 @@ locally optimal.
 Displacement verdicts compare per-point upper bounds (from a multistart
 Riemannian log) against per-point lower bounds (`distance_lower_bound`:
 the arc length sqrt(lambda_min N) 2 asin(c / (2 sqrt N)) that a certified
-chord lower value c forces on an n x n model, N = n, where lambda_min is
-the smallest eigenvalue of the normal metric against the ambient
-Frobenius form).  A profile is reported constant-within-tol,
+chord lower value c forces on an N x N model, where lambda_min is the
+smallest eigenvalue of the normal metric against the ambient Frobenius
+form).  A profile is reported constant-within-tol,
 certified-nonconstant (some point's upper bound lies below another
 point's lower bound), or inconclusive.
 
@@ -28,12 +28,14 @@ Jacobian, each needing the chord maximizer k*.  `_k_star_batch` computes
 k* for a whole stack of points in one numpy pass (batched SO Procrustes;
 `_su_procrustes` for SU blocks, closed form for SU(2) and the ascent on
 the whole stack for larger blocks; one theta grid for every row, with
-the SU blocks maximized at every grid angle in one call).  `_lm` advances
-a stack of problems in lockstep, each with its own damping and stop,
-sends the Jacobian points or trial points of all of them through stacked
-residual calls of at most `_LM_SLICE` points, and reduces the Jacobian to
-J^T J and J^T F one such call at a time; a problem stops at the latest
-once its residual is at most 1e-6 times the tolerance of its solve.
+the SU blocks maximized at every grid angle in one call, then one
+safeguarded Newton polish, `_polish_roots`, of every row's angle).
+`_lm` advances a stack of problems in lockstep, each with its own damping
+and stop, sends the Jacobian points or trial points of all of them
+through stacked residual calls of at most `_LM_SLICE` points, and reduces
+the Jacobian to J^T J and J^T F one such call at a time; a problem stops
+at the latest once its residual is at most 1e-6 times the tolerance of
+its solve.
 `riemannian_logs` solves the (pair, start) problems of any number of
 point pairs in one `_lm` call, starting each pair from the m1 part of one
 batched real log (`_orthogonal_log`) and seeded perturbations of it: a
@@ -45,7 +47,8 @@ offers a profile's shortest converged log to each of its points, which
 adopt it where it also reaches the image coset and is shorter than their
 own.  Every per-problem operation, the matrix exponential included, acts
 on that problem's rows alone, so a pair's result does not depend on the
-problems it is solved with.
+problems it is solved with.  The module needs numpy alone: the reversal
+certificates take their invariant planes from `np.linalg.eigh`.
 """
 from __future__ import annotations
 
@@ -53,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # bare: .linalg (schur), .optimize (brentq) load on first use
 
 from .liealg import MEMBERSHIP_TOL, BlockFactor, GroupModel, complexify, matrix_exp, realify
 
@@ -285,32 +287,71 @@ def _split_columns(
     return [j for j in range(model.complex_size) if j not in in_blocks], blocks
 
 
+# the circle-angle polish stops a row once its step is at most this (the
+# xtol its brentq predecessor used); bisection alone needs 42 steps to get
+# there from the grid bracket, so the cap is never reached
+_ANGLE_XTOL = 1e-14
+_ANGLE_MAX_ITER = 100
+
+
+def _polish_roots(
+    slope, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray
+) -> np.ndarray:
+    """The zero crossing of a derivative T' in [lo, hi] for every row, where
+    T'(lo) = g_lo > 0 > g_hi = T'(hi), by safeguarded Newton from x.
+    `slope(x, rows)` returns (T', T'') at x for the rows `rows`, or (T', None),
+    in which case the step is a secant through the row's last two points
+    (the opposite bracket end at first).  Each row keeps a bracket with T' > 0
+    at its left end and T' < 0 at its right end; a step with T'' >= 0 or one
+    that leaves the bracket (a step landing on an end stays) is replaced by
+    bisection.  A row stops where T' is exactly 0, keeping its point, or after
+    a step of at most _ANGLE_XTOL.  Rows never mix, so each follows the
+    iterates it would follow alone."""
+    x, a, b = x.copy(), lo.copy(), hi.copy()
+    act = np.arange(len(x))
+    g, h = slope(x, act)
+    xp, gp = np.where(g > 0, hi, lo), np.where(g > 0, g_hi, g_lo)
+    for _ in range(_ANGLE_MAX_ITER):
+        xa = x[act]
+        a[act] = np.where(g > 0, xa, a[act])
+        b[act] = np.where(g < 0, xa, b[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if h is None:
+                h = (g - gp) / (xa - xp)
+            newton = xa - g / h
+        inside = (h < 0) & (newton >= a[act]) & (newton <= b[act])
+        new = np.where(g == 0, xa, np.where(inside, newton, (a[act] + b[act]) / 2))
+        x[act] = new
+        going = (g != 0) & (np.abs(new - xa) > _ANGLE_XTOL)
+        xp, gp, act = xa[going], g[going], act[going]
+        if not act.size:
+            break
+        g, h = slope(x[act], act)
+    return x
+
+
 def _circle_angles(
     model: GroupModel, P: np.ndarray, factors: tuple[BlockFactor, ...]
 ) -> np.ndarray:
     """Per row of the pairing stack P, the circle angle maximizing the
     trace with every SU block maximized at that angle: a grid over the
-    period for all rows at once, then a brentq polish of each row's zero
-    crossing of the derivative."""
+    period for all rows at once, then one `_polish_roots` call for the zero
+    crossings of the derivative next to the best grid angles, and per row
+    the better of the polished and the grid angle."""
     speeds = _circle_phases(model)
     period = next(f.period for f in factors if f.kind == "circle")
     singles, blocks = _split_columns(model, factors)
     rows = np.arange(len(P))
     diag = P[:, singles, singles]
     fs = speeds[singles]
-    # SU(2) blocks keep their own pairing-vector terms in trace_at and
-    # slope: `_su_procrustes` would also assemble every maximizer, and
-    # numpy calls in slope cost more than plain Python numbers; routed
-    # through it, a 9-row su3 kernel under a circle ran 3-5x slower (2-core
-    # x86 VM)
     su2_data = []  # (speed, pairing 4-vectors)
     big_blocks = []  # (speed, submatrices) of SU(c >= 3) blocks
     for cols in blocks:
         sub = P[np.ix_(rows, cols, cols)]
         if len(cols) == 2:
-            su2_data.append((float(speeds[cols[0]]), _su2_pairing(sub)))
+            su2_data.append((speeds[cols[0]], _su2_pairing(sub)))
         else:
-            big_blocks.append((float(speeds[cols[0]]), sub))
+            big_blocks.append((speeds[cols[0]], sub))
 
     def trace_at(thetas: np.ndarray) -> np.ndarray:
         # thetas (1 or B, T) -> maximized traces (B, T)
@@ -324,41 +365,40 @@ def _circle_angles(
             vals += _su_procrustes(rot)[0]
         return vals
 
-    # the derivative is polished one row at a time: plain Python numbers
-    # cost less than numpy calls on a handful of entries
-    fs_list, diag_rows = fs.tolist(), diag.tolist()
-    su2_rows = [(a, w.tolist()) for a, w in su2_data]
-
-    def phase(x: float) -> complex:  # exp(-ix)
-        return complex(math.cos(x), -math.sin(x))
-
-    def slope(theta: float, r: int) -> float:
-        # d/d theta of the maximized trace; block terms by the envelope rule
-        der = sum(f * (phase(f * theta) * d).imag for f, d in zip(fs_list, diag_rows[r]))
-        for a, w in su2_rows:
-            ph = phase(a * theta)
-            tvec = [ph * x for x in w[r]]
-            n = math.sqrt(sum(x.real * x.real for x in tvec))
-            if n > 1e-12:
-                der += a * sum(x.real * x.imag for x in tvec) / n
+    def slope(x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        # (T', T'') at angles x (len(r),) of rows r; SU(2) blocks by the
+        # derivatives of |Re(e^{-ia x} w)|, SU(c >= 3) blocks by the envelope
+        # rule at the ascent's maximizer, which gives no T''
+        rot = np.exp(-1j * (x[:, None] * fs)) * diag[r]
+        der, curv = (fs * rot.imag).sum(axis=-1), -((fs * fs) * rot.real).sum(axis=-1)
+        for a, w in su2_data:
+            u = np.exp(-1j * a * x)[:, None] * w[r]
+            t, s = u.real, u.imag
+            n, ts = np.sqrt((t * t).sum(axis=-1)), (t * s).sum(axis=-1)
+            ok = n > 1e-12
+            n = np.where(ok, n, 1.0)
+            der += np.where(ok, a * ts / n, 0.0)
+            ss = (s * s).sum(axis=-1)
+            curv += np.where(ok, a * a * ((ss - n * n) / n - ts * ts / n**3), 0.0)
         for a, sub in big_blocks:
-            rot = np.exp(-1j * a * theta) * sub[r]
-            _, k = _su_procrustes(rot)
-            der += a * float(np.trace(k.conj().T @ rot).imag)
-        return der
+            rot = np.exp(-1j * a * x)[:, None, None] * sub[r]
+            k = _su_procrustes(rot)[1]
+            der += a * (k.conj() * rot).imag.sum(axis=(-2, -1))
+            curv = None
+        return der, curv
 
     grid = np.linspace(0.0, period, CIRCLE_GRID, endpoint=False)
     i0 = np.argmax(trace_at(grid[None, :]), axis=1)
     span = period / CIRCLE_GRID
     best = grid[i0]
-    for r, theta in enumerate(best.tolist()):
-        lo, hi = theta - span, theta + span
-        try:
-            # the maximizer is a zero crossing of the derivative
-            if slope(lo, r) > 0 > slope(hi, r):
-                best[r] = scipy.optimize.brentq(slope, lo, hi, args=(r,), xtol=1e-14)
-        except ValueError:
-            pass
+    lo, hi = best - span, best + span
+    g_lo, g_hi = slope(lo, rows)[0], slope(hi, rows)[0]
+    # the maximizer is a zero crossing of the derivative
+    br = np.flatnonzero((g_lo > 0) & (g_hi < 0))
+    if br.size:
+        best[br] = _polish_roots(
+            lambda x, r: slope(x, br[r]), best[br], lo[br], hi[br], g_lo[br], g_hi[br]
+        )
     cand = np.stack([best, grid[i0]], axis=1)
     return cand[rows, np.argmax(trace_at(cand), axis=1)]
 
@@ -594,7 +634,9 @@ def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, 
 
 
 # eigenvalues of (W + W^T) / 2 within this of -1 count as -1 (rotation
-# angles within ~1.4e-6 of pi, where the angle is lost to roundoff)
+# angles within ~1.4e-6 of pi, where the angle is lost to roundoff); the
+# certificate also counts eigenvalues within it of +1 as +1 and clusters
+# eigenvalues this close to their neighbours
 _HALF_TURN_TOL = 1e-12
 
 
@@ -913,9 +955,15 @@ class PlaneCertificate:
 
 def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
     """Invariant (2s+1)-plane of an orthogonal matrix with determinant -1
-    on R^{2s+2+2t}, assembled from the real Schur form: the +1 line that a
-    negative determinant forces, plus s two-dimensional invariant pieces
-    (rotation planes by ascending angle, then paired fixed lines)."""
+    on R^{2s+2+2t}: the +1 line that a negative determinant forces, plus s
+    two-dimensional invariant pieces (rotation planes by ascending angle,
+    then paired fixed lines, then paired -1 lines).  The pieces come from
+    the eigenvectors of S = (A + A^T) / 2, as in `_orthogonal_log`: A
+    commutes with S, so each eigenspace of S is A-invariant.  Eigenvalues
+    within _HALF_TURN_TOL of their neighbours form one cluster; the
+    clusters at +1 and -1 give the lines, and every other cluster
+    c = cos(theta) splits into planes span(v, Av), each v taken orthogonal
+    to the cluster's earlier planes when the angle repeats."""
     n = 2 * s + 2 + 2 * t
     if A.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix for (s, t) = ({s}, {t})")
@@ -924,30 +972,30 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
     if np.linalg.det(A) > 0:
         raise ValueError("determinant +1: no invariant odd plane is implied")
 
-    T, Q = scipy.linalg.schur(A, output="real")
+    c, Q = np.linalg.eigh((A + A.T) / 2)
     plus_lines: list[np.ndarray] = []
     minus_lines: list[np.ndarray] = []
     planes: list[tuple[float, np.ndarray]] = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 1e-10:
-            block = T[i : i + 2, i : i + 2]
-            theta = math.atan2(block[1, 0], block[0, 0])
-            pair = Q[:, i : i + 2]
-            if abs(theta) < 1e-8:
-                plus_lines += [pair[:, 0], pair[:, 1]]
-            elif abs(abs(theta) - math.pi) < 1e-8:
-                minus_lines += [pair[:, 0], pair[:, 1]]
-            else:
-                planes.append((abs(theta), pair))
-            i += 2
+    for idx in np.split(np.arange(n), np.flatnonzero(np.diff(c) > _HALF_TURN_TOL) + 1):
+        if c[idx[-1]] >= 1 - _HALF_TURN_TOL:
+            plus_lines += list(Q[:, idx].T)
+        elif c[idx[0]] <= _HALF_TURN_TOL - 1:
+            minus_lines += list(Q[:, idx].T)
         else:
-            v = Q[:, i]
-            if T[i, i] > 0:
-                plus_lines.append(v)
-            else:
-                minus_lines.append(v)
-            i += 1
+            # in the coordinates of the cluster's eigenvectors, so that the
+            # planes stay orthogonal to every other cluster
+            V = Q[:, idx]
+            B = V.T @ A @ V
+            done = np.zeros((len(idx), 0))  # the cluster's planes so far
+            for _ in range(len(idx) // 2):
+                R = np.eye(len(idx)) - done @ done.T
+                v = R[:, np.argmax(np.linalg.norm(R, axis=0))]
+                v = v / np.linalg.norm(v)
+                w = B @ v
+                u = w - (v @ w) * v
+                u = u / np.linalg.norm(u)
+                planes.append((math.atan2(u @ w, v @ w), V @ np.column_stack([v, u])))
+                done = np.column_stack([done, v, u])
 
     if not plus_lines:
         raise AssertionError(
@@ -962,7 +1010,8 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
         raise AssertionError("not enough invariant two-planes; broken input")
     cols = [plus_lines[0]] + [pieces[j][:, b] for j in range(s) for b in (0, 1)]
     basis = np.column_stack(cols)
-    # orthonormal by construction (Schur columns); verify invariance
+    # orthonormal by construction (eigenvectors of S, planes orthogonalized
+    # within their cluster); verify invariance
     inner = basis.T @ A @ basis
     residual = float(np.linalg.norm(A @ basis - basis @ inner))
     if residual > CERT_RESIDUAL_TOL:

@@ -75,8 +75,7 @@ def test_catalog_family_labels(families, rank_cap, letters, groups):
 
 
 def test_catalog_loads_no_scipy_submodules():
-    # a fresh interpreter: catalog commands run on the exact layer alone,
-    # so scipy.linalg and scipy.optimize must wait for verify
+    # a fresh interpreter: the package imports no scipy module at all
     child = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(Path(isofib.__file__).parents[1])!r})\n"
@@ -91,7 +90,24 @@ def test_catalog_loads_no_scipy_submodules():
     assert out[0] == "0"
     loaded = set(out[1:])
     assert "isofib.homspace" in loaded and "isofib.dynkin" in loaded
-    assert not loaded & {"scipy.linalg", "scipy.optimize"}
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+@pytest.mark.parametrize("case", ["su3-su1u2--k1-t1", "so6-stiefel"])
+def test_verify_runs_without_scipy(case):
+    # a fresh interpreter in which any scipy import fails
+    child = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        f"sys.path.insert(0, {str(Path(isofib.__file__).parents[1])!r})\n"
+        "from isofib import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['verify', {case!r}, *{FAST_VERIFY!r}])\n"
+        "print(code)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("label", ["B1", "E9"])

@@ -13,10 +13,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from scipy.optimize._numdiff import approx_derivative
 
 from isofib import homspace
 from isofib.homspace import (
+    CERT_RESIDUAL_TOL,
     CosetPoint,
     Isometry,
     KillingField,
@@ -36,9 +38,12 @@ from isofib.homspace import (
     riemannian_log,
     sample_subgroup_element,
     share_logs,
+    _circle_angles,
+    _complex_pairing,
     _fd_jacobian,
     _k_star_batch,
     _orthogonal_log,
+    _polish_roots,
     _so_procrustes,
     _su_procrustes,
     _su2_procrustes,
@@ -242,6 +247,99 @@ def test_k_star_batch_matches_per_row_chords(case_id, group, grid, monkeypatch):
         for _ in range(20):
             s = sample_subgroup_element(model, factors, rng)
             assert ch.upper <= np.linalg.norm(u @ s - V) + 1e-9
+
+
+def _brentq_circle_angles(model, P, factors):
+    """The circle angles as a per-row oracle: the same grid, scipy's brentq
+    (xtol 1e-14) on the envelope derivative of each bracketed row, and the
+    better of the polished and the grid angle."""
+    speeds = homspace._circle_phases(model)
+    period = next(f.period for f in factors if f.kind == "circle")
+    singles, blocks = homspace._split_columns(model, factors)
+    fs = speeds[singles]
+
+    def trace(thetas, p):
+        vals = (np.exp(-1j * thetas[:, None] * fs) * p[singles, singles]).real.sum(axis=-1)
+        for cols in blocks:
+            rot = np.exp(-1j * speeds[cols[0]] * thetas)[:, None, None] * p[np.ix_(cols, cols)]
+            vals += _su_procrustes(rot)[0]
+        return vals
+
+    def slope(theta, p):
+        der = float(np.sum(fs * (np.exp(-1j * theta * fs) * p[singles, singles]).imag))
+        for cols in blocks:
+            rot = np.exp(-1j * speeds[cols[0]] * theta) * p[np.ix_(cols, cols)]
+            k = _su_procrustes(rot)[1]
+            der += speeds[cols[0]] * float(np.trace(k.conj().T @ rot).imag)
+        return der
+
+    grid = np.linspace(0.0, period, homspace.CIRCLE_GRID, endpoint=False)
+    span = period / homspace.CIRCLE_GRID
+    out = []
+    for p in P:
+        theta = best = grid[np.argmax(trace(grid, p))]
+        if slope(theta - span, p) > 0 > slope(theta + span, p):
+            best = scipy.optimize.brentq(slope, theta - span, theta + span, args=(p,), xtol=1e-14)
+        cand = np.array([best, theta])
+        out.append(cand[np.argmax(trace(cand, p))])
+    return np.array(out)
+
+
+# a circle alone (K1 of su3-su1u2--k1-t1), a circle with an SU(2) block (K of
+# su3-hopf), and an SU(3) block under a circle on a small grid, where the
+# derivative comes from the ascent's maximizer and the step is a secant
+@pytest.mark.parametrize(
+    "case_id, group, grid, rows",
+    [
+        ("su3-su1u2--k1-t1", "k1", None, 60),
+        ("su3-hopf", "k", None, 60),
+        ("su4-su1u3--k1-0a2", "k", 32, 8),
+    ],
+)
+def test_polished_circle_angles_match_brentq(case_id, group, grid, rows, monkeypatch):
+    if grid is not None:
+        monkeypatch.setattr(homspace, "CIRCLE_GRID", grid)
+    model = model_for(case_id)
+    factors = model.k1_factors + (model.k2_factors if group == "k" else ())
+    rng = np.random.default_rng(40)
+    U = np.array([haar_point(model, rng).rep for _ in range(rows)])
+    P = _complex_pairing(np.swapaxes(U, 1, 2) @ haar_point(model, rng).rep)
+    diff = _circle_angles(model, P, factors) - _brentq_circle_angles(model, P, factors)
+    if group == "k" and case_id == "su3-hopf":
+        # exp(pi z) lies in the SU(2) block, so the maximized trace has
+        # period pi and the grid maximum ties between theta and theta + pi
+        diff = np.remainder(diff + np.pi / 2, np.pi) - np.pi / 2
+    assert np.max(np.abs(diff)) <= 1e-14
+
+
+def test_circle_angle_with_zero_derivative_stays_on_the_grid():
+    # at the identity pairing the derivative at theta = 0 is exactly 0
+    model = model_for("su3-su1u2--k1-t1")
+    P = _complex_pairing(np.tile(np.eye(model.n), (3, 1, 1)))
+    assert np.array_equal(_circle_angles(model, P, model.k1_factors), np.zeros(3))
+
+
+def test_polish_keeps_a_point_with_zero_derivative():
+    # T' = -(x - 1)^3 has T'' = 0 at its root, so no Newton step is defined
+    # there; the row must stop where T' is exactly 0, not bisect away
+    def slope(x, rows):
+        return -((x - 1.0) ** 3), -3 * (x - 1.0) ** 2
+
+    lo, hi = np.array([0.99]), np.array([1.02])
+    got = _polish_roots(slope, np.array([1.0]), lo, hi, slope(lo, None)[0], slope(hi, None)[0])
+    assert got[0] == 1.0
+
+
+def test_polish_accepts_a_newton_point_on_a_bracket_end():
+    # at x = 1, T' = 1e-20 > 0 makes 1 the left bracket end, and the Newton
+    # point 1 + 1e-20 rounds to 1: it lies in the bracket and ends the
+    # polish, where a strict test would bisect toward the right end
+    def slope(x, rows):
+        return 1e-20 - (x - 1.0), -np.ones_like(x)
+
+    lo, hi = np.array([0.99]), np.array([1.02])
+    got = _polish_roots(slope, np.array([1.0]), lo, hi, slope(lo, None)[0], slope(hi, None)[0])
+    assert got[0] == 1.0
 
 
 @pytest.mark.parametrize("case_id", ["so6-stiefel", "su3-hopf", "su3-su1u2--k1-t1"])
@@ -765,6 +863,76 @@ def test_certificate_other_signature():
     assert cert.dimension == 5
     assert cert.residual < 1e-9
     assert list(cert.rotation_angles) == sorted(cert.rotation_angles)
+
+
+def _schur_rotation_angles(A):
+    """The rotation angles of an orthogonal A from its real Schur form,
+    ascending, leaving out blocks within 1e-8 of 0 and pi."""
+    T, _ = scipy.linalg.schur(A, output="real")
+    angles, i = [], 0
+    while i < len(A):
+        if i + 1 < len(A) and abs(T[i + 1, i]) > 1e-10:
+            theta = abs(math.atan2(T[i + 1, i], T[i, i]))
+            if 1e-8 < theta < math.pi - 1e-8:
+                angles.append(theta)
+            i += 2
+        else:
+            i += 1
+    return sorted(angles)
+
+
+def _assert_certificate_matches_schur(A, s, t):
+    cert = fixed_point_certificate(A, s, t)
+    assert cert.residual < CERT_RESIDUAL_TOL
+    assert cert.dimension == 2 * s + 1
+    np.testing.assert_allclose(cert.basis.T @ cert.basis, np.eye(2 * s + 1), rtol=0, atol=1e-12)
+    want = _schur_rotation_angles(A)
+    assert len(cert.rotation_angles) == len(want)
+    np.testing.assert_allclose(cert.rotation_angles, want, rtol=0, atol=1e-12)
+
+
+def test_certificate_angles_match_schur_on_haar_reversals():
+    rng = np.random.default_rng(41)
+    for i in range(1000):
+        s, t = ((1, 1), (2, 1), (1, 2), (0, 2), (3, 0))[i % 5]
+        Q = haar_orthogonal(2 * s + 2 + 2 * t, rng, special=False)
+        if np.linalg.det(Q) > 0:
+            Q[:, 0] = -Q[:, 0]
+        _assert_certificate_matches_schur(Q, s, t)
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+@pytest.mark.parametrize(
+    "blocks, s",
+    [
+        # repeated angles
+        ([_rotation(0.7), _rotation(0.7), [[1.0]], [[-1.0]]], 1),
+        ([_rotation(0.7)] * 3 + [[[1.0]], [[-1.0]]], 2),
+        ([_rotation(2.2), _rotation(2.2), _rotation(0.4), [[1.0]], [[-1.0]]], 2),
+        # angles near 0 and pi
+        ([_rotation(1e-3), _rotation(math.pi - 1e-3), [[1.0]], [[-1.0]]], 1),
+        ([_rotation(1e-5), _rotation(math.pi - 1e-5), [[1.0]], [[-1.0]]], 2),
+        # extra +1 and -1 eigenvalues
+        ([_rotation(2.0), [[1.0]], [[1.0]], [[1.0]], [[-1.0]]], 2),
+        ([_rotation(2.0), [[1.0]], [[-1.0]], [[-1.0]], [[-1.0]]], 2),
+        ([[[1.0]]] * 3 + [[[-1.0]]] * 3, 1),
+        ([[[1.0]]] * 5 + [[[-1.0]]] * 3, 3),
+    ],
+)
+def test_certificate_angles_match_schur_on_degenerate_inputs(blocks, s):
+    rng = np.random.default_rng(42)
+    n = sum(len(b) for b in blocks)
+    D = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        D[i : i + len(b), i : i + len(b)] = b
+        i += len(b)
+    for _ in range(20):
+        R = haar_orthogonal(n, rng)
+        _assert_certificate_matches_schur(R @ D @ R.T, s, (n - 2 - 2 * s) // 2)
 
 
 def test_certificate_rejects_rotations():
