@@ -288,18 +288,19 @@ def _split_columns(
 
 
 # the circle-angle polish stops a row once its step is at most this (the
-# xtol its brentq predecessor used); bisection alone needs 42 steps to get
-# there from the grid bracket, so the cap is never reached
+# xtol its brentq predecessor used); bisection alone gets there from a
+# grid bracket in 42 steps, so the cap only stops a derivative that never
+# settles
 _ANGLE_XTOL = 1e-14
 _ANGLE_MAX_ITER = 100
 
 
 def _polish_roots(
-    slope, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray
+    derivs, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray
 ) -> np.ndarray:
     """The zero crossing of a derivative T' in [lo, hi] for every row, where
     T'(lo) = g_lo > 0 > g_hi = T'(hi), by safeguarded Newton from x.
-    `slope(x, rows)` returns (T', T'') at x for the rows `rows`, or (T', None),
+    `derivs(x, rows)` returns (T', T'') at x for the rows `rows`, or (T', None),
     in which case the step is a secant through the row's last two points
     (the opposite bracket end at first).  Each row keeps a bracket with T' > 0
     at its left end and T' < 0 at its right end; a step with T'' >= 0 or one
@@ -309,7 +310,7 @@ def _polish_roots(
     iterates it would follow alone."""
     x, a, b = x.copy(), lo.copy(), hi.copy()
     act = np.arange(len(x))
-    g, h = slope(x, act)
+    g, h = derivs(x, act)
     xp, gp = np.where(g > 0, hi, lo), np.where(g > 0, g_hi, g_lo)
     for _ in range(_ANGLE_MAX_ITER):
         xa = x[act]
@@ -326,7 +327,7 @@ def _polish_roots(
         xp, gp, act = xa[going], g[going], act[going]
         if not act.size:
             break
-        g, h = slope(x[act], act)
+        g, h = derivs(x[act], act)
     return x
 
 
@@ -344,6 +345,8 @@ def _circle_angles(
     rows = np.arange(len(P))
     diag = P[:, singles, singles]
     fs = speeds[singles]
+    # SU(2) blocks work on their pairing vectors: `_su_procrustes` would
+    # also assemble a maximizer at every grid angle
     su2_data = []  # (speed, pairing 4-vectors)
     big_blocks = []  # (speed, submatrices) of SU(c >= 3) blocks
     for cols in blocks:
@@ -365,7 +368,7 @@ def _circle_angles(
             vals += _su_procrustes(rot)[0]
         return vals
 
-    def slope(x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def derivs(x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         # (T', T'') at angles x (len(r),) of rows r; SU(2) blocks by the
         # derivatives of |Re(e^{-ia x} w)|, SU(c >= 3) blocks by the envelope
         # rule at the ascent's maximizer, which gives no T''
@@ -392,12 +395,12 @@ def _circle_angles(
     span = period / CIRCLE_GRID
     best = grid[i0]
     lo, hi = best - span, best + span
-    g_lo, g_hi = slope(lo, rows)[0], slope(hi, rows)[0]
+    g_lo, g_hi = derivs(lo, rows)[0], derivs(hi, rows)[0]
     # the maximizer is a zero crossing of the derivative
     br = np.flatnonzero((g_lo > 0) & (g_hi < 0))
     if br.size:
         best[br] = _polish_roots(
-            lambda x, r: slope(x, br[r]), best[br], lo[br], hi[br], g_lo[br], g_hi[br]
+            lambda x, r: derivs(x, br[r]), best[br], lo[br], hi[br], g_lo[br], g_hi[br]
         )
     cand = np.stack([best, grid[i0]], axis=1)
     return cand[rows, np.argmax(trace_at(cand), axis=1)]

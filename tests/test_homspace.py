@@ -322,11 +322,11 @@ def test_circle_angle_with_zero_derivative_stays_on_the_grid():
 def test_polish_keeps_a_point_with_zero_derivative():
     # T' = -(x - 1)^3 has T'' = 0 at its root, so no Newton step is defined
     # there; the row must stop where T' is exactly 0, not bisect away
-    def slope(x, rows):
+    def derivs(x, rows):
         return -((x - 1.0) ** 3), -3 * (x - 1.0) ** 2
 
     lo, hi = np.array([0.99]), np.array([1.02])
-    got = _polish_roots(slope, np.array([1.0]), lo, hi, slope(lo, None)[0], slope(hi, None)[0])
+    got = _polish_roots(derivs, np.array([1.0]), lo, hi, derivs(lo, None)[0], derivs(hi, None)[0])
     assert got[0] == 1.0
 
 
@@ -334,11 +334,11 @@ def test_polish_accepts_a_newton_point_on_a_bracket_end():
     # at x = 1, T' = 1e-20 > 0 makes 1 the left bracket end, and the Newton
     # point 1 + 1e-20 rounds to 1: it lies in the bracket and ends the
     # polish, where a strict test would bisect toward the right end
-    def slope(x, rows):
+    def derivs(x, rows):
         return 1e-20 - (x - 1.0), -np.ones_like(x)
 
     lo, hi = np.array([0.99]), np.array([1.02])
-    got = _polish_roots(slope, np.array([1.0]), lo, hi, slope(lo, None)[0], slope(hi, None)[0])
+    got = _polish_roots(derivs, np.array([1.0]), lo, hi, derivs(lo, None)[0], derivs(hi, None)[0])
     assert got[0] == 1.0
 
 
