@@ -305,7 +305,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
             "reversal-certificates",
             "orientation-reversing-elements-fix-odd-planes",
             worst < tol["cert"],
-            f"max residual {worst:.3e} over 10 reversals (tol {tol['cert']:.1e})",
+            f"max residual {_solver_value(worst)} over 10 reversals (tol {tol['cert']:.1e})",
         )
 
     return checks
@@ -642,7 +642,7 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"--samples must be at least 2, got {cfg.samples}")
     if cfg.restarts < 0:
         raise ConfigError(f"--restarts must be at least 0, got {cfg.restarts}")
-    if cfg.command == "selfcheck" and cfg.rank_cap < 1:
+    if cfg.rank_cap < 1:
         raise ConfigError(f"--rank-cap must be at least 1, got {cfg.rank_cap}")
 
 

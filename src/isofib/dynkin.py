@@ -668,14 +668,15 @@ def _is_outer_exception(case: BdSCase) -> bool:
     return False
 
 
-def splittings(case: BdSCase) -> list[FibrationRecord]:
+@lru_cache(maxsize=None)
+def splittings(case: BdSCase) -> tuple[FibrationRecord, ...]:
     """All bipartitions of K's factors (components plus circle) into
     (K1, K2), both nonempty.  Output is closed under the swap; simple K
-    yields no records."""
+    yields no records.  Cached per case, like `bds_enumerate` per type."""
     ncomps = len(case.k_components)
     nfactors = ncomps + (1 if case.has_circle_factor else 0)
     if nfactors < 2:
-        return []
+        return ()
     base_slug = _slugify(case.base_label)
     chi = chi_from_types(
         case.ambient, [c.stype for c in case.k_components]
@@ -734,8 +735,7 @@ def splittings(case: BdSCase) -> list[FibrationRecord]:
                 k2_length_tags=tuple(tags[i] for i in k2 if i < ncomps),
             )
         )
-    records.sort(key=lambda r: r.k1_indexes)
-    return records
+    return tuple(sorted(records, key=lambda r: r.k1_indexes))
 
 
 def _model_spec_for(case: BdSCase, k1: tuple[int, ...]) -> tuple | None:

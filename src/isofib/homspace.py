@@ -48,7 +48,7 @@ adopt it where it also reaches the image coset and is shorter than their
 own.  Every per-problem operation, the matrix exponential included, acts
 on that problem's rows alone, so a pair's result does not depend on the
 problems it is solved with.  The module needs numpy alone: the reversal
-certificates take their invariant planes from `np.linalg.eigh`.
+certificates take their invariant planes from `np.linalg.eig`.
 """
 from __future__ import annotations
 
@@ -638,8 +638,8 @@ def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, 
 
 # eigenvalues of (W + W^T) / 2 within this of -1 count as -1 (rotation
 # angles within ~1.4e-6 of pi, where the angle is lost to roundoff); the
-# certificate also counts eigenvalues within it of +1 as +1 and clusters
-# eigenvalues this close to their neighbours
+# certificate counts eigenvalues of A with imaginary part within it of 0
+# as +1 or -1
 _HALF_TURN_TOL = 1e-12
 
 
@@ -961,12 +961,14 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
     on R^{2s+2+2t}: the +1 line that a negative determinant forces, plus s
     two-dimensional invariant pieces (rotation planes by ascending angle,
     then paired fixed lines, then paired -1 lines).  The pieces come from
-    the eigenvectors of S = (A + A^T) / 2, as in `_orthogonal_log`: A
-    commutes with S, so each eigenspace of S is A-invariant.  Eigenvalues
-    within _HALF_TURN_TOL of their neighbours form one cluster; the
-    clusters at +1 and -1 give the lines, and every other cluster
-    c = cos(theta) splits into planes span(v, Av), each v taken orthogonal
-    to the cluster's earlier planes when the angle repeats."""
+    the eigenpairs (lambda, x) of A, which `np.linalg.eig` computes with a
+    small residual A x - lambda x even where eigenvalues cluster.  An
+    eigenvalue with imaginary part above _HALF_TURN_TOL gives the rotation
+    plane span(Re x, Im x); every other eigenvalue gives +1 or -1 lines,
+    by the sign of its real part, from Re x (and Im x for a non-real one).
+    Each piece is taken orthogonal to the pieces before it, planes first,
+    so a plane whose angle repeats or nearly repeats an earlier one is
+    still found."""
     n = 2 * s + 2 + 2 * t
     if A.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix for (s, t) = ({s}, {t})")
@@ -975,30 +977,30 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
     if np.linalg.det(A) > 0:
         raise ValueError("determinant +1: no invariant odd plane is implied")
 
-    c, Q = np.linalg.eigh((A + A.T) / 2)
+    lam, X = np.linalg.eig(A)
+    done = np.zeros((n, 0))  # every piece so far, orthonormal columns
+
+    def fresh(V: np.ndarray) -> np.ndarray:
+        """Orthonormal columns spanning V made orthogonal to every piece so
+        far (projected out twice, which is enough in floating point)."""
+        for _ in range(2):
+            V = V - done @ (done.T @ V)
+        return np.linalg.qr(V)[0]
+
+    planes: list[tuple[float, np.ndarray]] = []
+    for j in np.flatnonzero(lam.imag > _HALF_TURN_TOL):
+        P = fresh(np.column_stack([X[:, j].real, X[:, j].imag]))
+        B = P.T @ A @ P
+        planes.append((abs(math.atan2(B[1, 0] - B[0, 1], B[0, 0] + B[1, 1])), P))
+        done = np.column_stack([done, P])
     plus_lines: list[np.ndarray] = []
     minus_lines: list[np.ndarray] = []
-    planes: list[tuple[float, np.ndarray]] = []
-    for idx in np.split(np.arange(n), np.flatnonzero(np.diff(c) > _HALF_TURN_TOL) + 1):
-        if c[idx[-1]] >= 1 - _HALF_TURN_TOL:
-            plus_lines += list(Q[:, idx].T)
-        elif c[idx[0]] <= _HALF_TURN_TOL - 1:
-            minus_lines += list(Q[:, idx].T)
-        else:
-            # in the coordinates of the cluster's eigenvectors, so that the
-            # planes stay orthogonal to every other cluster
-            V = Q[:, idx]
-            B = V.T @ A @ V
-            done = np.zeros((len(idx), 0))  # the cluster's planes so far
-            for _ in range(len(idx) // 2):
-                R = np.eye(len(idx)) - done @ done.T
-                v = R[:, np.argmax(np.linalg.norm(R, axis=0))]
-                v = v / np.linalg.norm(v)
-                w = B @ v
-                u = w - (v @ w) * v
-                u = u / np.linalg.norm(u)
-                planes.append((math.atan2(u @ w, v @ w), V @ np.column_stack([v, u])))
-                done = np.column_stack([done, v, u])
+    # one eigenvalue of each conjugate pair
+    for j in np.flatnonzero((lam.imag >= 0) & (lam.imag <= _HALF_TURN_TOL)):
+        parts = [X[:, j].real] + ([X[:, j].imag] if lam[j].imag > 0 else [])
+        L = fresh(np.column_stack(parts))
+        (plus_lines if lam[j].real > 0 else minus_lines).extend(L.T)
+        done = np.column_stack([done, L])
 
     if not plus_lines:
         raise AssertionError(
@@ -1013,8 +1015,7 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
         raise AssertionError("not enough invariant two-planes; broken input")
     cols = [plus_lines[0]] + [pieces[j][:, b] for j in range(s) for b in (0, 1)]
     basis = np.column_stack(cols)
-    # orthonormal by construction (eigenvectors of S, planes orthogonalized
-    # within their cluster); verify invariance
+    # orthonormal by construction; verify invariance
     inner = basis.T @ A @ basis
     residual = float(np.linalg.norm(A @ basis - basis @ inner))
     if residual > CERT_RESIDUAL_TOL:

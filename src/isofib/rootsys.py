@@ -272,30 +272,34 @@ def highest_root(rs: RootSystem) -> HighestRoot:
     simple roots.  Requires an irreducible system."""
     if rs.stype is None:
         raise ValueError("highest root is defined here for irreducible systems only")
-    # The height of v (sum of its simple-root coefficients c, gram c = S v)
-    # is dot(v, w) with w = sum_i u_i alpha_i and gram u = (1, ..., 1): one
-    # exact solve per system instead of one per root.  Scaling u by the lcm
-    # of its denominators makes w an integer vector and keeps the ranking.
-    gram = [[dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
-    u = _solve_fraction(gram, [1] * rs.rank)
-    den = math.lcm(*(x.denominator for x in u))
-    u_int = [int(x * den) for x in u]
-    w = tuple(sum(c * x for c, x in zip(u_int, col)) for col in zip(*rs.simple_roots))
-    heights = [(dot(r, w), r) for r in rs.all_roots]
-    top = max(h for h, _ in heights)
-    best = [r for h, r in heights if h == top]
+    # The highest root is dominant, and of the (at most two) dominant roots
+    # of an irreducible system it is the long one.  The pairings are small
+    # integers, exact in int64.
+    pairings = np.array(rs.all_roots) @ np.array(rs.simple_roots).T
+    dominant = [r for r, ok in zip(rs.all_roots, (pairings >= 0).all(axis=1)) if ok]
+    top = max(dot(r, r) for r in dominant)
+    best = [r for r in dominant if dot(r, r) == top]
     if len(best) != 1:
         raise AssertionError("highest root is not unique; system not irreducible?")
     vec = best[0]
-    coeffs = root_coefficients(rs, vec)
-    if any(c.denominator != 1 or c <= 0 for c in coeffs):
-        raise AssertionError("highest-root coefficients must be positive integers")
-    ints = tuple(int(c) for c in coeffs)
+    # Descend to 0: a positive root v has (v, a_i) > 0 for some simple a_i,
+    # and v - a_i is then a positive root or 0, so the steps count the
+    # coefficients of vec.
+    coeffs = [0] * rs.rank
     roots = set(rs.all_roots)
+    v = vec
+    while any(v):
+        i = next(i for i, a in enumerate(rs.simple_roots) if dot(v, a) > 0)
+        v = tuple(x - y for x, y in zip(v, rs.simple_roots[i]))
+        if any(v) and v not in roots:
+            raise AssertionError("descent left the root system")
+        coeffs[i] += 1
+    if not all(coeffs):
+        raise AssertionError("highest-root coefficients must be positive integers")
     for a in rs.simple_roots:
         if tuple(x + y for x, y in zip(vec, a)) in roots:
             raise AssertionError("found a root above the candidate highest root")
-    return HighestRoot(vector=vec, coefficients=ints)
+    return HighestRoot(vector=vec, coefficients=tuple(coeffs))
 
 
 def _reflection_matrices_coeff_basis(rs: RootSystem) -> list[list[list[int]]]:
@@ -312,6 +316,7 @@ def _reflection_matrices_coeff_basis(rs: RootSystem) -> list[list[list[int]]]:
     return mats
 
 
+@lru_cache(maxsize=None)
 def weyl_order(rs: RootSystem) -> int:
     """Order of the Weyl group via the Coxeter element.
 
@@ -319,7 +324,8 @@ def weyl_order(rs: RootSystem) -> int:
     2*pi*m_j/h for the exponents m_j (h the Coxeter number, equal to
     #roots/rank); the order is the product of (m_j + 1).  Raises
     RuntimeError if an eigenvalue argument fails to round to an integer
-    within COXETER_ROUNDING_TOL.
+    within COXETER_ROUNDING_TOL.  Cached per (frozen) system, as
+    `build_root_system` is per type.
     """
     n = rs.rank
     nroots = len(rs.all_roots)

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -116,12 +117,6 @@ def test_catalog_invalid_family_label_exit_2(label, capsys):
     assert "out of bounds" in capsys.readouterr().err
 
 
-def test_catalog_rank_zero_empty_success():
-    code, payload = payload_for(["catalog", "--family", "A", "--rank-cap", "0"])
-    assert code == 0
-    assert payload["records"] == [] and payload["cases"] == []
-
-
 def test_catalog_simple_k_flagged():
     code, payload = payload_for(
         ["catalog", "--class", "nearly-kaehler", "--simple-k"]
@@ -173,6 +168,39 @@ def test_catalog_deterministic_bytes():
     assert cli.render(a, "json") == cli.render(b, "json")
 
 
+# mixed filters and formats; the A-D ones share cached cases with the
+# warm-up, E and the Stiefel family are appended per call
+CACHE_REQUESTS = (
+    ["catalog", "--rank-cap", "4", "--format", "json"],
+    ["catalog", "--family", "A5", "--format", "csv"],
+    ["catalog", "--class", "symmetric", "--simple-k", "--rank-cap", "6"],
+    ["catalog", "--family", "E", "--family", "G2", "--format", "json"],
+    ["catalog", "--family", "D", "--class", "stiefel", "--rank-cap", "5", "--format", "csv"],
+)
+
+
+def test_catalog_cached_requests_match_fresh_process(capsys):
+    # the per-type caches of rootsys and dynkin must not leak one request
+    # into another: in process, after a full catalog and in either order,
+    # each request renders the bytes a fresh process does
+    src = str(Path(isofib.__file__).parents[1])
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "isofib.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            check=True,
+        ).stdout.decode()
+        for argv in CACHE_REQUESTS
+    ]
+    assert run_main(["catalog", "--simple-k"]) == 0
+    capsys.readouterr()
+    for order in (range(len(CACHE_REQUESTS)), reversed(range(len(CACHE_REQUESTS)))):
+        for i in order:
+            assert run_main(CACHE_REQUESTS[i]) == 0
+            assert capsys.readouterr().out == fresh[i], CACHE_REQUESTS[i]
+
+
 def test_tolerance_override_echoed():
     _, payload = payload_for(["catalog", "--family", "G", "--tol-gap", "0.5"])
     assert payload["config"]["tolerances"]["gap"] == 0.5
@@ -204,8 +232,11 @@ def test_verify_su3_passes():
 def test_verify_so6_passes_with_certificates():
     code, payload = payload_for(["verify", "so6-stiefel", "--seed", "42", *FAST_VERIFY])
     assert code == 0
-    names = {c["name"] for c in payload["checks"]}
-    assert "reversal-certificates" in names
+    details = {c["name"]: c["detail"] for c in payload["checks"]}
+    # a roundoff-level certificate residual prints as the floor
+    assert details["reversal-certificates"] == (
+        "max residual < 1e-12 over 10 reversals (tol 1.0e-09)"
+    )
 
 
 def test_verify_catalog_only_exit_2(capsys):
@@ -393,6 +424,10 @@ def test_failure_lines_name_claims():
         (["verify", "su3-hopf", "--samples", "-3"], "--samples"),
         (["verify", "su3-hopf", "--restarts", "-1"], "--restarts"),
         (["selfcheck", "--rank-cap", "0"], "--rank-cap"),
+        # one rank-cap check for both commands that take the option
+        (["catalog", "--family", "A", "--rank-cap", "0"], "--rank-cap"),
+        (["catalog", "--rank-cap", "-3"], "--rank-cap"),
+        (["selfcheck", "--rank-cap", "-3"], "--rank-cap"),
     ],
 )
 def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):

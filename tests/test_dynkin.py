@@ -5,6 +5,8 @@ The per-type deletion tables below were derived by hand from the extended
 diagrams (attachment point of the lowest root per family, highest-root
 coefficients) and frozen before the enumeration code was finished.
 """
+import dataclasses
+
 import pytest
 
 from isofib.dynkin import (
@@ -194,10 +196,23 @@ def _case(family, rank, psi0):
 
 
 def test_splittings_simple_k_empty():
-    assert splittings(_case("E", 8, 2)) == []  # E8/A8
-    assert splittings(_case("G", 2, 1)) == []  # G2/A2
-    assert splittings(_case("F", 4, 4)) == []  # F4/B4
-    assert splittings(_case("E", 7, 2)) == []  # E7/A7
+    assert splittings(_case("E", 8, 2)) == ()  # E8/A8
+    assert splittings(_case("G", 2, 1)) == ()  # G2/A2
+    assert splittings(_case("F", 4, 4)) == ()  # F4/B4
+    assert splittings(_case("E", 7, 2)) == ()  # E7/A7
+
+
+def test_splittings_cached_per_case():
+    case = _case("E", 7, 3)
+    recs = splittings(case)
+    # a tuple of frozen records: the cached value cannot be mutated
+    assert isinstance(recs, tuple) and recs
+    assert splittings(case) is recs
+    # an equal case built anew hits the same entry
+    assert splittings(dataclasses.replace(case)) is recs
+    # the catalog emits the cached records themselves
+    full = catalog(CatalogConfig(families=("E7",))).records
+    assert [r for r in full if r.psi0 == case.psi0] == list(recs)
 
 
 def test_splittings_su_case_six_records():

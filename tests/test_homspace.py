@@ -920,6 +920,12 @@ def _rotation(theta):
         ([_rotation(2.0), [[1.0]], [[-1.0]], [[-1.0]], [[-1.0]]], 2),
         ([[[1.0]]] * 3 + [[[-1.0]]] * 3, 1),
         ([[[1.0]]] * 5 + [[[-1.0]]] * 3, 3),
+        # nearly repeated angles, and planes within 1.4e-6 of 0 and pi,
+        # where eigenvalue clusters of (A + A^T) / 2 mixed the pieces
+        # (residuals 1.5e-7 and 1.0e-7)
+        ([_rotation(1.1), _rotation(1.1 + 1e-9), [[1.0]], [[-1.0]]], 1),
+        ([_rotation(1e-7), _rotation(2.0), [[1.0]], [[-1.0]], _rotation(0.4)], 1),
+        ([_rotation(math.pi - 1e-7), _rotation(2.0), [[1.0]], [[-1.0]], _rotation(0.4)], 2),
     ],
 )
 def test_certificate_angles_match_schur_on_degenerate_inputs(blocks, s):

@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from isofib.rootsys import (
+    _RANK_BOUNDS,
+    RootSystem,
     SimpleType,
     _reflection_closure,
     _simple_roots_for,
@@ -185,6 +187,21 @@ def test_highest_root_coefficients(family, rank):
     assert root_coefficients(rs, hr.vector) == hr.coefficients
 
 
+def test_highest_root_height_is_coxeter_number_minus_one():
+    # every type in bounds: the coefficients sum to h - 1 with h the
+    # Coxeter number #roots / rank, and reconstruct the vector
+    for family, (lo, hi) in _RANK_BOUNDS.items():
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(SimpleType(family, rank))
+            hr = highest_root(rs)
+            assert sum(hr.coefficients) + 1 == len(rs.all_roots) // rank
+            recon = tuple(
+                sum(c * x for c, x in zip(hr.coefficients, col))
+                for col in zip(*rs.simple_roots)
+            )
+            assert recon == hr.vector
+
+
 def test_highest_root_dominates_no_further():
     rs = build_root_system(SimpleType("E", 8))
     hr = highest_root(rs)
@@ -204,6 +221,18 @@ def test_weyl_order_coxeter(family, rank):
 def test_weyl_order_bfs_matches_coxeter(family, rank):
     rs = build_root_system(SimpleType(family, rank))
     assert weyl_order_bfs(rs) == weyl_order(rs)
+
+
+def test_weyl_order_cached_per_system():
+    rs = build_root_system(SimpleType("E", 7))
+    assert weyl_order(rs) == WEYL_ORDERS[("E", 7)]
+    # an equal system built anew shares the entry; the cache keys on the
+    # frozen system's value, so it agrees with the generation count
+    fresh = RootSystem(rs.stype, rs.label, rs.simple_roots, rs.cartan, rs.all_roots)
+    assert fresh is not rs and weyl_order(fresh) == weyl_order(rs)
+    b3 = build_root_system(SimpleType("B", 3))
+    assert weyl_order(b3) == weyl_order_bfs(b3) == WEYL_ORDERS[("B", 3)]
+    assert weyl_order.cache_info().hits > 0
 
 
 def test_weyl_order_e_series_integrality():

@@ -1,4 +1,5 @@
-"""Byte parity of `verify --format json` between the working tree and a git ref.
+"""Byte parity of `catalog`, `selfcheck` and `verify --format json` output
+between the working tree and a git ref.
 
 Usage: python tools/verify_parity.py REF
 
@@ -21,6 +22,36 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the catalog in each format, under each filter kind (the default and
+# every rank cap 1-8, --simple-k, --class, a family letter, a letter+rank
+# label), then the golden diff and the selfcheck
+CATALOG_SET = (
+    ("catalog",),
+    ("catalog", "--format", "json"),
+    ("catalog", "--format", "csv"),
+    ("catalog", "--simple-k"),
+    ("catalog", "--simple-k", "--format", "json"),
+    *(
+        ("catalog", "--rank-cap", str(cap), "--format", ("text", "json", "csv")[cap % 3])
+        for cap in range(1, 9)
+    ),
+    ("catalog", "--class", "hermitian", "--format", "csv"),
+    ("catalog", "--class", "symmetric", "--simple-k"),
+    ("catalog", "--class", "nearly-kaehler", "--simple-k", "--format", "json"),
+    ("catalog", "--class", "5-symmetric", "--class", "stiefel"),
+    ("catalog", "--family", "A", "--format", "json"),
+    ("catalog", "--family", "D", "--rank-cap", "6", "--format", "csv"),
+    ("catalog", "--family", "E", "--family", "F", "--family", "G"),
+    ("catalog", "--family", "A5", "--format", "csv"),
+    ("catalog", "--family", "D4", "--format", "json"),
+    ("catalog", "--family", "E8", "--family", "B2", "--simple-k"),
+    ("catalog", "--family", "C3", "--family", "C", "--rank-cap", "5", "--format", "json"),
+    ("catalog", "--golden"),
+    ("catalog", "--golden", "--format", "json"),
+    ("selfcheck",),
+    ("selfcheck", "--format", "json"),
+)
+
 # the 18 requests of perfbench's verify_jobs decks 1-3, then further seeds
 # of the same cases used as parity checks since the batched Jacobian.
 # so8-so3so5--k1-0so3 at 9, 10, 11 and 29 fail (displacement-inconclusive:
@@ -30,8 +61,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # lower bound.  so8-so3so5--k1-0so3 at 1988, 3609, 4166 and 9292 and the
 # last two so6-stiefel seeds are restart-luck seeds, where a change of
 # solver iterates is most likely to flip a displacement verdict
-PARITY_SET = tuple(
-    (case, seed)
+VERIFY_SET = tuple(
+    ("verify", case, "--seed", str(seed), "--format", "json")
     for case, seeds in (
         (
             "so8-so3so5--k1-0so3",
@@ -44,11 +75,11 @@ PARITY_SET = tuple(
     )
     for seed in seeds
 )
+PARITY_SET = CATALOG_SET + VERIFY_SET
 
 
-def start(src: Path, case: str, seed: int) -> subprocess.Popen:
-    argv = [sys.executable, "-m", "isofib.cli", "verify", case, "--seed", str(seed)]
-    argv += ["--format", "json"]
+def start(src: Path, request: tuple[str, ...]) -> subprocess.Popen:
+    argv = [sys.executable, "-m", "isofib.cli", *request]
     # one BLAS thread, as in the benchmark: the two processes share the cores
     threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONPATH=str(src), **threads)
@@ -68,17 +99,16 @@ def main(argv: list[str]) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", ref_dir], input=archive.stdout, check=True)
         diffs, failing = 0, [0, 0]
-        for case, seed in PARITY_SET:
+        for request in PARITY_SET:
             # the two trees run side by side, one process each
-            procs = [start(src, case, seed) for src in (ROOT / "src", Path(ref_dir) / "src")]
+            procs = [start(src, request) for src in (ROOT / "src", Path(ref_dir) / "src")]
             (work, work_code), (ref, ref_code) = [(p.communicate()[0], p.returncode) for p in procs]
             same = work == ref and work_code == ref_code
             diffs += not same
             failing[0] += work_code != 0
             failing[1] += ref_code != 0
             status = "SAME" if same else "DIFF"
-            request = f"verify {case} --seed {seed}"
-            print(f"{status} {request} (exit {work_code} vs {ref_code})", flush=True)
+            print(f"{status} {' '.join(request)} (exit {work_code} vs {ref_code})", flush=True)
     print(f"{len(PARITY_SET) - diffs} of {len(PARITY_SET)} requests byte-identical")
     print(f"failing: {argv[0]} {failing[1]}, tree {failing[0]}")
     return 1 if diffs else 0
