@@ -290,10 +290,10 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         detail,
     )
 
-    # odd-orthogonal models: reversal certificates
-    if model.complex_size == 0:
-        spec = model.record.model_spec
-        s, t = spec[1], spec[2]
+    # odd Stiefel models, two odd SO blocks: reversal certificates
+    factors = sorted(model.k1_factors + model.k2_factors, key=lambda f: f.cols)
+    if all(f.kind == "so" and len(f.cols) % 2 for f in factors):
+        s, t = (len(f.cols) // 2 for f in factors)
         worst = 0.0
         for _ in range(10):
             Q = homspace.haar_orthogonal(model.n, rng, special=False)
@@ -466,7 +466,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         rec = liealg.find_record(cfg.case_id)
     except LookupError as exc:
         raise ConfigError(str(exc)) from exc
-    if rec.model_spec is None:
+    if not rec.model_available:
         raise ConfigError(
             f"no concrete model for {rec.slug} ({rec.base_label}): catalog-only case"
         )
@@ -635,6 +635,8 @@ def check_config(cfg: RunConfig) -> None:
     out_dir = os.path.dirname(cfg.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"--out: no such directory {out_dir!r}")
+    if os.path.isdir(cfg.out):
+        raise ConfigError(f"--out: {cfg.out!r} is a directory")
     for name, value in cfg.tolerances.items():
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"--tol-{name} must be finite and positive, got {value}")

@@ -120,6 +120,21 @@ class BdSCase:
 
 
 @dataclass(frozen=True)
+class ModelSpec:
+    """The concrete matrix model of a record: the ambient group ("su" for
+    SU(size), "so" for SO(size)), its blocks, and the indexes of the blocks
+    that make up K1; the other blocks, in block order, make up K2.  A block
+    is ("su", complex columns), ("so", real rows) or ("circle", integer
+    speeds a_j): the circle generated by i diag(a_j), of period
+    2 pi / gcd(a_j)."""
+
+    group: str  # 'su' | 'so'
+    size: int
+    blocks: tuple[tuple[str, tuple[int, ...]], ...]
+    k1: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class FibrationRecord:
     """One fibration G/K1 -> G/K: a bipartition of K's factors."""
 
@@ -144,7 +159,7 @@ class FibrationRecord:
     isometry_component_counts: tuple[int, int]
     outer_proxy_exception: bool
     quaternion_kaehler: bool
-    model_spec: tuple | None
+    model_spec: ModelSpec | None
     k1_length_tags: tuple[str, ...]
     k2_length_tags: tuple[str, ...]
 
@@ -738,24 +753,31 @@ def splittings(case: BdSCase) -> tuple[FibrationRecord, ...]:
     return tuple(sorted(records, key=lambda r: r.k1_indexes))
 
 
-def _model_spec_for(case: BdSCase, k1: tuple[int, ...]) -> tuple | None:
+def _model_spec_for(case: BdSCase, k1: tuple[int, ...]) -> ModelSpec | None:
     """Concrete matrix models exist for the unitary family: blocks are
-    SU(s) (cols 0..s-1), SU(t) (cols s..s+t-1) and the circle."""
+    SU(s) (cols 0..s-1) when s >= 2, SU(t) (cols s..s+t-1) when t >= 2,
+    and the circle i diag(t,...,t,-s,...,-s) commuting with both."""
     if case.ambient.family != "A":
         return None
     n = case.ambient.rank
     s, t = case.psi0, n + 1 - case.psi0
+    b1 = ("su", tuple(range(s)))
+    b2 = ("su", tuple(range(s, s + t)))
+    circle = ("circle", (t,) * s + (-s,) * t)
+    blocks = ([b1] if s >= 2 else []) + ([b2] if t >= 2 else []) + [circle]
     ncomps = len(case.k_components)
     kd = case.k_diagram
-    blocks: list[str] = []
+    k1_blocks = set()
     for i in k1:
         if i == ncomps:
-            blocks.append("z")
+            k1_blocks.add(circle)
             continue
         origins = {kd.origins[v] for v in case.k_components[i].vertex_ids}
         # block 1 holds simple roots 0..psi0-2, block 2 holds psi0..n-1
-        blocks.append("b1" if max(origins) < case.psi0 - 1 else "b2")
-    return ("su", s, t, tuple(sorted(set(blocks))))
+        k1_blocks.add(b1 if max(origins) < case.psi0 - 1 else b2)
+    return ModelSpec(
+        "su", s + t, tuple(blocks), tuple(sorted(blocks.index(b) for b in k1_blocks))
+    )
 
 
 def stiefel_records(s: int, t: int) -> list[FibrationRecord]:
@@ -776,6 +798,7 @@ def stiefel_records(s: int, t: int) -> list[FibrationRecord]:
 
     comp_types = (ctype(s), ctype(t))
     comp_labels = (f"SO({2*s+1})", f"SO({2*t+1})")
+    blocks = (("so", tuple(range(2 * s + 1))), ("so", tuple(range(2 * s + 1, n))))
     recs = []
     for k1_pos in (0, 1):
         k2_pos = 1 - k1_pos
@@ -804,7 +827,7 @@ def stiefel_records(s: int, t: int) -> list[FibrationRecord]:
                 isometry_component_counts=(2, 1),
                 outer_proxy_exception=(s == t),
                 quaternion_kaehler=False,
-                model_spec=("so_odd", s, t, k1_pos),
+                model_spec=ModelSpec("so", n, blocks, (k1_pos,)),
                 k1_length_tags=("",),
                 k2_length_tags=("",),
             )

@@ -11,9 +11,10 @@ model's own basis (structure constants), never from a closed formula; the
 closed trace forms (2n tr(XY) for su(n), (n-2) tr(XY) for so(n)) appear
 only in tests as independent oracles.
 
-A GroupModel packages g = k1 + m1 with m1 = k1-perp relative to the Killing
-form, m = k-perp, the finite center of G, and block descriptors of K1 and
-K2 that downstream geometry uses for group sampling and coset projections.
+A GroupModel, built from a record's `dynkin.ModelSpec`, packages
+g = k1 + m1 with m1 = k1-perp relative to the Killing form, m = k-perp,
+the finite center of G, and block descriptors of K1 and K2 that
+downstream geometry uses for group sampling and coset projections.
 All structural invariants (bracket closure, orthogonality, definiteness,
 the centralizer identity, and the zero-fixed-space property of ad(k) on m)
 are validated at build time.
@@ -148,12 +149,9 @@ def su_block_basis(m: int, cols: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
-def circle_generator(m: int, s: int) -> np.ndarray:
-    """i diag(t,...,t,-s,...,-s) (t = m - s): the traceless generator
-    commuting with both diagonal unitary blocks, realified."""
-    t = m - s
-    Z = 1j * np.diag([float(t)] * s + [float(-s)] * t)
-    return realify(Z)
+def circle_generator(speeds: tuple[int, ...]) -> np.ndarray:
+    """i diag(a_1, ..., a_m) for the integer speeds a_j, realified."""
+    return realify(1j * np.diag([float(a) for a in speeds]))
 
 
 # --- Killing form -----------------------------------------------------------
@@ -413,12 +411,12 @@ def _validate_model(model: GroupModel) -> None:
             raise ValueError("-kappa not positive definite on m1")
     # centralizer: fixed space of ad(k1) on g = k2 + center(k1)
     ads = np.vstack([adjoint_matrix(g, X) for X in k1.basis])
-    _, sv, Vt = np.linalg.svd(ads)
+    _, sv, Vt = np.linalg.svd(ads, full_matrices=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
     fixed = Vt[rank:]  # coords of the centralizer of k1 in g
     # center of k1: fixed space of ad(k1) inside k1
     ads_k1 = np.vstack([adjoint_matrix(k1, X) for X in k1.basis])
-    _, sv1, Vt1 = np.linalg.svd(ads_k1)
+    _, sv1, Vt1 = np.linalg.svd(ads_k1, full_matrices=False)
     rank1 = int(np.sum(sv1 > 1e-8 * sv1[0])) if k1.dim else 0
     z_k1_dim = k1.dim - rank1
     if len(fixed) != k2.dim + z_k1_dim:
@@ -457,44 +455,53 @@ def _validate_model(model: GroupModel) -> None:
                 raise ValueError("center element does not commute with g")
 
 
-def _build_su(s: int, t: int, k1_blocks: tuple[str, ...], rec: FibrationRecord) -> GroupModel:
-    m = s + t
-    present = (["b1"] if s >= 2 else []) + (["b2"] if t >= 2 else []) + ["z"]
-    k1_set = set(k1_blocks)
-    if not k1_set or not k1_set < set(present):
+def _block_data(
+    size: int, block: tuple[str, tuple[int, ...]]
+) -> tuple[list[np.ndarray], BlockFactor]:
+    """The basis and the descriptor of one block of a `dynkin.ModelSpec`
+    whose group has the given size."""
+    kind, idx = block
+    if kind == "su":
+        return su_block_basis(size, idx), BlockFactor("su", idx)
+    if kind == "so":
+        return so_basis(size, idx), BlockFactor("so", idx)
+    period = 2 * np.pi / np.gcd.reduce(idx)
+    return [circle_generator(idx)], BlockFactor("circle", (), period)
+
+
+def build_model(rec: FibrationRecord) -> GroupModel:
+    """Concrete validated model of a record from its `dynkin.ModelSpec`: g,
+    K1 and K2 as block subalgebras, m1 = k1-perp with the k2 directions
+    first, and m = k-perp.  Catalog-only records are rejected."""
+    spec = rec.model_spec
+    if spec is None:
+        raise ValueError(
+            f"no concrete model for {rec.slug}: catalog-only case "
+            f"({rec.base_label})"
+        )
+    nblocks = len(spec.blocks)
+    if not spec.k1 or not set(spec.k1) < set(range(nblocks)):
         raise ValueError(
             "degenerate splitting: K1 must be a proper nonempty subset of "
-            f"the factors {present}"
+            f"the blocks {[kind for kind, _ in spec.blocks]}"
         )
-    k2_set = [b for b in present if b not in k1_set]
-    g = algebra_su(m)
-    b1_cols = tuple(range(s))
-    b2_cols = tuple(range(s, m))
-    zmat = circle_generator(m, s)
-
-    def factor_data(tag: str) -> tuple[list[np.ndarray], BlockFactor]:
-        if tag == "b1":
-            return su_block_basis(m, b1_cols), BlockFactor("su", b1_cols)
-        if tag == "b2":
-            return su_block_basis(m, b2_cols), BlockFactor("su", b2_cols)
-        period = 2 * np.pi / np.gcd(s, t)
-        return [zmat], BlockFactor("circle", (), period)
-
-    k1_mats: list[np.ndarray] = []
-    k1_factors = []
-    for tag in sorted(k1_set):
-        mats, fac = factor_data(tag)
-        k1_mats += mats
-        k1_factors.append(fac)
-    k2_mats: list[np.ndarray] = []
-    k2_factors = []
-    for tag in k2_set:
-        mats, fac = factor_data(tag)
-        k2_mats += mats
-        k2_factors.append(fac)
-
-    k1 = MatrixAlgebra(name=f"k1[{rec.slug}]", n=2 * m, basis=np.array(k1_mats))
-    k2 = MatrixAlgebra(name=f"k2[{rec.slug}]", n=2 * m, basis=np.array(k2_mats))
+    size = spec.size
+    if spec.group == "su":
+        g, n = algebra_su(size), 2 * size
+        omega = np.exp(2j * np.pi / size)
+        center = tuple(
+            realify(np.diag([omega**k] * size).astype(complex)) for k in range(size)
+        )
+    else:
+        g, n = algebra_so(size), size
+        center = (np.eye(n), -np.eye(n)) if n % 2 == 0 else (np.eye(n),)
+    data = [_block_data(size, b) for b in spec.blocks]
+    k1_data = [data[i] for i in range(nblocks) if i in spec.k1]
+    k2_data = [data[i] for i in range(nblocks) if i not in spec.k1]
+    k1_mats = [M for mats, _ in k1_data for M in mats]
+    k2_mats = [M for mats, _ in k2_data for M in mats]
+    k1 = MatrixAlgebra(name=f"k1[{rec.slug}]", n=n, basis=np.array(k1_mats))
+    k2 = MatrixAlgebra(name=f"k2[{rec.slug}]", n=n, basis=np.array(k2_mats))
     kappa = g.killing_gram
 
     m1 = orthogonal_complement(g, kappa, k1)
@@ -504,67 +511,15 @@ def _build_su(s: int, t: int, k1_blocks: tuple[str, ...], rec: FibrationRecord) 
     if len(m1_ordered) != len(m1):
         raise ValueError("k2 escapes the k1-complement")
     k_all = MatrixAlgebra(
-        name=f"k[{rec.slug}]", n=2 * m, basis=np.array(k1_mats + k2_mats)
-    )
-    m_perp = orthogonal_complement(g, kappa, k_all)
-
-    omega = np.exp(2j * np.pi / m)
-    center = tuple(
-        realify(np.diag([omega**k] * m).astype(complex)) for k in range(m)
-    )
-    model = GroupModel(
-        record=rec,
-        name=rec.slug,
-        group_label=f"SU({m})",
-        n=2 * m,
-        complex_size=m,
-        g=g,
-        k1=k1,
-        k2=k2,
-        m_basis=m_perp,
-        m1_basis=np.array(m1_ordered),
-        kappa=kappa,
-        center_elements=center,
-        k1_factors=tuple(k1_factors),
-        k2_factors=tuple(k2_factors),
-        circle_mat=zmat,
-    )
-    _validate_model(model)
-    return model
-
-
-def _build_so_odd(s: int, t: int, k1_pos: int, rec: FibrationRecord) -> GroupModel:
-    n = 2 * s + 2 * t + 2
-    g = algebra_so(n)
-    rows1 = tuple(range(2 * s + 1))
-    rows2 = tuple(range(2 * s + 1, n))
-    basis1 = so_basis(n, rows1)
-    basis2 = so_basis(n, rows2)
-    if k1_pos == 0:
-        k1_mats, k1_rows = basis1, rows1
-        k2_mats, k2_rows = basis2, rows2
-    else:
-        k1_mats, k1_rows = basis2, rows2
-        k2_mats, k2_rows = basis1, rows1
-    k1 = MatrixAlgebra(name=f"k1[{rec.slug}]", n=n, basis=np.array(k1_mats))
-    k2 = MatrixAlgebra(name=f"k2[{rec.slug}]", n=n, basis=np.array(k2_mats))
-    kappa = g.killing_gram
-    m1 = orthogonal_complement(g, kappa, k1)
-    seed = list(k2.basis) + [M for M in m1]
-    m1_ordered = _gram_schmidt_kappa(g, kappa, seed)
-    if len(m1_ordered) != len(m1):
-        raise ValueError("k2 escapes the k1-complement")
-    k_all = MatrixAlgebra(
         name=f"k[{rec.slug}]", n=n, basis=np.array(k1_mats + k2_mats)
     )
     m_perp = orthogonal_complement(g, kappa, k_all)
-    center = (np.eye(n), -np.eye(n)) if n % 2 == 0 else (np.eye(n),)
     model = GroupModel(
         record=rec,
         name=rec.slug,
-        group_label=f"SO({n})",
+        group_label=f"{spec.group.upper()}({size})",
         n=n,
-        complex_size=0,
+        complex_size=size if spec.group == "su" else 0,
         g=g,
         k1=k1,
         k2=k2,
@@ -572,30 +527,14 @@ def _build_so_odd(s: int, t: int, k1_pos: int, rec: FibrationRecord) -> GroupMod
         m1_basis=np.array(m1_ordered),
         kappa=kappa,
         center_elements=center,
-        k1_factors=(BlockFactor("so", k1_rows),),
-        k2_factors=(BlockFactor("so", k2_rows),),
-        circle_mat=None,
+        k1_factors=tuple(fac for _, fac in k1_data),
+        k2_factors=tuple(fac for _, fac in k2_data),
+        circle_mat=next(
+            (mats[0] for mats, fac in data if fac.kind == "circle"), None
+        ),
     )
     _validate_model(model)
     return model
-
-
-def build_model(rec: FibrationRecord) -> GroupModel:
-    """Concrete validated model for a unitary-family or odd-Grassmannian
-    record; catalog-only records are rejected."""
-    if rec.model_spec is None:
-        raise ValueError(
-            f"no concrete model for {rec.slug}: catalog-only case "
-            f"({rec.base_label})"
-        )
-    kind = rec.model_spec[0]
-    if kind == "su":
-        _, s, t, blocks = rec.model_spec
-        return _build_su(s, t, blocks, rec)
-    if kind == "so_odd":
-        _, s, t, pos = rec.model_spec
-        return _build_so_odd(s, t, pos, rec)
-    raise ValueError(f"unknown model spec {rec.model_spec!r}")
 
 
 _ALIASES = {
@@ -631,7 +570,7 @@ def _resolve(case_id: str, records) -> FibrationRecord:
         if r.slug == slug:
             return r
     matches = [r for r in records if r.slug.startswith(case_id)]
-    with_model = [r for r in matches if r.model_spec is not None]
+    with_model = [r for r in matches if r.model_available]
     if len(with_model) > 1:
         raise LookupError(
             f"ambiguous case id {case_id!r}: " + ", ".join(r.slug for r in with_model[:6])

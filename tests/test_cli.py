@@ -416,6 +416,7 @@ def test_failure_lines_name_claims():
     "argv, message",
     [
         (["catalog", "--out", "missing-dir/cat.json"], "no such directory"),
+        (["verify", "su3-hopf", "--out", "."], "is a directory"),
         (["verify", "su3-hopf", "--tol-coset", "nan"], "--tol-coset"),
         (["verify", "su3-hopf", "--tol-gap", "inf"], "--tol-gap"),
         (["verify", "su3-hopf", "--tol-structural", "0"], "--tol-structural"),

@@ -11,11 +11,11 @@ import pytest
 import scipy.linalg
 
 from isofib import dynkin
+from isofib.rootsys import SimpleType, build_root_system
 from isofib.liealg import (
     _ALIASES,
     BlockFactor,
     MatrixAlgebra,
-    _build_su,
     _resolve,
     _validate_model,
     algebra_so,
@@ -162,14 +162,14 @@ def test_killing_rejects_outsiders():
 
 
 def test_circle_generator_structure():
-    z = circle_generator(3, 1)
+    z = circle_generator((2, -1, -1))
     zc = complexify(z)
     assert np.allclose(zc, 1j * np.diag([2.0, -1.0, -1.0]))
     assert abs(np.trace(zc)) < 1e-14
 
 
 def test_circle_generator_period():
-    z = circle_generator(3, 1)
+    z = circle_generator((2, -1, -1))
     assert np.allclose(matrix_exp(2 * np.pi * z), np.eye(6), atol=1e-10)
     assert not np.allclose(matrix_exp(np.pi * z), np.eye(6), atol=1e-3)
 
@@ -286,6 +286,32 @@ def test_so6_center(so6_model):
     assert np.allclose(so6_model.center_elements[1], -np.eye(6))
 
 
+def _side_dim(rec, side: tuple[int, ...]) -> int:
+    """dim of a side of the record's splitting from rootsys: rank plus root
+    count per component type, 1 for the circle."""
+    dim = 0
+    for i in side:
+        if i == len(rec.k_component_types):
+            dim += 1
+        else:
+            stype = SimpleType(*rec.k_component_types[i])
+            dim += stype.rank + len(build_root_system(stype).all_roots)
+    return dim
+
+
+def test_every_model_builds_its_records_splitting():
+    records = dynkin.catalog(dynkin.CatalogConfig(rank_cap=4)).records
+    records = [r for r in records if r.model_available]
+    assert len(records) == 26
+    for rec in records:
+        model = build_model(rec)
+        assert model.group_label == rec.g_label
+        assert len(model.k1_factors) == len(rec.k1_indexes)
+        assert len(model.k2_factors) == len(rec.k2_indexes)
+        assert model.dim_k1 == _side_dim(rec, rec.k1_indexes)
+        assert model.dim_k2 == _side_dim(rec, rec.k2_indexes)
+
+
 def test_model_build_deterministic():
     a = build_model(find_record("su3-hopf"))
     b = build_model(find_record("su3-hopf"))
@@ -309,10 +335,13 @@ def test_catalog_only_record_rejected():
 
 
 def test_degenerate_splitting_rejected():
-    with pytest.raises(ValueError, match="degenerate splitting"):
-        _build_su(1, 2, ("b2", "z"), None)
-    with pytest.raises(ValueError, match="degenerate splitting"):
-        _build_su(2, 2, (), None)
+    # su3-hopf has two blocks, SU(2) and the circle: K1 may be neither all
+    # of them nor none
+    rec = find_record("su3-hopf")
+    for k1 in ((0, 1), ()):
+        spec = dataclasses.replace(rec.model_spec, k1=k1)
+        with pytest.raises(ValueError, match="degenerate splitting"):
+            build_model(dataclasses.replace(rec, model_spec=spec))
 
 
 def test_find_record_aliases():

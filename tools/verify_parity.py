@@ -10,11 +10,13 @@ and against the export's `src/`, and prints SAME or DIFF per request with
 both exit codes.  A request is SAME when stdout and exit code match.  The
 last line counts the failing requests (exit code not 0) of each side, so
 the direction of any pass/fail change shows at a glance.  Exits 1 on any
-DIFF, 2 when REF cannot be exported.
+DIFF, 2 when REF cannot be exported.  SIGTERM or SIGINT stops both
+running requests and removes the export before the tool exits.
 """
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -60,7 +62,9 @@ CATALOG_SET = (
 # and 5100 and su3-hopf at 6336 and 11 failed the same way under the chord
 # lower bound.  so8-so3so5--k1-0so3 at 1988, 3609, 4166 and 9292 and the
 # last two so6-stiefel seeds are restart-luck seeds, where a change of
-# solver iterates is most likely to flip a displacement verdict
+# solver iterates is most likely to flip a displacement verdict.  The last
+# three cases cover the block shapes of the model builder that the others
+# leave out: two SU blocks, an SU(3) block, and K1 as the second block
 VERIFY_SET = tuple(
     ("verify", case, "--seed", str(seed), "--format", "json")
     for case, seeds in (
@@ -72,6 +76,9 @@ VERIFY_SET = tuple(
         ("su3-hopf", (1705, 6869, 6336, 11)),
         ("su3-su1u2--k1-t1", (3546, 1046, 2454, 4651, 4805, 7656, 77, 901)),
         ("so6-stiefel", (7991, 9215, 7294, 9042, 2298, 1177, 25, 3139, 3370, 8743)),
+        ("su4-su2u2--k1-0a1-t1", (1,)),
+        ("su4-su1u3--k1-0a2", (1,)),
+        ("so8-so3so5--k1-1so5", (1,)),
     )
     for seed in seeds
 )
@@ -86,10 +93,18 @@ def start(src: Path, request: tuple[str, ...]) -> subprocess.Popen:
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
 
 
+def exit_on_signal(signum: int, frame) -> None:
+    """Turn SIGTERM and SIGINT into SystemExit, so the export's temporary
+    directory and the running children are cleaned up on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, exit_on_signal)
     with tempfile.TemporaryDirectory(prefix="verify-parity-") as ref_dir:
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", argv[0], "src"], capture_output=True
@@ -101,8 +116,18 @@ def main(argv: list[str]) -> int:
         diffs, failing = 0, [0, 0]
         for request in PARITY_SET:
             # the two trees run side by side, one process each
-            procs = [start(src, request) for src in (ROOT / "src", Path(ref_dir) / "src")]
-            (work, work_code), (ref, ref_code) = [(p.communicate()[0], p.returncode) for p in procs]
+            procs: list[subprocess.Popen] = []
+            try:
+                for src in (ROOT / "src", Path(ref_dir) / "src"):
+                    procs.append(start(src, request))
+                (work, work_code), (ref, ref_code) = [
+                    (p.communicate()[0], p.returncode) for p in procs
+                ]
+            finally:
+                for p in procs:
+                    if p.returncode is None:
+                        p.terminate()
+                        p.wait()
             same = work == ref and work_code == ref_code
             diffs += not same
             failing[0] += work_code != 0
