@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -562,7 +563,11 @@ def render(payload: dict, fmt: str) -> str:
 # --- argument parsing ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Each parse makes
+    a fresh namespace and no argument's default is a mutable object that an
+    action changes, so one call cannot leak into the next."""
     p = argparse.ArgumentParser(
         prog="isofib",
         description="Isotropy-splitting fibration catalog and numeric verification.",
@@ -637,6 +642,13 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"--out: no such directory {out_dir!r}")
     if os.path.isdir(cfg.out):
         raise ConfigError(f"--out: {cfg.out!r} is a directory")
+    if cfg.out:
+        try:
+            os.stat(cfg.out)
+        except FileNotFoundError:
+            pass  # written after the run
+        except OSError as exc:  # a name too long, a loop of symbolic links, ...
+            raise ConfigError(f"--out: {exc}") from exc
     for name, value in cfg.tolerances.items():
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"--tol-{name} must be finite and positive, got {value}")
@@ -663,11 +675,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render(payload, cfg.fmt)
-    if cfg.out:
+    if not cfg.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # what no check before the run can see
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -780,11 +780,13 @@ def _model_spec_for(case: BdSCase, k1: tuple[int, ...]) -> ModelSpec | None:
     )
 
 
-def stiefel_records(s: int, t: int) -> list[FibrationRecord]:
+@lru_cache(maxsize=None)
+def stiefel_records(s: int, t: int) -> tuple[FibrationRecord, ...]:
     """The rank-deficient family SO(2s+2t+2)/[SO(2s+1) x SO(2t+1)], s,t >= 1.
     Euler characteristic carries the 0 marker; isometry component counts are
     (2, 1): the full isometry group has exactly one extra component, from
-    the orientation-reversing block reflection."""
+    the orientation-reversing block reflection.  Cached per (s, t), like
+    `splittings` per case."""
     if s < 1 or t < 1:
         raise ValueError("stiefel family needs s, t >= 1")
     n = 2 * s + 2 * t + 2
@@ -832,7 +834,7 @@ def stiefel_records(s: int, t: int) -> list[FibrationRecord]:
                 k2_length_tags=("",),
             )
         )
-    return recs
+    return tuple(recs)
 
 
 @dataclass(frozen=True)
@@ -946,8 +948,7 @@ def catalog(cfg: CatalogConfig | None = None) -> CatalogResult:
                 t = tot - s
                 if s > t:
                     continue
-                for rec in stiefel_records(s, t):
-                    records.append(rec)
+                records.extend(stiefel_records(s, t))
     return CatalogResult(config=cfg, cases=tuple(cases), records=tuple(records))
 
 

@@ -169,20 +169,25 @@ def test_catalog_deterministic_bytes():
 
 
 # mixed filters and formats; the A-D ones share cached cases with the
-# warm-up, E and the Stiefel family are appended per call
+# warm-up, E and the Stiefel family are appended per call; requests with
+# and without repeatable options follow each other in both orders
 CACHE_REQUESTS = (
     ["catalog", "--rank-cap", "4", "--format", "json"],
     ["catalog", "--family", "A5", "--format", "csv"],
     ["catalog", "--class", "symmetric", "--simple-k", "--rank-cap", "6"],
     ["catalog", "--family", "E", "--family", "G2", "--format", "json"],
     ["catalog", "--family", "D", "--class", "stiefel", "--rank-cap", "5", "--format", "csv"],
+    ["catalog", "--rank-cap", "1", "--simple-k"],
+    ["catalog", "--family", "F4", "--rank-cap", "2", "--format", "json"],
+    ["catalog", "--class", "stiefel", "--rank-cap", "3"],
 )
 
 
 def test_catalog_cached_requests_match_fresh_process(capsys):
-    # the per-type caches of rootsys and dynkin must not leak one request
-    # into another: in process, after a full catalog and in either order,
-    # each request renders the bytes a fresh process does
+    # the process's one parser and the per-type caches of rootsys and
+    # dynkin (splittings, Stiefel records) must not leak one request into
+    # another: in process, after a full catalog and in either order, each
+    # request renders the bytes a fresh process does
     src = str(Path(isofib.__file__).parents[1])
     fresh = [
         subprocess.run(
@@ -399,6 +404,54 @@ def test_out_writes_file(tmp_path):
     assert doc["command"] == "catalog"
 
 
+def test_out_write_error_exit_2(tmp_path, monkeypatch, capsys):
+    # a file that passes the checks before the run but cannot be written
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", args[0])
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "cat.json"
+    assert run_main(["catalog", "--family", "G", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out:") and "Permission denied" in captured.err
+    assert captured.out == ""
+
+
+def _echoed_config(capsys, argv):
+    assert run_main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["config"]
+
+
+def test_one_parser_serves_many_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # repeatable options and overrides do not carry into the next call
+    _echoed_config(capsys, ["catalog", "--family", "E", "--family", "F", "--class", "symmetric"])
+    config = _echoed_config(capsys, ["catalog"])
+    assert config["families"] is None and config["classes"] is None
+    _echoed_config(capsys, ["catalog", "--family", "G", "--tol-coset", "1e-6"])
+    config = _echoed_config(capsys, ["catalog", "--family", "G"])
+    assert config["tolerances"] == cli.DEFAULT_TOLERANCES
+    # a rejected call, by argparse or by the checks, leaves the next one intact
+    good = ["catalog", "--family", "G", "--format", "csv"]
+    assert run_main(good) == 0
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run_main(["catalog", "--format", "yaml"])
+    assert exc.value.code == 2
+    assert run_main(["catalog", "--rank-cap", "0"]) == 2
+    capsys.readouterr()
+    assert run_main(good) == 0
+    assert capsys.readouterr().out == want
+    # the two commands' subparsers alternate on one parser
+    outputs = []
+    for _ in range(2):
+        for argv in (good, ["verify", "su3-hopf", "--seed", "5", *FAST_VERIFY, "--format", "json"]):
+            assert run_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0] == want
+
+
 def test_failure_lines_name_claims():
     # a forced-failure run: zero tolerance makes the reductivity check fail
     code, payload = payload_for(
@@ -429,6 +482,7 @@ def test_failure_lines_name_claims():
         (["catalog", "--rank-cap", "-3"], "--rank-cap"),
         (["selfcheck", "--rank-cap", "-3"], "--rank-cap"),
         (["verify", "su3-hopf", "--out", "."], "is a directory"),
+        (["catalog", "--out", "x" * 300], "File name too long"),
     ],
 )
 def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):
