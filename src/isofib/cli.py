@@ -446,7 +446,7 @@ def cmd_catalog(cfg: RunConfig) -> tuple[int, dict]:
         "command": "catalog",
         "config": cfg.echo(),
         "cases": [_case_dict(c, by_base.get(c.base_label, 0)) for c in res.cases],
-        "records": [dynkin.record_to_dict(r) for r in res.records],
+        "records": list(res.records),  # frozen; `render` serializes them
         "failures": [],
     }
     code = 0
@@ -519,15 +519,46 @@ def _flatten(d: dict) -> dict:
     return out
 
 
+# A catalog serves the same frozen records request after request, so each
+# record's JSON and CSV text is built once per process, in separate caches:
+# a request builds only its own format.
+
+
+@functools.lru_cache(maxsize=None)
+def _record_json(rec: dynkin.FibrationRecord) -> str:
+    """The record as the indented payload lays it out in its records
+    array: every line after the first 4 spaces deeper."""
+    text = json.dumps(dynkin.record_to_dict(rec), indent=2, sort_keys=True, default=str)
+    return text.replace("\n", "\n    ")
+
+
+@functools.lru_cache(maxsize=None)
+def _record_csv(rec: dynkin.FibrationRecord) -> str:
+    row = _flatten(dynkin.record_to_dict(rec))
+    buf = io.StringIO()
+    csv.DictWriter(buf, fieldnames=sorted(row)).writerow(row)
+    return buf.getvalue()
+
+
 def render(payload: dict, fmt: str) -> str:
+    records = payload.get("records")
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        if not records:
+            return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        text = json.dumps({**payload, "records": []}, indent=2, sort_keys=True, default=str)
+        # only a top-level key sits at exactly 2 spaces, and JSON strings
+        # hold no raw newline, so this matches the envelope's records key
+        array = "[\n    " + ",\n    ".join(map(_record_json, records)) + "\n  ]"
+        return text.replace('\n  "records": []', '\n  "records": ' + array, 1) + "\n"
     if fmt == "csv":
-        rows = payload.get("records") or payload.get("checks") or []
         buf = io.StringIO()
         buf.write("# config: " + json.dumps(payload["config"], sort_keys=True) + "\n")
-        rows = [_flatten(r) for r in rows]
-        if rows:
+        if records:
+            fields = sorted(dynkin.record_to_dict(records[0]))
+            csv.DictWriter(buf, fieldnames=fields).writeheader()
+            buf.writelines(map(_record_csv, records))
+        elif payload.get("checks"):
+            rows = [_flatten(c) for c in payload["checks"]]
             writer = csv.DictWriter(buf, fieldnames=sorted(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
@@ -538,14 +569,14 @@ def render(payload: dict, fmt: str) -> str:
         "config: " + json.dumps(payload["config"], sort_keys=True),
     ]
     if payload["command"] == "catalog":
-        lines.append(f"{len(payload['records'])} records, {len(payload['cases'])} cases")
+        lines.append(f"{len(records)} records, {len(payload['cases'])} cases")
         for c in payload["cases"]:
             if c["simple_k"]:
                 lines.append(f"  case {c['base']} [{c['class']}]: no splitting")
-        for r in payload["records"]:
+        for r in records:
             lines.append(
-                f"  {r['slug']}: {r['mtilde']} -> {r['base']} "
-                f"[{r['class']}] chi={r['euler_characteristic']}"
+                f"  {r.slug}: {r.mtilde_label} -> {r.base_label} "
+                f"[{r.base_class}] chi={r.euler_characteristic}"
             )
     else:
         for c in payload.get("checks", []):

@@ -577,7 +577,10 @@ def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, 
     alone, so a problem follows the iterates it would follow in a stack of
     one.  Returns (C, F): final coordinates and the residuals there."""
     p, d = C0.shape
-    floor = (_LM_STOP * tol) ** 2  # underflows to 0.0 for a tol below ~1e-150
+    try:
+        floor = (_LM_STOP * tol) ** 2  # underflows to 0.0 for a tol below ~1e-150
+    except OverflowError:  # a tol above ~1e160: every finite residual is below it
+        floor = math.inf
 
     def sliced(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
         step = max(1, _LM_SLICE // C.shape[1])

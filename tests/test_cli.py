@@ -36,15 +36,15 @@ FAST_VERIFY = ["--samples", "10", "--restarts", "1"]
 def test_catalog_family_e8_bases():
     code, payload = payload_for(["catalog", "--family", "E8"])
     assert code == 0
-    bases = {r["base"] for r in payload["records"]}
+    bases = {r.base_label for r in payload["records"]}
     assert {"E8/A1E7", "E8/A2E6", "E8/A4A4"} <= bases
-    assert all(r["g"] == "E8" for r in payload["records"])
+    assert all(r.g_label == "E8" for r in payload["records"])
 
 
 def test_catalog_whole_family_letter():
     code, payload = payload_for(["catalog", "--family", "G"])
     assert code == 0
-    assert {r["g"] for r in payload["records"]} == {"G2"}
+    assert {r.g_label for r in payload["records"]} == {"G2"}
 
 
 def _family_flags(families):
@@ -69,10 +69,10 @@ def test_catalog_family_labels(families, rank_cap, letters, groups):
     cap = ["--rank-cap", str(rank_cap)]
     code, got = payload_for(["catalog", *_family_flags(families), *cap])
     _, whole = payload_for(["catalog", *_family_flags(letters), *cap])
-    keep = lambda entries: [e for e in entries if groups is None or e["g"] in groups]
+    keep = lambda entries, g: [e for e in entries if groups is None or g(e) in groups]
     assert code == 0 and got["records"]
-    assert got["records"] == keep(whole["records"])
-    assert got["cases"] == keep(whole["cases"])
+    assert got["records"] == keep(whole["records"], lambda r: r.g_label)
+    assert got["cases"] == keep(whole["cases"], lambda c: c["g"])
 
 
 def test_catalog_loads_no_scipy_submodules():
@@ -168,6 +168,41 @@ def test_catalog_deterministic_bytes():
     assert cli.render(a, "json") == cli.render(b, "json")
 
 
+def _assert_same_text(got, want):
+    # compares a window at the first difference: pytest's own diff of two
+    # whole catalogs takes minutes
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    window = slice(max(0, i - 60), i + 60)
+    assert (got[window], len(got)) == (want[window], len(want))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "--simple-k"],
+        ["catalog", "--golden"],
+        ["catalog", "--family", "E8"],
+        # no record: the envelope alone
+        ["catalog", "--class", "nearly-kaehler", "--family", "A"],
+    ],
+)
+def test_render_matches_stdlib_encoding(argv):
+    # the cached per-record text must lay out what encoding the whole
+    # payload, with every record as its dict, gives
+    _, payload = payload_for(argv)
+    dicts = [dynkin.record_to_dict(r) for r in payload["records"]]
+    want = json.dumps({**payload, "records": dicts}, indent=2, sort_keys=True, default=str)
+    _assert_same_text(cli.render(payload, "json"), want + "\n")
+    buf = io.StringIO()
+    buf.write("# config: " + json.dumps(payload["config"], sort_keys=True) + "\n")
+    rows = [cli._flatten(d) for d in dicts]
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=sorted(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    _assert_same_text(cli.render(payload, "csv"), buf.getvalue())
+
+
 # mixed filters and formats; the A-D ones share cached cases with the
 # warm-up, E and the Stiefel family are appended per call; requests with
 # and without repeatable options follow each other in both orders
@@ -180,14 +215,18 @@ CACHE_REQUESTS = (
     ["catalog", "--rank-cap", "1", "--simple-k"],
     ["catalog", "--family", "F4", "--rank-cap", "2", "--format", "json"],
     ["catalog", "--class", "stiefel", "--rank-cap", "3"],
+    ["catalog", "--class", "nearly-kaehler", "--family", "A", "--format", "json"],
+    ["catalog", "--class", "nearly-kaehler", "--family", "A", "--format", "csv"],
+    ["catalog", "--simple-k", "--format", "csv"],
 )
 
 
 def test_catalog_cached_requests_match_fresh_process(capsys):
-    # the process's one parser and the per-type caches of rootsys and
-    # dynkin (splittings, Stiefel records) must not leak one request into
-    # another: in process, after a full catalog and in either order, each
-    # request renders the bytes a fresh process does
+    # the process's one parser, the per-type caches of rootsys and dynkin
+    # (splittings, Stiefel records) and the per-record JSON and CSV text
+    # must not leak one request into another: in process, after a full
+    # catalog and in either order, each request renders the bytes a fresh
+    # process does
     src = str(Path(isofib.__file__).parents[1])
     fresh = [
         subprocess.run(
@@ -284,6 +323,21 @@ def test_verify_displacement_honours_tol_coset():
         assert checks[name]["detail"].count("inconclusive") == 2
     assert "rel inf" in checks["displacement-central-constant"]["detail"]
     assert "gap -inf" in checks["displacement-noncentral-certified"]["detail"]
+
+
+def test_verify_huge_tol_coset_ends_with_a_verdict():
+    # a stopping floor of (1e-6 tol)^2 overflows a float above tol ~1e160
+    src = str(Path(isofib.__file__).parents[1])
+    argv = ["verify", "su3-hopf", "--samples", "2", "--restarts", "0", "--tol-coset", "1e300"]
+    out = subprocess.run(
+        [sys.executable, "-m", "isofib.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode in (0, 1)
+    assert "Traceback" not in out.stderr
+    assert out.stdout.startswith("command: verify")
 
 
 def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the catalog in each format, under each filter kind (the default and
 # every rank cap 1-8, --simple-k, --class, a family letter, a letter+rank
-# label), then the golden diff and the selfcheck
+# label), a request with no record, then the golden diff and the selfcheck
 CATALOG_SET = (
     ("catalog",),
     ("catalog", "--format", "json"),
@@ -48,8 +48,11 @@ CATALOG_SET = (
     ("catalog", "--family", "D4", "--format", "json"),
     ("catalog", "--family", "E8", "--family", "B2", "--simple-k"),
     ("catalog", "--family", "C3", "--family", "C", "--rank-cap", "5", "--format", "json"),
+    ("catalog", "--class", "nearly-kaehler", "--family", "A", "--format", "json"),
+    ("catalog", "--class", "nearly-kaehler", "--family", "A", "--format", "csv"),
     ("catalog", "--golden"),
     ("catalog", "--golden", "--format", "json"),
+    ("catalog", "--golden", "--format", "csv"),
     ("selfcheck",),
     ("selfcheck", "--format", "json"),
 )
