@@ -683,6 +683,8 @@ def check_config(cfg: RunConfig) -> None:
     for name, value in cfg.tolerances.items():
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"--tol-{name} must be finite and positive, got {value}")
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {cfg.seed}")
     if cfg.samples < 2:
         raise ConfigError(f"--samples must be at least 2, got {cfg.samples}")
     if cfg.restarts < 0:

@@ -4,14 +4,12 @@ Points are group representatives of cosets; all coset comparisons go
 through chord values: chord(x, y) = min over k in K1 of the ambient
 Frobenius norm ||x k - y||.  Every chord evaluation returns a certified
 pair (lower, upper): the upper value comes from an explicit feasible k,
-the lower value from a group relaxation (full unitary / diagonal torus),
-so distance certificates built on the lower value are sound even when a
-block maximizer is only locally optimized.  The factors of K1 and K2 are
-SO blocks, SU blocks of two or more columns, and a circle.  SO and SU(2)
-blocks have exact maximizers, so without a circle both sides agree to
-roundoff; with a circle they agree to grid-polish accuracy.  An SU(c >= 3)
-block is maximized by a det-phase-constrained ascent, which is only
-locally optimal.
+the lower value from the exact maximum or, with a circle, a group
+relaxation (full torus / full unitary group), so distance certificates
+built on the lower value do not rest on the circle's grid polish.  The
+factors of K1 and K2 are SO blocks, SU blocks of two or more columns, and
+a circle.  Every block has an exact maximizer, so without a circle both
+sides agree to roundoff; with a circle they agree to grid-polish accuracy.
 
 Displacement verdicts compare per-point upper bounds (from a multistart
 Riemannian log) against per-point lower bounds (`distance_lower_bound`:
@@ -26,8 +24,8 @@ The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
 solves whose cost is the finite-difference Jacobian: d residuals per
 Jacobian, each needing the chord maximizer k*.  `_k_star_batch` computes
 k* for a whole stack of points in one numpy pass (batched SO Procrustes;
-`_su_procrustes` for SU blocks, closed form for SU(2) and the ascent on
-the whole stack for larger blocks; one theta grid for every row, with
+`_su_procrustes` for SU blocks, closed form for SU(2) and one bisection
+on the whole stack for larger blocks; one theta grid for every row, with
 the SU blocks maximized at every grid angle in one call, then one
 safeguarded Newton polish, `_polish_roots`, of every row's angle).
 `_lm` advances a stack of problems in lockstep, each with its own damping
@@ -65,7 +63,7 @@ CONSTANT_SPREAD_TOL = 1e-4
 GAP_TOL = 1e-3
 ABS_ZERO_TOL = 1e-9
 CIRCLE_GRID = 256
-TRACE_SLACK = 1e-11  # absorbs roundoff in trace relaxations (lower bounds)
+TRACE_SLACK = 1e-11  # absorbs roundoff in the max traces behind lower bounds
 
 
 # --- points and isometries ----------------------------------------------------
@@ -220,45 +218,43 @@ def _su2_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _su_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(feasible max, maximizer) of Re tr(k^H P) over SU(c), c >= 2;
-    leading axes are a batch.  Exact for c = 2; for larger blocks a
-    det-phase-constrained ascent, run on the whole stack with a per-block
-    stop mask, so every block follows the iterates it would follow alone."""
-    c = P.shape[-1]
-    if c == 2:
+    """(max, maximizer) of Re tr(k^H P) over SU(c), c >= 2; leading axes
+    are a batch, and each block's result is the one it gets alone.  SU(2)
+    takes the closed form, a larger block the exact maximum below.
+
+    With P = U diag(sigma) V^h, sigma descending, W = U^h k V has det W =
+    det(U^h V) and value Re tr(W^h diag(sigma)).  At a maximizer,
+    stationarity along su(c) makes W^h diag(sigma) = H + i mu, H Hermitian,
+    so H^2 = diag(sigma^2 - mu^2); a unitary commuting with diag(sigma)
+    makes H diagonal, and with it W (sigma_c = 0 by continuity).  So k =
+    U diag(e^{i phi}) V^h, maximizing sum sigma_j cos phi_j subject to
+    sum phi_j = tau mod 2 pi, tau = -arg det(U V^h) in [-pi, pi].  There
+    sigma_j sin phi_j = mu, and the second-order condition (sum a_j x_j^2
+    >= 0 where sum x_j = 0, a_j = sigma_j cos phi_j) allows one obtuse
+    phi_i, only if sum_{j != i} (sigma_j^2 - mu^2)^{-1/2} <= (sigma_i^2 -
+    mu^2)^{-1/2}, which the j = c term breaks unless sigma_i = sigma_c
+    (relabel ties).  So phi_c = psi in [-pi, pi], phi_j = asin(r_j sin psi)
+    with r_j = sigma_c / sigma_j, and g(psi) = psi + sum_{j<c} asin(r_j sin
+    psi) = tau mod 2 pi.  Along this curve the value has derivative
+    -sigma_c sin psi g'(psi), and the second-order condition reads g' >= 0.
+    g is odd with g(pi) = pi, g' is even and falls on [0, pi], so g' >= 0 on
+    one [-psi*, psi*], where g rises through [-pi, pi] and the value falls
+    in |psi|: the maximum is the root of g = tau there.  {g < tau} is the
+    part of [-pi, pi] below it (less -pi itself when tau = -pi), so a
+    bisection finds it; phi_c absorbs the residual of tau, so det k = 1."""
+    if P.shape[-1] == 2:
         return _su2_procrustes(P)
     U, sig, Vh = np.linalg.svd(P)
-    # det constraint: k = U diag(e^{i phi_j}) V^h needs sum(phi) = -arg det(U V^h)
     tau = -np.angle(np.linalg.det(U @ Vh))
-    step = (0.5 / (np.max(sig, axis=-1) + 1e-12))[..., None]
-
-    def value(phis):
-        return np.sum(sig * np.cos(phis), axis=-1)
-
-    best_val, best_phis = np.full(tau.shape, -np.inf), np.zeros(sig.shape)
-    for tau_shift in (tau, tau - 2 * np.pi, tau + 2 * np.pi):
-        # init: whole phase on the smallest singular value
-        phis = np.zeros(sig.shape)
-        phis[..., -1] = tau_shift
-        val = value(phis)
-        moving = np.ones(tau.shape, dtype=bool)
-        for _ in range(200):
-            grad = -sig * np.sin(phis)
-            grad -= grad.mean(axis=-1, keepdims=True)  # project onto the constraint plane
-            new = phis + step * grad
-            new[..., -1] = tau_shift - np.sum(new[..., :-1], axis=-1)
-            new_val = value(new)
-            moving &= ~(new_val <= val + 1e-15)
-            if not moving.any():
-                break
-            phis = np.where(moving[..., None], new, phis)
-            val = np.where(moving, new_val, val)
-        better = val > best_val
-        best_val = np.where(better, val, best_val)
-        best_phis = np.where(better[..., None], phis, best_phis)
-    D = np.zeros(P.shape, dtype=complex)
-    D[..., np.arange(c), np.arange(c)] = np.exp(1j * best_phis)
-    return best_val, U @ D @ Vh
+    r = sig[..., -1:] / np.where(sig[..., :-1] > 0, sig[..., :-1], 1.0)
+    lo, hi = np.full(tau.shape, -np.pi), np.full(tau.shape, np.pi)
+    for _ in range(64):  # 2 pi / 2^64 is far below the roundoff of g
+        mid = (lo + hi) / 2
+        below = mid + np.arcsin(r * np.sin(mid)[..., None]).sum(axis=-1) < tau
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    phis = np.arcsin(r * np.sin(hi)[..., None])
+    phis = np.concatenate([phis, (tau - phis.sum(axis=-1))[..., None]], axis=-1)
+    return np.sum(sig * np.cos(phis), axis=-1), (U * np.exp(1j * phis)[..., None, :]) @ Vh
 
 
 def _so_procrustes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,10 +331,10 @@ def _circle_angles(
     model: GroupModel, P: np.ndarray, factors: tuple[BlockFactor, ...]
 ) -> np.ndarray:
     """Per row of the pairing stack P, the circle angle maximizing the
-    trace with every SU block maximized at that angle: a grid over the
-    period for all rows at once, then one `_polish_roots` call for the zero
-    crossings of the derivative next to the best grid angles, and per row
-    the better of the polished and the grid angle."""
+    trace with every SU block maximized exactly at that angle: a grid over
+    the period for all rows at once, then one `_polish_roots` call for the
+    zero crossings of the derivative next to the best grid angles, and per
+    row the better of the polished and the grid angle."""
     speeds = _circle_phases(model)
     period = next(f.period for f in factors if f.kind == "circle")
     singles, blocks = _split_columns(model, factors)
@@ -371,7 +367,7 @@ def _circle_angles(
     def derivs(x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         # (T', T'') at angles x (len(r),) of rows r; SU(2) blocks by the
         # derivatives of |Re(e^{-ia x} w)|, SU(c >= 3) blocks by the envelope
-        # rule at the ascent's maximizer, which gives no T''
+        # rule at the block's maximizer, which gives no T''
         rot = np.exp(-1j * (x[:, None] * fs)) * diag[r]
         der, curv = (fs * rot.imag).sum(axis=-1), -((fs * fs) * rot.real).sum(axis=-1)
         for a, w in su2_data:
@@ -417,7 +413,7 @@ def _k_star_batch(
     is one matrix or a matching stack.  SO blocks take a batched
     Procrustes, SU(2) blocks the closed-form quaternion pairing, a circle
     the angle of `_circle_angles` with the blocks maximized at it, SU(c >= 3)
-    blocks the batched ascent of `_su_procrustes`."""
+    blocks the batched exact maximum of `_su_procrustes`."""
     M = np.swapaxes(U_stack, -1, -2) @ V  # maximize tr(k^T M) per row
     rows = np.arange(len(M))
     if {f.kind for f in factors} == {"so"}:
@@ -453,20 +449,16 @@ def _max_trace_bound(
     k_star: np.ndarray,
 ) -> float:
     """An upper bound on the max of tr(k^T M) over the factor subgroup.
-    Where the block maximizers are exact (SO blocks, or SU(2) blocks
-    without a circle) it is the value at k*; otherwise the relaxation to
-    the full unitary group on each block and, with a circle, the full torus
-    on the single columns."""
-    circle = any(f.kind == "circle" for f in factors)
-    singles, blocks = _split_columns(model, factors)
-    if not circle and all(len(cols) == 2 for cols in blocks):
+    Without a circle every block maximizer is exact, so it is the value at
+    k*; with one, the relaxation to the full torus on the single columns
+    and to the full unitary group on each SU block."""
+    if not any(f.kind == "circle" for f in factors):
         return float(np.sum(k_star * M))
+    singles, blocks = _split_columns(model, factors)
     P = _complex_pairing(M)
-    diag = P[singles, singles]
-    relax = float(np.sum(np.abs(diag) if circle else diag.real))
+    relax = float(np.sum(np.abs(P[singles, singles])))
     for cols in blocks:
-        sig = np.linalg.svd(P[np.ix_(cols, cols)], compute_uv=False)
-        relax += float(np.sum(sig))
+        relax += float(np.sum(np.linalg.svd(P[np.ix_(cols, cols)], compute_uv=False)))
     return relax
 
 
@@ -482,7 +474,7 @@ def chord_to_coset(
     The upper value is always the directly evaluated norm ||U k* - V|| at
     the assembled feasible maximizer, which stays accurate near zero where
     the trace form 2N - 2 tr would cancel catastrophically.  The lower
-    value comes from a relaxation trace with a small slack subtracted, so
+    value comes from `_max_trace_bound` with a small slack subtracted, so
     roundoff cannot push it above the true chord.
     """
     k_star = _k_star_batch(model, U[None], V, factors)[0]

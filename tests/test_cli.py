@@ -537,6 +537,7 @@ def test_failure_lines_name_claims():
         (["selfcheck", "--rank-cap", "-3"], "--rank-cap"),
         (["verify", "su3-hopf", "--out", "."], "is a directory"),
         (["catalog", "--out", "x" * 300], "File name too long"),
+        (["verify", "su3-hopf", "--seed", "-1"], "--seed must be at least 0"),
     ],
 )
 def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):

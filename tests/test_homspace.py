@@ -121,20 +121,50 @@ def test_su2_procrustes_exact_against_sampling():
     assert best <= val + 1e-9
 
 
-def test_su_procrustes_three_by_three():
-    rng = np.random.default_rng(4)
-    P = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    feas, k = _su_procrustes(P)
-    # the max over the full unitary group bounds the SU(3) max
-    relax = np.sum(np.linalg.svd(P, compute_uv=False))
-    assert feas <= relax + 1e-12
-    assert np.allclose(k @ k.conj().T, np.eye(3), atol=1e-10)
-    assert np.linalg.det(k) == pytest.approx(1.0, abs=1e-10)
-    assert np.real(np.trace(k.conj().T @ P)) == pytest.approx(feas, abs=1e-10)
-    best = max(
-        np.real(np.trace(haar_unitary(3, rng).conj().T @ P)) for _ in range(4000)
+def _torus_max(P, rng, starts=20):
+    """Multistart BFGS maximum of sum sigma_j cos phi_j over the phase torus
+    sum phi_j = tau, the SU(c) maximum with k = U diag(e^{i phi}) V^h."""
+    U, sig, Vh = np.linalg.svd(P)
+    tau = -np.angle(np.linalg.det(U @ Vh))
+
+    def cost(x):  # the last phase absorbs tau
+        last = tau - x.sum()
+        value = sig[:-1] @ np.cos(x) + sig[-1] * np.cos(last)
+        return -value, sig[:-1] * np.sin(x) - sig[-1] * np.sin(last)
+
+    return max(
+        -scipy.optimize.minimize(
+            cost, rng.uniform(-np.pi, np.pi, len(sig) - 1), jac=True,
+            method="BFGS", options={"gtol": 1e-14},
+        ).fun
+        for _ in range(starts)
     )
-    assert best <= feas + 1e-6
+
+
+def test_su_procrustes_three_by_three():
+    # c = 3, 4, 5 at random, then a zero smallest sigma, a tied smallest
+    # sigma and tau = pi from chosen singular values and tau
+    rng = np.random.default_rng(4)
+    Ps = [rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)) for c in (3, 4, 5)]
+    for sig, tau in (
+        ([2.0, 1.1, 0.0], 1.0),
+        ([1.7, 0.6, 0.6, 0.6], 2.5),
+        ([1.9, 1.2, 0.7, 0.3], np.pi),
+    ):
+        U, V = haar_unitary(len(sig), rng), haar_unitary(len(sig), rng)
+        U[:, 0] *= np.exp(-1j * tau)  # U, V special unitary: -arg det(U V^h) = tau
+        Ps.append(U @ np.diag(sig) @ V.conj().T)
+    for P in Ps:
+        c = len(P)
+        val, k = _su_procrustes(P)
+        assert val == pytest.approx(_torus_max(P, rng), rel=0, abs=1e-12)
+        assert np.allclose(k @ k.conj().T, np.eye(c), atol=1e-12)
+        assert np.linalg.det(k) == pytest.approx(1.0, abs=1e-12)
+        assert np.real(np.trace(k.conj().T @ P)) == pytest.approx(val, abs=1e-12)
+        # stationary on all of SU(c): the skew part of k^H P is a multiple of i 1
+        A = k.conj().T @ P
+        skew = (A - A.conj().T) / 2
+        assert np.allclose(skew - np.trace(skew) / c * np.eye(c), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -143,8 +173,8 @@ def test_su_procrustes_three_by_three():
     ids=["c2", "c3", "c4", "rows-angles-c3"],
 )
 def test_su_procrustes_stack_matches_single_blocks(shape):
-    # every block of a stack follows its own ascent, bit for bit; the last
-    # shape is the (rows, angles) stack of a circle grid
+    # every block of a stack gets its own bisection steps and maximizer, bit
+    # for bit; the last shape is the (rows, angles) stack of a circle grid
     rng = np.random.default_rng(32)
     P = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     vals, K = _su_procrustes(P)
@@ -201,6 +231,18 @@ def test_chord_lower_at_most_upper(su3, so6):
             assert ch.upper - ch.lower < 1e-6
 
 
+@pytest.mark.parametrize("case_id", ["su4-su1u3--k1-0a2", "su5-su2u3--k1-0a1-1a2"])
+def test_chord_bounds_meet_on_su_blocks(case_id):
+    # K1 without a circle but with an SU(3) block: the block maximum is
+    # exact, so the lower value is the upper one up to the trace slack
+    model = model_for(case_id)
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        x, y = haar_point(model, rng), haar_point(model, rng)
+        ch = chord_k1(model, x, y)
+        assert 0.0 <= ch.upper - ch.lower < 1e-9
+
+
 def test_chord_k_includes_more_group(su3):
     # minimizing over the bigger subgroup K can only shrink the chord
     rng = np.random.default_rng(9)
@@ -215,8 +257,8 @@ def test_fiber_closes_at_pi(su3):
 
 
 # one case per branch of the maximizer: SO blocks; an SU(2) block; a circle
-# alone; a circle with an SU(2) block; an SU(3) block by ascent; a circle
-# with an SU(3) block, where the ascent runs at every grid angle.  The last
+# alone; a circle with an SU(2) block; an SU(3) block by its exact maximum; a
+# circle with an SU(3) block, maximized at every grid angle.  The last
 # column is a circle grid size (None: the default CIRCLE_GRID).
 K_STAR_CASES = [
     ("so6-stiefel", "k1", None),
@@ -287,7 +329,7 @@ def _brentq_circle_angles(model, P, factors):
 
 # a circle alone (K1 of su3-su1u2--k1-t1), a circle with an SU(2) block (K of
 # su3-hopf), and an SU(3) block under a circle on a small grid, where the
-# derivative comes from the ascent's maximizer and the step is a secant
+# derivative comes from the block's maximizer and the step is a secant
 @pytest.mark.parametrize(
     "case_id, group, grid, rows",
     [
@@ -382,7 +424,9 @@ def test_lower_bound_metric_is_per_model_not_per_name(su3):
     assert half.frobenius_lambda_min == pytest.approx(12.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("case_id", ["su3-hopf", "so6-stiefel", "so8-so3so5--k1-0so3"])
+@pytest.mark.parametrize(
+    "case_id", ["su3-hopf", "so6-stiefel", "so8-so3so5--k1-0so3", "su4-su1u3--k1-0a2"]
+)
 def test_lower_bound_at_most_geodesic_length(case_id):
     # geodesic(x, xi, 1) has metric length ||xi||, at least the distance it
     # spans; at a short xi that geodesic is minimizing and the two agree
@@ -725,7 +769,8 @@ def test_log_never_reports_below_true_distance(su3):
 
 def test_lower_bound_at_most_upper(su3, so6):
     rng = np.random.default_rng(24)
-    for model in (su3, so6):
+    # su4-su1u3--k1-0a2: K1 = SU(3), whose lower bound is the exact block maximum
+    for model in (su3, so6, model_for("su4-su1u3--k1-0a2")):
         for _ in range(5):
             x, y = haar_point(model, rng), haar_point(model, rng)
             log = riemannian_log(x, y, restarts=2, seed=25)

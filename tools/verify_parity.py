@@ -65,9 +65,11 @@ CATALOG_SET = (
 # and 5100 and su3-hopf at 6336 and 11 failed the same way under the chord
 # lower bound.  so8-so3so5--k1-0so3 at 1988, 3609, 4166 and 9292 and the
 # last two so6-stiefel seeds are restart-luck seeds, where a change of
-# solver iterates is most likely to flip a displacement verdict.  The last
+# solver iterates is most likely to flip a displacement verdict.  The next
 # three cases cover the block shapes of the model builder that the others
-# leave out: two SU blocks, an SU(3) block, and K1 as the second block
+# leave out: two SU blocks, an SU(3) block, and K1 as the second block.  The
+# last two have K1 with an SU(3) block and no circle: their k2-left profiles
+# separate only because the chord lower bound is that block's exact maximum
 VERIFY_SET = tuple(
     ("verify", case, "--seed", str(seed), "--format", "json")
     for case, seeds in (
@@ -82,6 +84,8 @@ VERIFY_SET = tuple(
         ("su4-su2u2--k1-0a1-t1", (1,)),
         ("su4-su1u3--k1-0a2", (1,)),
         ("so8-so3so5--k1-1so5", (1,)),
+        ("su5-su2u3--k1-0a1-1a2", (1,)),
+        ("su6-su3u3--k1-0a2-1a2", (1,)),
     )
     for seed in seeds
 )
