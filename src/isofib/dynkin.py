@@ -203,16 +203,6 @@ def diagram_of(stype: SimpleType) -> DynkinDiagram:
     return diagram_from_roots(labels, rs.simple_roots, tuple(range(rs.rank)))
 
 
-def extended_diagram(stype: SimpleType) -> DynkinDiagram:
-    """Simple roots plus the lowest root (labelled '-b', origin -1)."""
-    rs = build_root_system(stype)
-    hr = highest_root(rs)
-    lowest = tuple(-x for x in hr.vector)
-    labels = tuple(f"a{i+1}" for i in range(rs.rank)) + ("-b",)
-    roots = rs.simple_roots + (lowest,)
-    return diagram_from_roots(labels, roots, tuple(range(rs.rank)) + (-1,))
-
-
 def _connected_components(d: DynkinDiagram) -> list[tuple[int, ...]]:
     adj = d.adjacency()
     seen: set[int] = set()

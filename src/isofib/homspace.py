@@ -25,9 +25,10 @@ solves whose cost is the finite-difference Jacobian: d residuals per
 Jacobian, each needing the chord maximizer k*.  `_k_star_batch` computes
 k* for a whole stack of points in one numpy pass (batched SO Procrustes;
 `_su_procrustes` for SU blocks, closed form for SU(2) and one bisection
-on the whole stack for larger blocks; one theta grid for every row, with
-the SU blocks maximized at every grid angle in one call, then one
-safeguarded Newton polish, `_polish_roots`, of every row's angle).
+on the whole stack for larger blocks; under a circle, one SVD per row
+makes each SU block's maximum an exact curve in the angle, `_su_curve`,
+evaluated on one theta grid for every row, then one safeguarded Newton
+polish, `_polish_roots`, of every row's angle with exact T' and T'').
 `_lm` advances a stack of problems in lockstep, each with its own damping
 and stop, sends the Jacobian points or trial points of all of them
 through stacked residual calls of at most `_LM_SLICE` points, and reduces
@@ -198,23 +199,57 @@ _SU2_BASIS = np.array(
 )
 
 
-def _su2_pairing(P: np.ndarray) -> np.ndarray:
-    """Complex 4-vector w with Re tr(k^H P) = sum_a q_a Re(w_a) for the
-    unit-quaternion coordinates q of k in the SU(2) basis above; leading
-    axes are a batch."""
-    return P.reshape(P.shape[:-2] + (4,)) @ _SU2_BASIS.conj().T
-
-
 def _su2_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact max of Re tr(k^H P) over SU(2), with maximizer.  The group is
-    the unit sphere in the real span of the basis, so the max is the norm
-    of the pairing vector.  Leading axes are a batch."""
-    t = _su2_pairing(P).real
+    """Exact max of Re tr(k^H P) over SU(2), with maximizer.  Re tr(k^H P)
+    = sum_a q_a t_a for the unit-quaternion coordinates q of k in the basis
+    above and t the real part of P's pairing with it, so the max is |t|.
+    Leading axes are a batch."""
+    t = (P.reshape(P.shape[:-2] + (4,)) @ _SU2_BASIS.conj().T).real
     norm = np.sqrt(np.sum(t * t, axis=-1))
     zero = norm < 1e-300
     q = t / np.where(zero, 1.0, norm)[..., None]
     q = np.where(zero[..., None], (1.0, 0.0, 0.0, 0.0), q)
     return norm, (q @ _SU2_BASIS).reshape(P.shape)
+
+
+def _su_root(sig: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos psi, sin psi, r) for the singular values sig (..., c), c >= 2, in
+    descending order and the determinant det = det(U V^h) of an SVD P = U
+    diag(sig) V^h (any positive multiple of it will do): r_j = sigma_c /
+    sigma_j (j < c), and psi the phase phi_c at the maximum of sum sigma_j
+    cos phi_j subject to sum phi_j = tau mod 2 pi, tau = -arg det in [-pi,
+    pi], which is the SU(c) maximum of Re tr(k^H P) (`_su_procrustes`).
+
+    There sigma_j sin phi_j = mu, and the second-order condition (sum a_j
+    x_j^2 >= 0 where sum x_j = 0, a_j = sigma_j cos phi_j) allows one obtuse
+    phi_i, only if sum_{j != i} (sigma_j^2 - mu^2)^{-1/2} <= (sigma_i^2 -
+    mu^2)^{-1/2}, which the j = c term breaks unless sigma_i = sigma_c
+    (relabel ties).  So phi_c = psi in [-pi, pi], phi_j = asin(r_j sin psi),
+    and g(psi) = psi + sum_{j<c} asin(r_j sin psi) = tau mod 2 pi.  Along
+    this curve the value has derivative -sigma_c sin psi g'(psi), and the
+    second-order condition reads g' >= 0.  g is odd with g(pi) = pi, g' is
+    even and falls on [0, pi], so g' >= 0 on one [-psi*, psi*], where g
+    rises through [-pi, pi] and the value falls in |psi|: the maximum is
+    the root of g = tau there.  For c = 2, sigma_1 sin(tau - psi) = sigma_2
+    sin psi gives e^{i psi} = (sigma_2 + sigma_1 e^{i tau}) / |sigma_1 +
+    sigma_2 e^{i tau}|, whose real part is >= 0 on a tie; where the modulus
+    is 0 (a tie at tau = pi, value 0) psi = pi / 2, the limit from below.
+    For larger c, {g < tau} is the part of [-pi, pi] below the root (less
+    -pi itself when tau = -pi), so a bisection finds it."""
+    r = sig[..., -1:] / np.where(sig[..., :-1] > 0, sig[..., :-1], 1.0)
+    if sig.shape[-1] == 2:
+        u = det.conj() / np.abs(det)  # e^{i tau}
+        s1, s2 = sig[..., 0], sig[..., 1]
+        n = np.abs(s1 + s2 * u)
+        e = np.divide(s2 + s1 * u, n, out=np.full(n.shape, 1j), where=n > 0)
+        return e.real, e.imag, r
+    tau = -np.angle(det)
+    lo, hi = np.full(tau.shape, -np.pi), np.full(tau.shape, np.pi)
+    for _ in range(64):  # 2 pi / 2^64 is far below the roundoff of g
+        mid = (lo + hi) / 2
+        below = mid + np.arcsin(r * np.sin(mid)[..., None]).sum(axis=-1) < tau
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.cos(hi), np.sin(hi), r
 
 
 def _su_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,33 +263,32 @@ def _su_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so H^2 = diag(sigma^2 - mu^2); a unitary commuting with diag(sigma)
     makes H diagonal, and with it W (sigma_c = 0 by continuity).  So k =
     U diag(e^{i phi}) V^h, maximizing sum sigma_j cos phi_j subject to
-    sum phi_j = tau mod 2 pi, tau = -arg det(U V^h) in [-pi, pi].  There
-    sigma_j sin phi_j = mu, and the second-order condition (sum a_j x_j^2
-    >= 0 where sum x_j = 0, a_j = sigma_j cos phi_j) allows one obtuse
-    phi_i, only if sum_{j != i} (sigma_j^2 - mu^2)^{-1/2} <= (sigma_i^2 -
-    mu^2)^{-1/2}, which the j = c term breaks unless sigma_i = sigma_c
-    (relabel ties).  So phi_c = psi in [-pi, pi], phi_j = asin(r_j sin psi)
-    with r_j = sigma_c / sigma_j, and g(psi) = psi + sum_{j<c} asin(r_j sin
-    psi) = tau mod 2 pi.  Along this curve the value has derivative
-    -sigma_c sin psi g'(psi), and the second-order condition reads g' >= 0.
-    g is odd with g(pi) = pi, g' is even and falls on [0, pi], so g' >= 0 on
-    one [-psi*, psi*], where g rises through [-pi, pi] and the value falls
-    in |psi|: the maximum is the root of g = tau there.  {g < tau} is the
-    part of [-pi, pi] below it (less -pi itself when tau = -pi), so a
-    bisection finds it; phi_c absorbs the residual of tau, so det k = 1."""
+    sum phi_j = tau mod 2 pi, tau = -arg det(U V^h) in [-pi, pi], which
+    `_su_root` solves; phi_c absorbs the residual of tau, so det k = 1."""
     if P.shape[-1] == 2:
         return _su2_procrustes(P)
     U, sig, Vh = np.linalg.svd(P)
-    tau = -np.angle(np.linalg.det(U @ Vh))
-    r = sig[..., -1:] / np.where(sig[..., :-1] > 0, sig[..., :-1], 1.0)
-    lo, hi = np.full(tau.shape, -np.pi), np.full(tau.shape, np.pi)
-    for _ in range(64):  # 2 pi / 2^64 is far below the roundoff of g
-        mid = (lo + hi) / 2
-        below = mid + np.arcsin(r * np.sin(mid)[..., None]).sum(axis=-1) < tau
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    phis = np.arcsin(r * np.sin(hi)[..., None])
-    phis = np.concatenate([phis, (tau - phis.sum(axis=-1))[..., None]], axis=-1)
+    det = np.linalg.det(U @ Vh)
+    sin, r = _su_root(sig, det)[1:]
+    phis = np.arcsin(r * sin[..., None])
+    phis = np.concatenate([phis, (-np.angle(det) - phis.sum(axis=-1))[..., None]], axis=-1)
     return np.sum(sig * np.cos(phis), axis=-1), (U * np.exp(1j * phis)[..., None, :]) @ Vh
+
+
+def _su_curve(sig: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, F', F'') at tau = -arg det of the SU(c) maximum F(tau) of a block
+    with singular values sig (..., c), at the phases of `_su_root`: as
+    dF/dpsi = -sigma_c sin psi g'(psi) = F' dtau/dpsi, F' = -sigma_c sin psi
+    and F'' = -sigma_c cos psi / g'(psi).  cos phi_j = sqrt((1 - r_j^2) +
+    (r_j cos psi)^2) stays accurate on a tie r_j = 1; it is 0 only on a tie
+    with cos psi = 0, where its term r_j cos psi / cos phi_j of g' is 0."""
+    cos, sin, r = _su_root(sig, det)
+    rc = r * cos[..., None]
+    cos_phi = np.sqrt((1 - r) * (1 + r) + rc * rc)
+    low = sig[..., -1]
+    value = low * cos + np.sum(sig[..., :-1] * cos_phi, axis=-1)
+    ratio = np.divide(rc, cos_phi, out=np.zeros(rc.shape), where=cos_phi > 0)
+    return value, -low * sin, -low * cos / (1 + ratio.sum(axis=-1))
 
 
 def _so_procrustes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,36 +325,28 @@ _ANGLE_XTOL = 1e-14
 _ANGLE_MAX_ITER = 100
 
 
-def _polish_roots(
-    derivs, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray
-) -> np.ndarray:
+def _polish_roots(derivs, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The zero crossing of a derivative T' in [lo, hi] for every row, where
-    T'(lo) = g_lo > 0 > g_hi = T'(hi), by safeguarded Newton from x.
-    `derivs(x, rows)` returns (T', T'') at x for the rows `rows`, or (T', None),
-    in which case the step is a secant through the row's last two points
-    (the opposite bracket end at first).  Each row keeps a bracket with T' > 0
-    at its left end and T' < 0 at its right end; a step with T'' >= 0 or one
-    that leaves the bracket (a step landing on an end stays) is replaced by
-    bisection.  A row stops where T' is exactly 0, keeping its point, or after
-    a step of at most _ANGLE_XTOL.  Rows never mix, so each follows the
-    iterates it would follow alone."""
+    T'(lo) > 0 > T'(hi), by safeguarded Newton from x.  `derivs(x, rows)`
+    returns (T', T'') at x for the rows `rows`.  Each row keeps a bracket
+    with T' > 0 at its left end and T' < 0 at its right end; a step with
+    T'' >= 0 or one that leaves the bracket (a step landing on an end stays)
+    is replaced by bisection.  A row stops where T' is exactly 0, keeping
+    its point, or after a step of at most _ANGLE_XTOL.  Rows never mix, so
+    each follows the iterates it would follow alone."""
     x, a, b = x.copy(), lo.copy(), hi.copy()
     act = np.arange(len(x))
     g, h = derivs(x, act)
-    xp, gp = np.where(g > 0, hi, lo), np.where(g > 0, g_hi, g_lo)
     for _ in range(_ANGLE_MAX_ITER):
         xa = x[act]
         a[act] = np.where(g > 0, xa, a[act])
         b[act] = np.where(g < 0, xa, b[act])
         with np.errstate(divide="ignore", invalid="ignore"):
-            if h is None:
-                h = (g - gp) / (xa - xp)
             newton = xa - g / h
         inside = (h < 0) & (newton >= a[act]) & (newton <= b[act])
         new = np.where(g == 0, xa, np.where(inside, newton, (a[act] + b[act]) / 2))
         x[act] = new
-        going = (g != 0) & (np.abs(new - xa) > _ANGLE_XTOL)
-        xp, gp, act = xa[going], g[going], act[going]
+        act = act[(g != 0) & (np.abs(new - xa) > _ANGLE_XTOL)]
         if not act.size:
             break
         g, h = derivs(x[act], act)
@@ -334,56 +360,37 @@ def _circle_angles(
     trace with every SU block maximized exactly at that angle: a grid over
     the period for all rows at once, then one `_polish_roots` call for the
     zero crossings of the derivative next to the best grid angles, and per
-    row the better of the polished and the grid angle."""
+    row the better of the polished and the grid angle.  The rotation
+    e^{-i a theta} of an SU block of c columns keeps its singular values
+    and multiplies det(U V^h) by e^{-i c a theta}: one SVD per row gives
+    the block's maximum at every angle, the curve `_su_curve`."""
     speeds = _circle_phases(model)
     period = next(f.period for f in factors if f.kind == "circle")
     singles, blocks = _split_columns(model, factors)
     rows = np.arange(len(P))
     diag = P[:, singles, singles]
     fs = speeds[singles]
-    # SU(2) blocks work on their pairing vectors: `_su_procrustes` would
-    # also assemble a maximizer at every grid angle
-    su2_data = []  # (speed, pairing 4-vectors)
-    big_blocks = []  # (speed, submatrices) of SU(c >= 3) blocks
+    curves = []  # (c a, singular values, det(U V^h)) per SU block
     for cols in blocks:
-        sub = P[np.ix_(rows, cols, cols)]
-        if len(cols) == 2:
-            su2_data.append((speeds[cols[0]], _su2_pairing(sub)))
-        else:
-            big_blocks.append((speeds[cols[0]], sub))
+        U, sig, Vh = np.linalg.svd(P[np.ix_(rows, cols, cols)])
+        curves.append((len(cols) * speeds[cols[0]], sig, np.linalg.det(U @ Vh)))
 
     def trace_at(thetas: np.ndarray) -> np.ndarray:
         # thetas (1 or B, T) -> maximized traces (B, T)
         rot = np.exp(-1j * (thetas[..., None] * fs)) * diag[:, None, :]
         vals = rot.real.sum(axis=-1)
-        for a, w in su2_data:
-            t = (np.exp(-1j * a * thetas)[..., None] * w[:, None, :]).real
-            vals += np.sqrt((t**2).sum(axis=-1))
-        for a, sub in big_blocks:
-            rot = np.exp(-1j * a * thetas)[..., None, None] * sub[:, None]
-            vals += _su_procrustes(rot)[0]
+        for ca, sig, det in curves:
+            vals += _su_curve(sig[:, None], det[:, None] * np.exp(-1j * ca * thetas))[0]
         return vals
 
-    def derivs(x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        # (T', T'') at angles x (len(r),) of rows r; SU(2) blocks by the
-        # derivatives of |Re(e^{-ia x} w)|, SU(c >= 3) blocks by the envelope
-        # rule at the block's maximizer, which gives no T''
+    def derivs(x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (T', T'') at angles x (len(r),) of rows r
         rot = np.exp(-1j * (x[:, None] * fs)) * diag[r]
         der, curv = (fs * rot.imag).sum(axis=-1), -((fs * fs) * rot.real).sum(axis=-1)
-        for a, w in su2_data:
-            u = np.exp(-1j * a * x)[:, None] * w[r]
-            t, s = u.real, u.imag
-            n, ts = np.sqrt((t * t).sum(axis=-1)), (t * s).sum(axis=-1)
-            ok = n > 1e-12
-            n = np.where(ok, n, 1.0)
-            der += np.where(ok, a * ts / n, 0.0)
-            ss = (s * s).sum(axis=-1)
-            curv += np.where(ok, a * a * ((ss - n * n) / n - ts * ts / n**3), 0.0)
-        for a, sub in big_blocks:
-            rot = np.exp(-1j * a * x)[:, None, None] * sub[r]
-            k = _su_procrustes(rot)[1]
-            der += a * (k.conj() * rot).imag.sum(axis=(-2, -1))
-            curv = None
+        for ca, sig, det in curves:
+            _, F1, F2 = _su_curve(sig[r], det[r] * np.exp(-1j * ca * x))
+            der += ca * F1
+            curv += ca * ca * F2
         return der, curv
 
     grid = np.linspace(0.0, period, CIRCLE_GRID, endpoint=False)
@@ -391,13 +398,10 @@ def _circle_angles(
     span = period / CIRCLE_GRID
     best = grid[i0]
     lo, hi = best - span, best + span
-    g_lo, g_hi = derivs(lo, rows)[0], derivs(hi, rows)[0]
     # the maximizer is a zero crossing of the derivative
-    br = np.flatnonzero((g_lo > 0) & (g_hi < 0))
+    br = np.flatnonzero((derivs(lo, rows)[0] > 0) & (derivs(hi, rows)[0] < 0))
     if br.size:
-        best[br] = _polish_roots(
-            lambda x, r: derivs(x, br[r]), best[br], lo[br], hi[br], g_lo[br], g_hi[br]
-        )
+        best[br] = _polish_roots(lambda x, r: derivs(x, br[r]), best[br], lo[br], hi[br])
     cand = np.stack([best, grid[i0]], axis=1)
     return cand[rows, np.argmax(trace_at(cand), axis=1)]
 
@@ -411,9 +415,9 @@ def _k_star_batch(
     """The feasible maximizer k* of tr(k^T U^T V) over the factor subgroup
     (the `k_star` of `chord_to_coset`) for every U of a (B, n, n) stack; V
     is one matrix or a matching stack.  SO blocks take a batched
-    Procrustes, SU(2) blocks the closed-form quaternion pairing, a circle
-    the angle of `_circle_angles` with the blocks maximized at it, SU(c >= 3)
-    blocks the batched exact maximum of `_su_procrustes`."""
+    Procrustes and SU blocks the batched exact maximizer of
+    `_su_procrustes`; a circle takes the angle of `_circle_angles`, and
+    the SU blocks are maximized at it."""
     M = np.swapaxes(U_stack, -1, -2) @ V  # maximize tr(k^T M) per row
     rows = np.arange(len(M))
     if {f.kind for f in factors} == {"so"}:

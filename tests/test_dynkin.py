@@ -21,7 +21,6 @@ from isofib.dynkin import (
     diagram_from_roots,
     diagram_of,
     euler_characteristic,
-    extended_diagram,
     golden_diff,
     golden_projection,
     load_golden,
@@ -43,9 +42,10 @@ def test_diagram_of_recognizes_itself():
         assert [c.stype for c in comps] == [stype]
 
 
-# lowest-root attachment: vertex indexes (0-based) adjacent to -b
+# lowest-root attachment in the extended diagram: the simple roots (0-based
+# indexes) adjacent to -b.  Type A is left out: every highest-root
+# coefficient is 1, so no deletion below keeps -b.
 LOWEST_ATTACH = {
-    ("A", 3): {0, 2},  # both chain ends
     ("B", 4): {1},
     ("C", 4): {0},
     ("D", 5): {1},
@@ -59,19 +59,26 @@ LOWEST_ATTACH = {
 
 @pytest.mark.parametrize("family,rank", sorted(LOWEST_ATTACH))
 def test_extended_diagram_attachment(family, rank):
-    d = extended_diagram(SimpleType(family, rank))
-    assert d.labels[-1] == "-b"
-    last = d.n_vertices - 1
-    neighbors = {i for i, j, _ in d.edges if j == last} | {
-        j for i, j, _ in d.edges if i == last
-    }
-    assert neighbors == LOWEST_ATTACH[(family, rank)]
+    # each n0 > 1 deletion is the extended diagram less one simple root, so
+    # -b keeps the neighbours the table gives, less the deleted root
+    cases = [c for c in bds_enumerate(SimpleType(family, rank)) if c.n0 > 1]
+    assert cases
+    for case in cases:
+        d = case.k_diagram
+        assert d.labels[-1] == "-b" and d.origins[-1] == -1
+        last = d.n_vertices - 1
+        neighbors = {d.origins[i] for i, j, _ in d.edges if j == last} | {
+            d.origins[j] for i, j, _ in d.edges if i == last
+        }
+        assert neighbors == LOWEST_ATTACH[(family, rank)] - {case.psi0 - 1}
 
 
 def test_extended_diagram_a1_rejected():
-    # alpha and -alpha are proportional: multiplicity 4, not a diagram
-    with pytest.raises(ValueError):
-        extended_diagram(SimpleType("A", 1))
+    # the extended diagram of A1 pairs alpha with -alpha: multiplicity 4, not
+    # a diagram
+    alpha = build_root_system(SimpleType("A", 1)).simple_roots[0]
+    with pytest.raises(ValueError, match="multiplicity above 3"):
+        diagram_from_roots(["a1", "-b"], [alpha, tuple(-x for x in alpha)], [0, -1])
 
 
 def test_diagram_from_roots_rejects_bad_pairing():

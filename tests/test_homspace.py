@@ -45,6 +45,7 @@ from isofib.homspace import (
     _orthogonal_log,
     _polish_roots,
     _so_procrustes,
+    _su_curve,
     _su_procrustes,
     _su2_procrustes,
 )
@@ -174,7 +175,7 @@ def test_su_procrustes_three_by_three():
 )
 def test_su_procrustes_stack_matches_single_blocks(shape):
     # every block of a stack gets its own bisection steps and maximizer, bit
-    # for bit; the last shape is the (rows, angles) stack of a circle grid
+    # for bit; the last shape has two batch axes
     rng = np.random.default_rng(32)
     P = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     vals, K = _su_procrustes(P)
@@ -186,6 +187,55 @@ def test_su_procrustes_stack_matches_single_blocks(shape):
     c = shape[-1]
     assert np.allclose(K @ np.swapaxes(K, -1, -2).conj(), np.eye(c), atol=1e-12)
     assert np.allclose(np.linalg.det(K), 1.0, atol=1e-12)
+
+
+def _su_curve_cases():
+    # c = 2..5 at random; a tied smallest sigma (c = 2 and 4); a zero smallest
+    # sigma; tau = pi exactly on ties (det(U V^h) = -1 at theta = 0), where at
+    # c = 2 sigma_1 + sigma_2 e^{i tau} is exactly 0
+    rng = np.random.default_rng(41)
+    cases = [
+        pytest.param(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)), id=f"random-c{c}")
+        for c in (2, 3, 4, 5)
+    ]
+    for name, sig, tau in (
+        ("tie-c2", [1.3, 1.3], 2.0),
+        ("tie-c4", [1.7, 0.6, 0.6, 0.6], 2.5),
+        ("zero-c3", [2.0, 1.1, 0.0], 1.0),
+    ):
+        U, V = haar_unitary(len(sig), rng), haar_unitary(len(sig), rng)
+        U[:, 0] *= np.exp(-1j * tau)  # U, V special unitary: -arg det(U V^h) = tau
+        cases.append(pytest.param(U @ np.diag(sig) @ V.conj().T, id=name))
+    for sig in ([1.0, -1.0], [1.0, 1.0, -1.0]):
+        cases.append(pytest.param(np.diag(sig).astype(complex), id=f"pi-tie-c{len(sig)}"))
+    return cases
+
+
+@pytest.mark.parametrize("P", _su_curve_cases())
+def test_su_curve_is_the_rotated_block_maximum(P):
+    # the maximum over SU(c) of Re tr(k^H e^{-i a theta} P) is the curve of
+    # P's singular values at det(U V^h) e^{-i c a theta}, with exact first and
+    # second derivatives in theta; no operation may warn, even on a tie
+    c, a = len(P), 0.7
+    U, sig, Vh = np.linalg.svd(P)
+    det = np.linalg.det(U @ Vh)
+    thetas = np.linspace(0.0, 2 * np.pi / (c * a), 97)
+
+    def block_max(step):
+        return _su_procrustes(np.exp(-1j * a * (thetas + step))[:, None, None] * P)[0]
+
+    with np.errstate(all="raise"):
+        F, F1, F2 = _su_curve(sig, det * np.exp(-1j * c * a * thetas))
+        np.testing.assert_allclose(F, block_max(0.0), rtol=0, atol=1e-13)
+        assert np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))
+        # central differences, away from tau = +-pi, where F may have a kink
+        smooth = np.abs(np.angle(det * np.exp(-1j * c * a * thetas))) < np.pi - 0.05
+        h = 1e-6
+        slope = (block_max(h) - block_max(-h)) / (2 * h)
+        np.testing.assert_allclose((c * a * F1)[smooth], slope[smooth], rtol=0, atol=1e-8)
+        h = 1e-4
+        curv = (block_max(h) - 2 * F + block_max(-h)) / h**2
+        np.testing.assert_allclose(((c * a) ** 2 * F2)[smooth], curv[smooth], rtol=0, atol=1e-5)
 
 
 def test_so_procrustes_exact():
@@ -256,10 +306,12 @@ def test_fiber_closes_at_pi(su3):
     assert chord_k1(su3, e, far).upper < 1e-10
 
 
-# one case per branch of the maximizer: SO blocks; an SU(2) block; a circle
-# alone; a circle with an SU(2) block; an SU(3) block by its exact maximum; a
-# circle with an SU(3) block, maximized at every grid angle.  The last
-# column is a circle grid size (None: the default CIRCLE_GRID).
+# one case per branch of the maximizer: SO blocks (so6-stiefel); an SU(2)
+# block alone (K1 of su3-hopf); a circle with an SU(2) block (K of su3-hopf);
+# a circle alone (K1 of su3-su1u2--k1-t1); an SU(3) block alone (K1 of
+# su4-su1u3--k1-0a2); a circle with an SU(3) block (its K, and K1 of
+# su5-su2u3--k1-1a2-t1).  The last column is a circle grid size (None: the
+# default CIRCLE_GRID).
 K_STAR_CASES = [
     ("so6-stiefel", "k1", None),
     ("so6-stiefel", "k", None),
@@ -268,6 +320,7 @@ K_STAR_CASES = [
     ("su3-su1u2--k1-t1", "k1", None),
     ("su4-su1u3--k1-0a2", "k1", None),
     ("su4-su1u3--k1-0a2", "k", None),
+    ("su5-su2u3--k1-1a2-t1", "k1", None),
 ]
 
 
@@ -328,14 +381,13 @@ def _brentq_circle_angles(model, P, factors):
 
 
 # a circle alone (K1 of su3-su1u2--k1-t1), a circle with an SU(2) block (K of
-# su3-hopf), and an SU(3) block under a circle on a small grid, where the
-# derivative comes from the block's maximizer and the step is a secant
+# su3-hopf), and a circle with an SU(3) block (K of su4-su1u3--k1-0a2)
 @pytest.mark.parametrize(
     "case_id, group, grid, rows",
     [
         ("su3-su1u2--k1-t1", "k1", None, 60),
         ("su3-hopf", "k", None, 60),
-        ("su4-su1u3--k1-0a2", "k", 32, 8),
+        ("su4-su1u3--k1-0a2", "k", None, 8),
     ],
 )
 def test_polished_circle_angles_match_brentq(case_id, group, grid, rows, monkeypatch):
@@ -368,7 +420,7 @@ def test_polish_keeps_a_point_with_zero_derivative():
         return -((x - 1.0) ** 3), -3 * (x - 1.0) ** 2
 
     lo, hi = np.array([0.99]), np.array([1.02])
-    got = _polish_roots(derivs, np.array([1.0]), lo, hi, derivs(lo, None)[0], derivs(hi, None)[0])
+    got = _polish_roots(derivs, np.array([1.0]), lo, hi)
     assert got[0] == 1.0
 
 
@@ -380,7 +432,7 @@ def test_polish_accepts_a_newton_point_on_a_bracket_end():
         return 1e-20 - (x - 1.0), -np.ones_like(x)
 
     lo, hi = np.array([0.99]), np.array([1.02])
-    got = _polish_roots(derivs, np.array([1.0]), lo, hi, derivs(lo, None)[0], derivs(hi, None)[0])
+    got = _polish_roots(derivs, np.array([1.0]), lo, hi)
     assert got[0] == 1.0
 
 

@@ -68,8 +68,13 @@ CATALOG_SET = (
 # solver iterates is most likely to flip a displacement verdict.  The next
 # three cases cover the block shapes of the model builder that the others
 # leave out: two SU blocks, an SU(3) block, and K1 as the second block.  The
-# last two have K1 with an SU(3) block and no circle: their k2-left profiles
-# separate only because the chord lower bound is that block's exact maximum
+# next two have K1 with an SU(3) block and no circle: their k2-left profiles
+# separate only because the chord lower bound is that block's exact maximum.
+# su5-su2u3--k1-1a2-t1 has K1 = circle x SU(3), whose logs evaluate the
+# SU(3) block's maximum at every circle angle (the slowest request of the
+# set), and su5-su1u4--k1-t1 has K1 = the circle alone; it fails k2-left
+# (displacement-noncentral-certified), because with a circle the chord lower
+# bound relaxes to the torus and U(c), and that failing output must match too
 VERIFY_SET = tuple(
     ("verify", case, "--seed", str(seed), "--format", "json")
     for case, seeds in (
@@ -86,6 +91,8 @@ VERIFY_SET = tuple(
         ("so8-so3so5--k1-1so5", (1,)),
         ("su5-su2u3--k1-0a1-1a2", (1,)),
         ("su6-su3u3--k1-0a2-1a2", (1,)),
+        ("su5-su2u3--k1-1a2-t1", (1,)),
+        ("su5-su1u4--k1-t1", (1,)),
     )
     for seed in seeds
 )
