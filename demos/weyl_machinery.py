@@ -6,7 +6,7 @@ The catalog's integer bookkeeping rests on exact root-system arithmetic:
 roots are integer tuples in doubled ambient coordinates (so the
 half-integer roots of F4 and E8 are integers too), reflections are
 integer matrices on the simple-root basis, and Weyl-group orders come
-either from the Coxeter element's eigenvalues or from brute-force
+either from the highest root's coefficients or from brute-force
 generation.  The two must agree, and orbits of generic vectors must span
 the reflection representation.
 """
@@ -29,18 +29,18 @@ print(f"F4: {len(rs.all_roots)} roots in ambient dimension {rs.ambient_dim}")
 hr = highest_root(rs)
 print(f"highest root coefficients on the simple basis: {hr.coefficients}")
 
-# order of the Weyl group: the degree product reads exponents off the
-# Coxeter element, the generation count multiplies actual matrices
-print("\nfamily  degree-product  generated")
+# order of the Weyl group: the highest-root formula l! n_1...n_l f reads
+# the coefficients above, the generation count multiplies actual matrices
+print("\nfamily  highest-root  generated")
 for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
     system = build_root_system(SimpleType(family, rank))
     a = weyl_order(system)
     b = weyl_order_bfs(system)
     assert a == b
-    print(f"{family}{rank:d}      {a:14d}  {b:9d}")
+    print(f"{family}{rank:d}      {a:12d}  {b:9d}")
 
-# the large exceptional orders come from the degree product alone; the
-# internal integrality assertion guards the eigenvalue rounding
+# the large exceptional orders come from the highest root alone, in
+# integer arithmetic with no rounding step
 for rank in (6, 7, 8):
     system = build_root_system(SimpleType("E", rank))
     print(f"E{rank}: |W| = {weyl_order(system)}")

@@ -25,8 +25,6 @@ from . import dynkin, homspace, liealg
 from .dynkin import CatalogConfig, catalog, golden_diff, golden_projection, load_golden
 from .rootsys import SimpleType, build_root_system, weyl_order, weyl_order_bfs
 
-SCHEMA_VERSION = 1
-
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,  # natural-reductivity and validation residuals
     "coset": homspace.COSET_TOL,  # coset-matching residuals (logs, fixed fibers)
@@ -442,7 +440,7 @@ def cmd_catalog(cfg: RunConfig) -> tuple[int, dict]:
     for r in res.records:
         by_base[r.base_label] = by_base.get(r.base_label, 0) + 1
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": dynkin.SCHEMA_VERSION,
         "command": "catalog",
         "config": cfg.echo(),
         "cases": [_case_dict(c, by_base.get(c.base_label, 0)) for c in res.cases],
@@ -475,7 +473,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     checks = _verify_checks(cfg, model)
     failures = [c for c in checks if not c.passed]
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": dynkin.SCHEMA_VERSION,
         "command": "verify",
         "config": cfg.echo(),
         "case": rec.slug,
@@ -493,7 +491,7 @@ def cmd_selfcheck(cfg: RunConfig) -> tuple[int, dict]:
     checks = _selfcheck_checks(cfg)
     failures = [c for c in checks if not c.passed]
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": dynkin.SCHEMA_VERSION,
         "command": "selfcheck",
         "config": cfg.echo(),
         "checks": [c.to_dict() for c in checks],

@@ -161,7 +161,6 @@ class FibrationRecord:
     quaternion_kaehler: bool
     model_spec: ModelSpec | None
     k1_length_tags: tuple[str, ...]
-    k2_length_tags: tuple[str, ...]
 
     @property
     def model_available(self) -> bool:
@@ -737,7 +736,6 @@ def splittings(case: BdSCase) -> tuple[FibrationRecord, ...]:
                 quaternion_kaehler=case.quaternion_kaehler,
                 model_spec=model_spec,
                 k1_length_tags=tuple(tags[i] for i in k1 if i < ncomps),
-                k2_length_tags=tuple(tags[i] for i in k2 if i < ncomps),
             )
         )
     return tuple(sorted(records, key=lambda r: r.k1_indexes))
@@ -821,7 +819,6 @@ def stiefel_records(s: int, t: int) -> tuple[FibrationRecord, ...]:
                 quaternion_kaehler=False,
                 model_spec=ModelSpec("so", n, blocks, (k1_pos,)),
                 k1_length_tags=("",),
-                k2_length_tags=("",),
             )
         )
     return tuple(recs)
@@ -891,6 +888,35 @@ def _types_in_scope(scope: dict[str, set[int] | None], rank_cap: int) -> list[Si
     return out
 
 
+def _mirror_key(r: FibrationRecord) -> tuple:
+    return (r.base_label, r.k1_label, r.k2_label, r.k1_length_tags)
+
+
+@lru_cache(maxsize=None)
+def _type_records(stype: SimpleType) -> tuple[tuple[BdSCase, tuple[FibrationRecord, ...]], ...]:
+    """Each deletion of one type with its records, mirror deletions dropped.
+
+    Mirror deletions (psi0 = s versus psi0 = n + 1 - s of the unitary
+    family, or the two U(n) vertices of SO(2n)) yield label-identical
+    records; of each (base, K1, K2, K1 length tags) signature only the
+    records of the smallest psi0 are kept.  Same-case repeats (E8/A4A4's
+    two bundles, equal-factor splits) are kept.  A mirror pair shares its
+    type and its class, so dropping here, before `catalog` filters by
+    class, drops what filtering first would.  Cached per type, like
+    `bds_enumerate`.
+    """
+    pairs = [(case, splittings(case)) for case in bds_enumerate(stype)]
+    # the cases come in increasing psi0, so the first psi0 seen is the least
+    min_psi: dict[tuple, int] = {}
+    for _, recs in pairs:
+        for r in recs:
+            min_psi.setdefault(_mirror_key(r), r.psi0)
+    return tuple(
+        (case, tuple(r for r in recs if min_psi[_mirror_key(r)] == r.psi0))
+        for case, recs in pairs
+    )
+
+
 def catalog(cfg: CatalogConfig | None = None) -> CatalogResult:
     """Enumerate fibration records over all simple types within the rank cap,
     plus the rank-deficient family over s + t <= rank cap.  For family
@@ -906,30 +932,13 @@ def catalog(cfg: CatalogConfig | None = None) -> CatalogResult:
         set(cfg.classes) if cfg.classes is not None else set(CLASS_NAMES)
     )
     for stype in _types_in_scope(scope, cfg.rank_cap):
-        for case in bds_enumerate(stype):
+        for case, recs in _type_records(stype):
             if case.base_class not in want_class:
                 continue
             if case.is_simple_k and not cfg.include_simple_k:
                 continue
             cases.append(case)
-            records.extend(splittings(case))
-    # Mirror deletions (psi0 = s versus psi0 = s + t - ... of the unitary
-    # family, or the two U(n) vertices of SO(2n)) yield label-identical
-    # records; keep the smallest psi0 per label signature.  Same-case
-    # repeats (E8/A4A4's two bundles, equal-factor splits) are kept.
-    min_psi: dict[tuple, int] = {}
-    for r in records:
-        if r.psi0 is None:
-            continue
-        key = (r.base_label, r.k1_label, r.k2_label, r.k1_length_tags)
-        if key not in min_psi or r.psi0 < min_psi[key]:
-            min_psi[key] = r.psi0
-    records = [
-        r
-        for r in records
-        if r.psi0 is None
-        or min_psi[(r.base_label, r.k1_label, r.k2_label, r.k1_length_tags)] == r.psi0
-    ]
+            records.extend(recs)
     if "stiefel" in want_class and "D" in scope:
         for tot in range(2, cfg.rank_cap + 1):
             if scope["D"] is not None and tot + 1 not in scope["D"]:

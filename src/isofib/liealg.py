@@ -30,7 +30,6 @@ from .dynkin import FibrationRecord
 
 STRUCTURAL_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-8
-AD_INVARIANCE_TOL = 1e-9
 
 
 def realify(Z: np.ndarray) -> np.ndarray:

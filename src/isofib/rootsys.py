@@ -2,10 +2,11 @@
 
 A root is a tuple of ``int``: its coordinates in an orthonormal ambient
 basis, doubled, so that the half-integer roots of F_4 and E_8 are integers
-too.  Inner products, Cartan integers and highest-root coefficients are
-then integer arithmetic, and every quotient of two of them is taken by
-``divmod`` with a remainder check.  ``Fraction`` enters only where a caller
-may pass a rational vector (in the same doubled coordinates): ``reflect``,
+too.  Inner products, Cartan integers, highest-root coefficients and
+Weyl-group orders are then integer arithmetic, and every quotient of two of
+them is taken by ``divmod`` with a remainder check; the module needs the
+standard library alone.  ``Fraction`` enters only where a caller may pass a
+rational vector (in the same doubled coordinates): ``reflect``,
 ``root_coefficients`` and ``weyl_orbit_spans``.
 
 Simple-root coordinate conventions (indexed 1..rank; stored doubled):
@@ -32,8 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 Vector = tuple[int, ...]
 RationalVector = Sequence[Fraction | int]
 
@@ -46,10 +45,6 @@ _RANK_BOUNDS = {
     "F": (4, 4),
     "G": (2, 2),
 }
-
-# Rounding tolerance for the eigenvalue-argument-to-exponent step of the
-# Coxeter-element order computation.
-COXETER_ROUNDING_TOL = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -267,38 +262,39 @@ def root_coefficients(rs: RootSystem, v: RationalVector) -> tuple[Fraction, ...]
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
 def highest_root(rs: RootSystem) -> HighestRoot:
     """The unique root of maximal height, with integer coefficients over the
-    simple roots.  Requires an irreducible system."""
+    simple roots.  Requires an irreducible system; raises ValueError for a
+    product system.  Cached per (frozen) system, as `weyl_order` is.
+
+    An ascent from the first simple root steps to r + a_i while that is a
+    root for some simple a_i, and its steps count the coefficients.  It
+    stops at the highest root theta, because theta - r has nonnegative
+    coefficients for every root r (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, Sec. 1.8), and a positive root r below a root g always has a
+    step up.  Proof: (d, d) > 0 for d = g - r gives a simple a_i in d with
+    (g, a_i) > (r, a_i).  Either (r, a_i) < 0, and r + a_i is a root; or
+    (g, a_i) > 0, and g - a_i is a root or 0: it is r (then r + a_i = g),
+    or a root above r of smaller height, where the argument repeats.
+    """
     if rs.stype is None:
         raise ValueError("highest root is defined here for irreducible systems only")
-    # The highest root is dominant, and of the (at most two) dominant roots
-    # of an irreducible system it is the long one.  The pairings are small
-    # integers, exact in int64.
-    pairings = np.array(rs.all_roots) @ np.array(rs.simple_roots).T
-    dominant = [r for r, ok in zip(rs.all_roots, (pairings >= 0).all(axis=1)) if ok]
-    top = max(dot(r, r) for r in dominant)
-    best = [r for r in dominant if dot(r, r) == top]
-    if len(best) != 1:
-        raise AssertionError("highest root is not unique; system not irreducible?")
-    vec = best[0]
-    # Descend to 0: a positive root v has (v, a_i) > 0 for some simple a_i,
-    # and v - a_i is then a positive root or 0, so the steps count the
-    # coefficients of vec.
-    coeffs = [0] * rs.rank
     roots = set(rs.all_roots)
-    v = vec
-    while any(v):
-        i = next(i for i, a in enumerate(rs.simple_roots) if dot(v, a) > 0)
-        v = tuple(x - y for x, y in zip(v, rs.simple_roots[i]))
-        if any(v) and v not in roots:
-            raise AssertionError("descent left the root system")
-        coeffs[i] += 1
+    vec = rs.simple_roots[0]
+    coeffs = [1] + [0] * (rs.rank - 1)
+    climbing = True
+    while climbing:
+        for i, a in enumerate(rs.simple_roots):
+            up = tuple(x + y for x, y in zip(vec, a))
+            if up in roots:
+                vec = up
+                coeffs[i] += 1
+                break
+        else:
+            climbing = False
     if not all(coeffs):
         raise AssertionError("highest-root coefficients must be positive integers")
-    for a in rs.simple_roots:
-        if tuple(x + y for x, y in zip(vec, a)) in roots:
-            raise AssertionError("found a root above the candidate highest root")
     return HighestRoot(vector=vec, coefficients=tuple(coeffs))
 
 
@@ -318,42 +314,17 @@ def _reflection_matrices_coeff_basis(rs: RootSystem) -> list[list[list[int]]]:
 
 @lru_cache(maxsize=None)
 def weyl_order(rs: RootSystem) -> int:
-    """Order of the Weyl group via the Coxeter element.
-
-    The product of the simple reflections has eigenvalue arguments
-    2*pi*m_j/h for the exponents m_j (h the Coxeter number, equal to
-    #roots/rank); the order is the product of (m_j + 1).  Raises
-    RuntimeError if an eigenvalue argument fails to round to an integer
-    within COXETER_ROUNDING_TOL.  Cached per (frozen) system, as
-    `build_root_system` is per type.
+    """Order of the Weyl group of an irreducible system, from its highest
+    root: |W| = l! n_1 ... n_l f, where l is the rank, the n_i are the
+    highest-root coefficients and f is the index of connection, which equals
+    the number of vertices of the extended diagram with coefficient 1 (the
+    lowest-root vertex and each simple root with n_i = 1); Bourbaki, Lie
+    Groups and Lie Algebras, Ch. VI, Sec. 2, and Humphreys, Reflection
+    Groups and Coxeter Groups, Sec. 4.9.  Raises ValueError for a product
+    system.  Cached per (frozen) system, as `build_root_system` is per type.
     """
-    n = rs.rank
-    nroots = len(rs.all_roots)
-    h, rem = divmod(nroots, n)
-    if rem != 0:
-        raise RuntimeError(
-            f"root count {nroots} not divisible by rank {n}; "
-            "Coxeter-number method needs equal exponent spacing"
-        )
-    mats = _reflection_matrices_coeff_basis(rs)
-    cox = np.eye(n)
-    for m in mats:
-        cox = cox @ np.array(m, dtype=float)
-    eig = np.linalg.eigvals(cox)
-    order = 1
-    for ev in eig:
-        if abs(abs(ev) - 1.0) > 1e-9:
-            raise RuntimeError(f"Coxeter eigenvalue off the unit circle: {ev!r}")
-        theta = float(np.angle(ev)) % (2.0 * np.pi)
-        m_exact = theta * h / (2.0 * np.pi)
-        m_int = round(m_exact)
-        if abs(m_exact - m_int) > COXETER_ROUNDING_TOL:
-            raise RuntimeError(
-                f"exponent rounding residual {abs(m_exact - m_int):.3e} exceeds "
-                f"{COXETER_ROUNDING_TOL:.1e} (eigenvalue {ev!r})"
-            )
-        order *= m_int + 1
-    return order
+    c = highest_root(rs).coefficients
+    return math.factorial(rs.rank) * math.prod(c) * (1 + c.count(1))
 
 
 def weyl_order_bfs(rs: RootSystem, max_order: int = 2_000_000) -> int:

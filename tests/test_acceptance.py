@@ -93,15 +93,15 @@ def test_weyl_orders_generation_vs_degree_product():
     for family, rank in SMALL_TYPES:
         rs = build_root_system(SimpleType(family, rank))
         assert weyl_order_bfs(rs) == weyl_order(rs), (family, rank)
-    # the degree-product path asserts exponent integrality internally and
-    # must land on the known orders for the large exceptional types
+    # the highest-root product is integer arithmetic throughout and must
+    # land on the known orders for the large exceptional types
     for rank, want in E_ORDERS.items():
         assert weyl_order(build_root_system(SimpleType("E", rank))) == want
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _line(
         "weyl-orders",
-        f"{len(SMALL_TYPES)} generated orders + E6..E8 degree products",
+        f"{len(SMALL_TYPES)} generated orders + E6..E8 highest-root products",
         t0,
     )
 

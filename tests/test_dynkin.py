@@ -6,10 +6,15 @@ diagrams (attachment point of the lowest root per family, highest-root
 coefficients) and frozen before the enumeration code was finished.
 """
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isofib
 from isofib.dynkin import (
+    CLASS_NAMES,
     CatalogConfig,
     GOLDEN_FILES,
     _types_in_scope,
@@ -447,6 +452,36 @@ def test_catalog_mirror_dedup():
     resd = catalog(CatalogConfig(families=("D",), classes=("hermitian",)))
     u5 = [r for r in resd.records if r.base_label == "SO(10)/U(5)"]
     assert len(u5) == 2
+    # in the full catalog no signature survives from two deletions
+    full = catalog(CatalogConfig(include_simple_k=True))
+    psi_by_key: dict[tuple, set] = {}
+    for r in full.records:
+        if r.psi0 is not None:
+            key = (r.base_label, r.k1_label, r.k2_label, r.k1_length_tags)
+            psi_by_key.setdefault(key, set()).add(r.psi0)
+    assert all(len(psis) == 1 for psis in psi_by_key.values())
+    # the deletions are dropped per type before the class filter: each class
+    # alone is exactly the full catalog's records of that class, in order
+    for cls in CLASS_NAMES:
+        alone = catalog(CatalogConfig(classes=(cls,), include_simple_k=True))
+        assert alone.records == tuple(r for r in full.records if r.base_class == cls)
+
+
+def test_exact_half_needs_only_the_standard_library():
+    # a fresh interpreter: enumeration and golden diff load no numpy
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(isofib.__file__).parents[1])!r})\n"
+        "from isofib import dynkin\n"
+        "res = dynkin.catalog(dynkin.CatalogConfig(include_simple_k=True))\n"
+        "goldens = {name: dynkin.load_golden(name) for name in dynkin.GOLDEN_FILES}\n"
+        "diff = dynkin.golden_diff(dynkin.golden_projection(res), goldens)\n"
+        "print(len(diff), 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["0", "False"]
 
 
 def test_catalog_chi_always_positive_integer():

@@ -6,6 +6,7 @@ B_n/C_n: 2n^2, D_n: 2n(n-1), G2: 12, F4: 48, E6: 72, E7: 126, E8: 240),
 and Weyl orders against the literal BFS matrix-group generation, before
 being frozen here.
 """
+import math
 from fractions import Fraction
 
 import pytest
@@ -236,9 +237,34 @@ def test_weyl_order_cached_per_system():
 
 
 def test_weyl_order_e_series_integrality():
-    # the degree-product path asserts integrality internally; E6..E8 pass
+    # the highest-root product is integer arithmetic throughout; E6..E8 land
+    # on the known orders
     for rank, want in [(6, 51840), (7, 2903040), (8, 696729600)]:
         assert weyl_order(build_root_system(SimpleType("E", rank))) == want
+
+
+def _closed_form_weyl_order(family, n):
+    if family == "A":
+        return math.factorial(n + 1)
+    if family in ("B", "C"):
+        return 2**n * math.factorial(n)
+    if family == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return WEYL_ORDERS[(family, n)]  # the E, F and G table
+
+
+def test_weyl_order_matches_family_closed_forms():
+    # every type in bounds, not only the tabulated low ranks
+    for family, (lo, hi) in _RANK_BOUNDS.items():
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(SimpleType(family, rank))
+            assert weyl_order(rs) == _closed_form_weyl_order(family, rank), (family, rank)
+
+
+def test_weyl_order_rejects_product_system():
+    a1 = build_root_system(SimpleType("A", 1))
+    with pytest.raises(ValueError):
+        weyl_order(product_system(a1, a1))
 
 
 # span grid: coefficient-basis entries p/q with p in {-1,0,1}, q in {1,2,3,4}
