@@ -36,9 +36,10 @@ print(f"log converged: {log.converged}, endpoint residual {log.residual:.3e}")
 print(f"recovered |xi - log|: {np.linalg.norm(xi - log.xi):.3e}")
 
 # the chord machinery brackets the coset distance from both sides even
-# when no geodesic solve is attempted
-chord = chord_to_coset(model, endpoint.rep, origin.rep, model.k1_factors)
-print(f"chord bounds on the endpoint: [{chord.lower:.6f}, {chord.upper:.6f}]")
+# when no geodesic solve is attempted; it takes a stack of points, one
+# certified (lower, upper) pair per row
+chord = chord_to_coset(model, endpoint.rep[None], origin.rep, model.k1_factors)
+print(f"chord bounds on the endpoint: [{chord.lower[0]:.6f}, {chord.upper[0]:.6f}]")
 
 # an orientation-reversing orthogonal map always preserves a plane of the
 # complementary dimension; the certificate returns an orthonormal basis

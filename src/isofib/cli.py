@@ -161,11 +161,11 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     # geodesics along k2 directions stay in the base coset (the fiber)
     eta = model.k2.from_coords(rng.normal(size=model.dim_k2))
     eta = eta / max(model.m1_norm(eta), 1e-12)
-    worst = 0.0
     x0 = homspace.haar_point(model, rng)
-    for t in (0.2, 0.9, 2.3):
-        y = homspace.geodesic(x0, eta, t)
-        worst = max(worst, homspace.chord_k(model, x0, y).upper)
+    ys = np.array([homspace.geodesic(x0, eta, t).rep for t in (0.2, 0.9, 2.3)])
+    U = np.broadcast_to(x0.rep, ys.shape)
+    chords = homspace.chord_to_coset(model, U, ys, model.k1_factors + model.k2_factors)
+    worst = float(chords.upper.max())
     add(
         "fiber-geodesic-vertical",
         "isotropy-direction-geodesics-stay-in-fiber",
@@ -175,7 +175,8 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
 
     # the pairs of every Riemannian log of the job are drawn first and
     # solved in one lockstep call: the log round trips, the bound-ordering
-    # pairs and the sampled points of the four displacement profiles
+    # pairs and the sampled points of the four displacement profiles; the
+    # lower bounds of the last two come from one batched call
     roundtrip = []
     for _ in range(3):
         x = homspace.haar_point(model, rng)
@@ -199,17 +200,18 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     pairs = roundtrip + ordered + [pq for s in samples for pq in zip(s.points, s.images)]
     seeds = [cfg.seed] * (len(roundtrip) + len(ordered))
     seeds += [seed for s in samples for seed in s.log_seeds]
-    logs = iter(
-        homspace.riemannian_logs(
-            [x for x, _ in pairs], [y for _, y in pairs], seeds, cfg.restarts, tol["coset"]
-        )
-    )
+    xs, ys = zip(*pairs)
+    logs = iter(homspace.riemannian_logs(xs, ys, seeds, cfg.restarts, tol["coset"]))
+    first = len(roundtrip)  # every pair after the round trips gets a lower bound
+    lowers = iter(homspace.distance_lower_bound(xs[first:], ys[first:]).tolist())
     roundtrip_logs = [next(logs) for _ in roundtrip]
     ordered_logs = [next(logs) for _ in ordered]
+    ordered_lowers = [next(lowers) for _ in ordered]
     reports = [
         homspace.profile_report(
             s,
             homspace.share_logs(s, [next(logs) for _ in s.points], tol["coset"]),
+            [next(lowers) for _ in s.points],
             cfg.restarts,
             tol["constant"],
             tol["gap"],
@@ -228,9 +230,9 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
 
     # lower bounds never exceed upper bounds
     bad = 0.0
-    for (x, y), log in zip(ordered, ordered_logs):
+    for lower, log in zip(ordered_lowers, ordered_logs):
         if log.converged:
-            bad = max(bad, homspace.distance_lower_bound(x, y) - log.upper)
+            bad = max(bad, lower - log.upper)
     add(
         "bounds-ordered",
         "chord-lower-bounds-below-log-upper-bounds",
@@ -689,6 +691,11 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"--restarts must be at least 0, got {cfg.restarts}")
     if cfg.rank_cap < 1:
         raise ConfigError(f"--rank-cap must be at least 1, got {cfg.rank_cap}")
+    if cfg.command == "catalog":
+        try:
+            CatalogConfig(rank_cap=cfg.rank_cap)  # the catalog's own bounds
+        except ValueError as exc:
+            raise ConfigError(f"--rank-cap: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

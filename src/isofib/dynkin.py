@@ -834,6 +834,9 @@ class CatalogConfig:
     include_simple_k: bool = False
 
     def __post_init__(self) -> None:
+        top = max(hi for _, hi in _RANK_BOUNDS.values())
+        if not 1 <= self.rank_cap <= top:
+            raise ValueError(f"rank cap must be between 1 and {top}, got {self.rank_cap}")
         for f in self.families or ():
             _parse_family(f)
         if self.classes is not None:

@@ -2,13 +2,13 @@
 
 Points are group representatives of cosets; all coset comparisons go
 through chord values: chord(x, y) = min over k in K1 of the ambient
-Frobenius norm ||x k - y||.  Every chord evaluation returns a certified
-pair (lower, upper): the upper value comes from an explicit feasible k,
-the lower value from the exact maximum or, with a circle, a group
-relaxation (full torus / full unitary group), so distance certificates
-built on the lower value do not rest on the circle's grid polish.  The
-factors of K1 and K2 are SO blocks, SU blocks of two or more columns, and
-a circle.  Every block has an exact maximizer, so without a circle both
+Frobenius norm ||x k - y||.  `chord_to_coset` returns a certified pair
+(lower, upper) per row of a stack: the upper value comes from an explicit
+feasible k, the lower value from the exact maximum or, with a circle, a
+group relaxation (full torus / full unitary group), so distance
+certificates built on the lower value do not rest on the circle's grid
+polish.  The factors of K1 and K2 are SO blocks, SU blocks of two or more
+columns, and a circle.  Every block has an exact maximizer, so without a circle both
 sides agree to roundoff; with a circle they agree to grid-polish accuracy.
 
 Displacement verdicts compare per-point upper bounds (from a multistart
@@ -16,9 +16,9 @@ Riemannian log) against per-point lower bounds (`distance_lower_bound`:
 the arc length sqrt(lambda_min N) 2 asin(c / (2 sqrt N)) that a certified
 chord lower value c forces on an N x N model, where lambda_min is the
 smallest eigenvalue of the normal metric against the ambient Frobenius
-form).  A profile is reported constant-within-tol,
-certified-nonconstant (some point's upper bound lies below another
-point's lower bound), or inconclusive.
+form), batched over point pairs as the logs are.  A profile is reported
+constant-within-tol, certified-nonconstant (some point's upper bound lies
+below another point's lower bound), or inconclusive.
 
 The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
 solves whose cost is the finite-difference Jacobian: d residuals per
@@ -40,11 +40,12 @@ point pairs in one `_lm` call, starting each pair from the m1 part of one
 batched real log (`_orthogonal_log`) and seeded perturbations of it: a
 verify job passes it every log it needs (round trips, bound-ordering
 pairs and the sampled points of its four displacement profiles), and
-`riemannian_log` and `displacement_profile` (`sample_profile`, then
-`share_logs` and `profile_report`) are compositions of it.  `share_logs`
-offers a profile's shortest converged log to each of its points, which
-adopt it where it also reaches the image coset and is shorter than their
-own.  Every per-problem operation, the matrix exponential included, acts
+`distance_lower_bound` the last two.  `riemannian_log` and
+`displacement_profile` (`sample_profile`, then `share_logs`,
+`distance_lower_bound` and `profile_report`) are compositions.
+`share_logs` offers a profile's shortest converged log to each of its
+points, which adopt it where it also reaches the image coset and is
+shorter than their own.  Every per-problem operation, the matrix exponential included, acts
 on that problem's rows alone, so a pair's result does not depend on the
 problems it is solved with.  The module needs numpy alone: the reversal
 certificates take their invariant planes from `np.linalg.eig`.
@@ -179,9 +180,8 @@ def sample_subgroup_element(
 
 @dataclass(frozen=True)
 class ChordResult:
-    lower: float
-    upper: float
-    k_star: np.ndarray  # feasible embedded K-element achieving the upper value
+    lower: np.ndarray  # one certified chord pair per row
+    upper: np.ndarray
 
 
 def _complex_pairing(M: np.ndarray) -> np.ndarray:
@@ -413,9 +413,9 @@ def _k_star_batch(
     factors: tuple[BlockFactor, ...],
 ) -> np.ndarray:
     """The feasible maximizer k* of tr(k^T U^T V) over the factor subgroup
-    (the `k_star` of `chord_to_coset`) for every U of a (B, n, n) stack; V
-    is one matrix or a matching stack.  SO blocks take a batched
-    Procrustes and SU blocks the batched exact maximizer of
+    (the one behind `chord_to_coset`'s upper value) for every U of a
+    (B, n, n) stack; V is one matrix or a matching stack.  SO blocks take
+    a batched Procrustes and SU blocks the batched exact maximizer of
     `_su_procrustes`; a circle takes the angle of `_circle_angles`, and
     the SU blocks are maximized at it."""
     M = np.swapaxes(U_stack, -1, -2) @ V  # maximize tr(k^T M) per row
@@ -446,57 +446,38 @@ def _k_star_batch(
     return realify(Kc)
 
 
-def _max_trace_bound(
-    model: GroupModel,
-    M: np.ndarray,
-    factors: tuple[BlockFactor, ...],
-    k_star: np.ndarray,
-) -> float:
-    """An upper bound on the max of tr(k^T M) over the factor subgroup.
-    Without a circle every block maximizer is exact, so it is the value at
-    k*; with one, the relaxation to the full torus on the single columns
-    and to the full unitary group on each SU block."""
-    if not any(f.kind == "circle" for f in factors):
-        return float(np.sum(k_star * M))
-    singles, blocks = _split_columns(model, factors)
-    P = _complex_pairing(M)
-    relax = float(np.sum(np.abs(P[singles, singles])))
-    for cols in blocks:
-        relax += float(np.sum(np.linalg.svd(P[np.ix_(cols, cols)], compute_uv=False)))
-    return relax
-
-
 def chord_to_coset(
     model: GroupModel,
     U: np.ndarray,
     V: np.ndarray,
     factors: tuple[BlockFactor, ...],
 ) -> ChordResult:
-    """Certified chord pair for min over k in the factor subgroup of
-    ||U k - V||_F (the subgroup acts on the right of U).
+    """Certified chord pairs for min over k in the factor subgroup of
+    ||U k - V||_F (the subgroup acts on the right of U), one per U of a
+    (B, n, n) stack; V is one matrix or a matching stack.
 
-    The upper value is always the directly evaluated norm ||U k* - V|| at
-    the assembled feasible maximizer, which stays accurate near zero where
-    the trace form 2N - 2 tr would cancel catastrophically.  The lower
-    value comes from `_max_trace_bound` with a small slack subtracted, so
-    roundoff cannot push it above the true chord.
-    """
-    k_star = _k_star_batch(model, U[None], V, factors)[0]
-    upper = float(np.linalg.norm(U @ k_star - V))
-    bound = _max_trace_bound(model, U.T @ V, factors, k_star)
-    lower = math.sqrt(max(2 * model.n - 2 * bound - TRACE_SLACK, 0.0))
-    return ChordResult(lower=min(lower, upper), upper=upper, k_star=k_star)
-
-
-def chord_k1(model: GroupModel, x: CosetPoint, y: CosetPoint) -> ChordResult:
-    return chord_to_coset(model, x.rep, y.rep, model.k1_factors)
-
-
-def chord_k(model: GroupModel, x: CosetPoint, y: CosetPoint) -> ChordResult:
-    """Chord against the full isotropy K = K1 K2 (base-space cosets)."""
-    return chord_to_coset(
-        model, x.rep, y.rep, model.k1_factors + model.k2_factors
-    )
+    The upper value is the directly evaluated norm ||U k* - V|| at the
+    feasible maximizer of `_k_star_batch`, which stays accurate near zero
+    where the trace form 2N - 2 tr would cancel catastrophically.  The lower
+    value is sqrt(2N - 2 b) for an upper bound b on the max of tr(k^T U^T V)
+    over the subgroup, less a small slack so that roundoff cannot push it
+    above the true chord.  Without a circle every block maximizer is exact,
+    so b is the trace at k*; with one, b relaxes the single columns to the
+    full torus and each SU block to the full unitary group."""
+    K = _k_star_batch(model, U, V, factors)
+    upper = np.linalg.norm((U @ K - V).reshape(len(K), -1), axis=1)
+    M = np.swapaxes(U, -1, -2) @ V
+    if any(f.kind == "circle" for f in factors):
+        singles, blocks = _split_columns(model, factors)
+        P = _complex_pairing(M)
+        bound = np.sum(np.abs(P[:, singles, singles]), axis=1)
+        for cols in blocks:
+            block = P[np.ix_(np.arange(len(P)), cols, cols)]
+            bound += np.sum(np.linalg.svd(block, compute_uv=False), axis=1)
+    else:
+        bound = np.sum(K * M, axis=(1, 2))
+    lower = np.sqrt(np.maximum(2 * model.n - 2 * bound - TRACE_SLACK, 0.0))
+    return ChordResult(lower=np.minimum(lower, upper), upper=upper)
 
 
 # --- Killing fields and geodesics ---------------------------------------------
@@ -732,10 +713,12 @@ def riemannian_log(
     return riemannian_logs([x], [y], [seed], restarts, tol)[0]
 
 
-def distance_lower_bound(x: CosetPoint, y: CosetPoint) -> float:
-    """sqrt(lambda_min N) 2 asin(c / (2 sqrt N)), with c the certified chord
-    lower value and N = model.n: a true lower bound for the Riemannian
-    distance between the cosets, never below sqrt(lambda_min) c.
+def distance_lower_bound(xs: list[CosetPoint], ys: list[CosetPoint]) -> np.ndarray:
+    """sqrt(lambda_min N) 2 asin(c / (2 sqrt N)) for every pair (xs[i],
+    ys[i]) of points of one model, with c the pair's certified chord lower
+    value (all pairs in one `chord_to_coset` call) and N = model.n: a true
+    lower bound for the Riemannian distance between the cosets, never below
+    sqrt(lambda_min) c.
 
     A minimizing geodesic lifts to x exp(xi) = y k with xi in m1, so the
     distance is at least sqrt(lambda_min) ||xi||_F, and ||xi||_F^2 is at
@@ -743,10 +726,11 @@ def distance_lower_bound(x: CosetPoint, y: CosetPoint) -> float:
     chord satisfies c^2 <= ||exp(xi) - 1||_F^2 = sum 4 sin^2(theta_j / 2),
     and theta^2 is convex and increasing in s = 4 sin^2(theta / 2), so
     Jensen's inequality gives sum theta_j^2 >= N (2 asin(c / (2 sqrt N)))^2."""
-    model = x.model
+    model = xs[0].model
     root_n = math.sqrt(model.n)
-    chord = chord_k1(model, x, y).lower
-    arc = 2 * math.asin(min(1.0, chord / (2 * root_n)))
+    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
+    chord = chord_to_coset(model, U, V, model.k1_factors).lower
+    arc = 2 * np.arcsin(np.minimum(1.0, chord / (2 * root_n)))
     return math.sqrt(model.frobenius_lambda_min) * root_n * arc
 
 
@@ -816,13 +800,13 @@ def share_logs(
     sample: ProfileSample, logs: list[LogResult], tol: float = COSET_TOL
 ) -> list[LogResult]:
     """The logs of a sampled profile after sharing its shortest converged
-    log xi: every point p where xi also joins p to gamma(p) (coset residual
-    below tol, all points in one `_k_star_batch` call) and is shorter than
-    p's own log adopts it.  Upper bounds only fall, each adopted one is an
-    explicit converged geodesic, and the lower bounds do not change.  For
-    a central gamma the problem is the same at every point up to a left
-    translation, so restart luck cannot spread the uppers; for a
-    non-central one the residual test fails away from xi's own point."""
+    log xi: every point p where xi also joins p to gamma(p) (chord upper
+    value below tol, all points in one `chord_to_coset` call) and is
+    shorter than p's own log adopts it.  Upper bounds only fall, each
+    adopted one is an explicit converged geodesic, and the lower bounds do
+    not change.  For a central gamma the problem is the same at every point
+    up to a left translation, so restart luck cannot spread the uppers; for
+    a non-central one the residual test fails away from xi's own point."""
     converged = [log for log in logs if log.converged]
     if not converged:
         return logs
@@ -830,8 +814,7 @@ def share_logs(
     model = sample.gamma.model
     U = np.array([p.rep for p in sample.points]) @ matrix_exp(best.xi)
     V = np.array([q.rep for q in sample.images])
-    K = _k_star_batch(model, U, V, model.k1_factors)
-    R = np.linalg.norm((U @ K - V).reshape(len(U), -1), axis=1)
+    R = chord_to_coset(model, U, V, model.k1_factors).upper
     return [
         LogResult(best.xi, best.upper, float(r), True)
         if r < tol and best.upper < log.upper
@@ -843,14 +826,14 @@ def share_logs(
 def profile_report(
     sample: ProfileSample,
     logs: list[LogResult],
+    lowers: list[float],
     restarts: int,
     tol_constant: float = CONSTANT_SPREAD_TOL,
     tol_gap: float = GAP_TOL,
 ) -> DisplacementReport:
     """The three-way verdict of a sampled profile, from the logs of its
-    (point, image) pairs (upper bounds) and `distance_lower_bound` (lower
-    bounds)."""
-    lowers = [distance_lower_bound(p, q) for p, q in zip(sample.points, sample.images)]
+    (point, image) pairs (upper bounds) and their `distance_lower_bound`
+    values (lower bounds); it computes no bound of its own."""
     uppers = [log.upper for log in logs]
     min_u, max_u = min(uppers), max(uppers)
     mean_u = sum(u for u in uppers if math.isfinite(u)) / max(
@@ -893,10 +876,13 @@ def displacement_profile(
 ) -> DisplacementReport:
     """Per-point displacement bounds of the isometry over a seeded sample
     (the identity coset plus Haar points), with the three-way verdict: the
-    logs of `riemannian_logs` after `share_logs`, then `profile_report`."""
+    logs of `riemannian_logs` after `share_logs` and the lower bounds of
+    `distance_lower_bound`, then `profile_report`."""
     sample = sample_profile(gamma, n_samples, seed)
-    logs = riemannian_logs(list(sample.points), list(sample.images), sample.log_seeds, restarts)
-    return profile_report(sample, share_logs(sample, logs), restarts, tol_constant, tol_gap)
+    logs = riemannian_logs(sample.points, sample.images, sample.log_seeds, restarts)
+    logs = share_logs(sample, logs)
+    lowers = distance_lower_bound(sample.points, sample.images).tolist()
+    return profile_report(sample, logs, lowers, restarts, tol_constant, tol_gap)
 
 
 # --- fixed fibers ---------------------------------------------------------------

@@ -364,6 +364,22 @@ def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
     assert calls["lm"] == 1
 
 
+def test_verify_job_makes_one_lower_bound_call(monkeypatch):
+    # the lower bounds of the bound-ordering pairs and of every profile
+    # point come from one batched call, as the logs do
+    calls = []
+    real = homspace.distance_lower_bound
+
+    def counting(xs, ys):
+        calls.append(len(xs))
+        return real(xs, ys)
+
+    monkeypatch.setattr(homspace, "distance_lower_bound", counting)
+    code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
+    assert code == 0
+    assert calls == [4 + 4 * 10]
+
+
 def test_verify_job_makes_no_logm_call(monkeypatch):
     # the smart starts of a job's logs come from one batched real log
     import scipy.linalg
@@ -538,6 +554,8 @@ def test_failure_lines_name_claims():
         (["verify", "su3-hopf", "--out", "."], "is a directory"),
         (["catalog", "--out", "x" * 300], "File name too long"),
         (["verify", "su3-hopf", "--seed", "-1"], "--seed must be at least 0"),
+        (["catalog", "--rank-cap", "25"], "--rank-cap"),
+        (["catalog", "--rank-cap", "1000000000"], "--rank-cap"),
     ],
 )
 def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):

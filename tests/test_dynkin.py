@@ -413,8 +413,8 @@ def test_catalog_family_filter():
 def test_catalog_rank_cap():
     res = catalog(CatalogConfig(families=("A",), rank_cap=2))
     assert {r.base_label for r in res.records} == {"SU(3)/S(U(1)U(2))"}
-    empty = catalog(CatalogConfig(families=("A",), rank_cap=0))
-    assert empty.records == ()
+    with pytest.raises(ValueError, match="rank cap"):
+        CatalogConfig(families=("A",), rank_cap=0)
 
 
 def test_rank_cap_beyond_bounds_caps_every_family():
@@ -426,6 +426,15 @@ def test_rank_cap_beyond_bounds_caps_every_family():
         top[t.family] = max(top.get(t.family, 0), t.rank)
     assert top == {"A": 24, "B": 24, "C": 24, "D": 24, "E": 8, "F": 4, "G": 2}
     assert _types_in_scope({"A": None}, 25)[-1] == SimpleType("A", 24)
+
+
+@pytest.mark.parametrize("cap", [-3, 25, 10**9])
+def test_catalog_config_rejects_rank_cap_out_of_range(cap):
+    # the largest rank any family supports, 24, bounds the cap: a larger
+    # one would only enumerate more Stiefel records (about cap^2 / 2)
+    with pytest.raises(ValueError, match="between 1 and 24"):
+        CatalogConfig(rank_cap=cap)
+    assert CatalogConfig(rank_cap=24).rank_cap == 24
 
 
 def test_catalog_class_filter():

@@ -23,8 +23,6 @@ from isofib.homspace import (
     Isometry,
     KillingField,
     base_point,
-    chord_k,
-    chord_k1,
     chord_to_coset,
     displacement_profile,
     distance_lower_bound,
@@ -55,6 +53,19 @@ from isofib.liealg import build_model, find_record, matrix_exp, realify
 @functools.lru_cache(maxsize=None)
 def model_for(case_id):
     return build_model(find_record(case_id))
+
+
+def chord(model, x, y, factors=None):
+    """(lower, upper) of the certified chord of the one pair (x, y), a
+    stack of one row; the factors default to K1."""
+    factors = model.k1_factors if factors is None else factors
+    ch = chord_to_coset(model, x.rep[None], y.rep, factors)
+    return float(ch.lower[0]), float(ch.upper[0])
+
+
+def lower_bound(x, y):
+    """`distance_lower_bound` of the one pair (x, y)."""
+    return float(distance_lower_bound([x], [y])[0])
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +112,7 @@ def test_subgroup_samples_stay_in_subgroup(su3, so6):
     rng = np.random.default_rng(2)
     k = sample_subgroup_element(su3, su3.k1_factors, rng)
     # fixes the first complex column up to phase: block structure
-    assert chord_to_coset(su3, np.eye(6), k, su3.k1_factors).upper < 1e-9
+    assert chord_to_coset(su3, np.eye(6)[None], k, su3.k1_factors).upper[0] < 1e-9
     k = sample_subgroup_element(so6, so6.k2_factors, rng)
     assert np.allclose(k[:3, :3], np.eye(3), atol=1e-12)
 
@@ -258,16 +269,14 @@ def test_chord_zero_on_same_coset(su3, so6):
         x = haar_point(model, rng)
         k = sample_subgroup_element(model, model.k1_factors, rng)
         y = CosetPoint(model, x.rep @ k)
-        assert chord_k1(model, x, y).upper < 1e-12
+        assert chord(model, x, y)[1] < 1e-12
 
 
 def test_chord_symmetric(su3, so6):
     rng = np.random.default_rng(7)
     for model in (su3, so6):
         x, y = haar_point(model, rng), haar_point(model, rng)
-        a = chord_k1(model, x, y)
-        b = chord_k1(model, y, x)
-        assert a.upper == pytest.approx(b.upper, abs=1e-9)
+        assert chord(model, x, y)[1] == pytest.approx(chord(model, y, x)[1], abs=1e-9)
 
 
 def test_chord_lower_at_most_upper(su3, so6):
@@ -275,10 +284,10 @@ def test_chord_lower_at_most_upper(su3, so6):
     for model in (su3, so6):
         for _ in range(10):
             x, y = haar_point(model, rng), haar_point(model, rng)
-            ch = chord_k1(model, x, y)
-            assert ch.lower <= ch.upper + 1e-12
+            lower, upper = chord(model, x, y)
+            assert lower <= upper + 1e-12
             # the shipped models have exact block maximizers
-            assert ch.upper - ch.lower < 1e-6
+            assert upper - lower < 1e-6
 
 
 @pytest.mark.parametrize("case_id", ["su4-su1u3--k1-0a2", "su5-su2u3--k1-0a1-1a2"])
@@ -289,21 +298,22 @@ def test_chord_bounds_meet_on_su_blocks(case_id):
     rng = np.random.default_rng(40)
     for _ in range(5):
         x, y = haar_point(model, rng), haar_point(model, rng)
-        ch = chord_k1(model, x, y)
-        assert 0.0 <= ch.upper - ch.lower < 1e-9
+        lower, upper = chord(model, x, y)
+        assert 0.0 <= upper - lower < 1e-9
 
 
 def test_chord_k_includes_more_group(su3):
     # minimizing over the bigger subgroup K can only shrink the chord
     rng = np.random.default_rng(9)
     x, y = haar_point(su3, rng), haar_point(su3, rng)
-    assert chord_k(su3, x, y).upper <= chord_k1(su3, x, y).upper + 1e-9
+    k_factors = su3.k1_factors + su3.k2_factors
+    assert chord(su3, x, y, k_factors)[1] <= chord(su3, x, y)[1] + 1e-9
 
 
 def test_fiber_closes_at_pi(su3):
     e = base_point(su3)
     far = CosetPoint(su3, matrix_exp(np.pi * su3.circle_mat))
-    assert chord_k1(su3, e, far).upper < 1e-10
+    assert chord(su3, e, far)[1] < 1e-10
 
 
 # one case per branch of the maximizer: SO blocks (so6-stiefel); an SU(2)
@@ -336,12 +346,41 @@ def test_k_star_batch_matches_per_row_chords(case_id, group, grid, monkeypatch):
     K = _k_star_batch(model, U, V, factors)
     # a stack of targets, as the fixed-fiber residual passes, gives the same
     assert np.array_equal(K, _k_star_batch(model, U, np.array([V] * 3), factors))
-    for u, k in zip(U, K):
-        ch = chord_to_coset(model, u, V, factors)
-        np.testing.assert_allclose(k, ch.k_star, rtol=0, atol=1e-14)
+    uppers = chord_to_coset(model, U, V, factors).upper
+    for u, k, upper in zip(U, K, uppers):
+        alone = _k_star_batch(model, u[None], V, factors)[0]
+        np.testing.assert_allclose(k, alone, rtol=0, atol=1e-14)
         for _ in range(20):
             s = sample_subgroup_element(model, factors, rng)
-            assert ch.upper <= np.linalg.norm(u @ s - V) + 1e-9
+            assert upper <= np.linalg.norm(u @ s - V) + 1e-9
+
+
+# a circle alone, an SU(2) block, SO blocks, and K = K1 K2 with a circle
+STACK_CASES = [
+    ("su3-su1u2--k1-t1", "k1"),
+    ("su3-hopf", "k1"),
+    ("so8-so3so5--k1-0so3", "k1"),
+    ("su3-hopf", "k"),
+]
+
+
+@pytest.mark.parametrize("case_id, group", STACK_CASES)
+def test_stacked_chords_equal_one_row_calls(case_id, group):
+    # a row's bounds do not depend on the rows it is computed with
+    model = model_for(case_id)
+    factors = model.k1_factors + (model.k2_factors if group == "k" else ())
+    rng = np.random.default_rng(31)
+    xs = [haar_point(model, rng) for _ in range(6)]
+    ys = [haar_point(model, rng) for _ in range(6)]
+    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
+    ch = chord_to_coset(model, U, V, factors)
+    assert ch.lower.shape == ch.upper.shape == (6,)
+    assert np.all(ch.lower <= ch.upper)
+    lowers = distance_lower_bound(xs, ys)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        assert chord(model, x, y, factors) == (ch.lower[i], ch.upper[i])
+        if group == "k1":
+            assert lower_bound(x, y) == lowers[i]
 
 
 def _brentq_circle_angles(model, P, factors):
@@ -468,10 +507,10 @@ def test_lower_bound_metric_is_per_model_not_per_name(su3):
     # 12, so the chord (which does not see m1) gives twice the lower bound
     rng = np.random.default_rng(30)
     x, y = haar_point(su3, rng), haar_point(su3, rng)
-    lower = distance_lower_bound(x, y)
+    lower = lower_bound(x, y)
     half = dataclasses.replace(su3, m1_basis=su3.m1_basis / 2)
     assert half.name == su3.name
-    lower_half = distance_lower_bound(CosetPoint(half, x.rep), CosetPoint(half, y.rep))
+    lower_half = lower_bound(CosetPoint(half, x.rep), CosetPoint(half, y.rep))
     assert lower_half == pytest.approx(2 * lower, rel=1e-12)
     assert half.frobenius_lambda_min == pytest.approx(12.0, abs=1e-9)
 
@@ -489,7 +528,7 @@ def test_lower_bound_at_most_geodesic_length(case_id):
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(c)
         xi *= length / model.m1_norm(xi)
-        lower = distance_lower_bound(x, geodesic(x, xi, 1.0))
+        lower = lower_bound(x, geodesic(x, xi, 1.0))
         assert 0.0 < lower <= model.m1_norm(xi) + 1e-12
 
 
@@ -498,7 +537,7 @@ def test_lower_bound_on_the_fiber_circle(su3):
     e = base_point(su3)
     for t in (0.05, 0.3, 1.0):
         y = CosetPoint(su3, matrix_exp((t / 6.0) * su3.circle_mat))
-        assert 0.0 < distance_lower_bound(e, y) <= t + 1e-12
+        assert 0.0 < lower_bound(e, y) <= t + 1e-12
 
 
 @pytest.mark.parametrize("case_id", ["su3-hopf", "so6-stiefel", "so8-so3so5--k1-0so3"])
@@ -508,9 +547,9 @@ def test_arc_lower_bound_never_below_chord_bound(case_id):
     scale = math.sqrt(model.frobenius_lambda_min)
     for _ in range(10):
         x, y = haar_point(model, rng), haar_point(model, rng)
-        assert distance_lower_bound(x, y) >= scale * chord_k1(model, x, y).lower
+        assert lower_bound(x, y) >= scale * chord(model, x, y)[0]
     x = haar_point(model, rng)
-    assert distance_lower_bound(x, x) == pytest.approx(0.0, abs=1e-6)
+    assert lower_bound(x, x) == pytest.approx(0.0, abs=1e-6)
 
 
 # --- Killing-field lengths ------------------------------------------------------------
@@ -776,7 +815,7 @@ def test_shared_logs_only_lower_uppers_by_converged_geodesics(case_id):
                 # an adopted log is a converged geodesic from p to q's coset
                 assert log.converged and log.residual < homspace.COSET_TOL
                 assert log.upper == pytest.approx(model.m1_norm(log.xi), rel=1e-12)
-                assert chord_k1(model, geodesic(p, log.xi, 1.0), q).upper < homspace.COSET_TOL
+                assert chord(model, geodesic(p, log.xi, 1.0), q)[1] < homspace.COSET_TOL
         if sample is samples[0]:
             # a central isometry poses one problem at every point: the
             # uppers agree
@@ -816,7 +855,7 @@ def test_log_never_reports_below_true_distance(su3):
         x, y = haar_point(su3, rng), haar_point(su3, rng)
         log = riemannian_log(x, y, restarts=2, seed=23)
         if log.converged:
-            assert distance_lower_bound(x, y) <= log.upper + 1e-9
+            assert lower_bound(x, y) <= log.upper + 1e-9
 
 
 def test_lower_bound_at_most_upper(su3, so6):
@@ -827,7 +866,7 @@ def test_lower_bound_at_most_upper(su3, so6):
             x, y = haar_point(model, rng), haar_point(model, rng)
             log = riemannian_log(x, y, restarts=2, seed=25)
             if log.converged:
-                assert distance_lower_bound(x, y) <= log.upper + 1e-9
+                assert lower_bound(x, y) <= log.upper + 1e-9
 
 
 # --- displacement profiles -----------------------------------------------------------------
@@ -902,7 +941,7 @@ def test_fixed_fiber_found_generic_su3(su3):
     assert pt is not None and resid < 1e-8
     assert resid < 1e-12  # recorded from the per-point solver: 5.1e-16
     moved = g @ pt.rep
-    assert chord_k(su3, CosetPoint(su3, moved), pt).upper < 1e-7
+    assert chord(su3, CosetPoint(su3, moved), pt, su3.k1_factors + su3.k2_factors)[1] < 1e-7
 
 
 def test_fixed_fiber_trivial_for_isotropy_element(su3):
