@@ -12,26 +12,58 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import dynkin, homspace, liealg
+from . import CERT_RESIDUAL_TOL, CONSTANT_SPREAD_TOL, COSET_TOL, GAP_TOL, dynkin
 from .dynkin import CatalogConfig, catalog, golden_diff, golden_projection, load_golden
 from .rootsys import SimpleType, build_root_system, weyl_order, weyl_order_bfs
 
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _lazy_module(name: str):
+    """The module `name`, bound now and executed on its first attribute
+    access (the `importlib.util.LazyLoader` recipe), or the module already
+    imported under that name.
+
+    Only `verify` and `selfcheck` use the numeric half, so `catalog` loads
+    neither it nor numpy.  A plain import inside the verify code would
+    leave both modules out of `sys.modules`, where span tracers look up
+    what they wrap: `perfbench/tracing.py`'s `Tracer.install` then fails
+    `test_wrappers_replace_every_binding_and_nest` and
+    `test_cold_child_spans_merge_as_one_request` with
+    `KeyError: 'isofib.liealg'`."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+liealg = _lazy_module(f"{__package__}.liealg")
+homspace = _lazy_module(f"{__package__}.homspace")
+
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,  # natural-reductivity and validation residuals
-    "coset": homspace.COSET_TOL,  # coset-matching residuals (logs, fixed fibers)
+    "coset": COSET_TOL,  # coset-matching residuals (logs, fixed fibers)
     "length": 1e-9,  # allowed spread of a constant-length field
-    "constant": homspace.CONSTANT_SPREAD_TOL,  # relative spread, constant displacement
-    "gap": homspace.GAP_TOL,  # certified separation, nonconstant displacement
-    "cert": homspace.CERT_RESIDUAL_TOL,  # invariant-plane certificate residual
+    "constant": CONSTANT_SPREAD_TOL,  # relative spread, constant displacement
+    "gap": GAP_TOL,  # certified separation, nonconstant displacement
+    "cert": CERT_RESIDUAL_TOL,  # invariant-plane certificate residual
 }
 
 
@@ -101,6 +133,8 @@ def _noncentral_sample(
 ) -> np.ndarray:
     """A subgroup sample kept away from the center, so the nonconstancy
     prediction applies to it."""
+    import numpy as np
+
     for _ in range(64):
         k = homspace.sample_subgroup_element(model, factors, rng)
         if all(np.linalg.norm(k - z) > 0.3 for z in model.center_elements):
@@ -109,6 +143,8 @@ def _noncentral_sample(
 
 
 def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
+    import numpy as np
+
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     checks: list[Check] = []
@@ -540,16 +576,41 @@ def _record_csv(rec: dynkin.FibrationRecord) -> str:
     return buf.getvalue()
 
 
+# A case's fields are fixed per case but for its record count, which sorts
+# last among its keys: the rest is cached as text that ends where the
+# count's line begins.
+_CASE_FIXED = ("base", "class", "g", "n0", "note", "psi0", "simple_k")
+_case_fixed_values = operator.itemgetter(*_CASE_FIXED)
+
+
+@functools.lru_cache(maxsize=None)
+def _case_json_head(values: tuple) -> str:
+    text = json.dumps(dict(zip(_CASE_FIXED, values)), indent=2, sort_keys=True, default=str)
+    return text[: -len("\n}")].replace("\n", "\n    ")
+
+
+def _case_json(case: dict) -> str:
+    head = _case_json_head(_case_fixed_values(case))
+    return f'{head},\n      "splitting_records": {case["splitting_records"]}\n    }}'
+
+
 def render(payload: dict, fmt: str) -> str:
     records = payload.get("records")
     if fmt == "json":
-        if not records:
-            return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-        text = json.dumps({**payload, "records": []}, indent=2, sort_keys=True, default=str)
-        # only a top-level key sits at exactly 2 spaces, and JSON strings
-        # hold no raw newline, so this matches the envelope's records key
-        array = "[\n    " + ",\n    ".join(map(_record_json, records)) + "\n  ]"
-        return text.replace('\n  "records": []', '\n  "records": ' + array, 1) + "\n"
+        arrays = {}  # top-level key -> its array's text, as the envelope indents it
+        if payload.get("cases"):
+            arrays["cases"] = map(_case_json, payload["cases"])
+        if records:
+            arrays["records"] = map(_record_json, records)
+        text = json.dumps(
+            {**payload, **dict.fromkeys(arrays, [])}, indent=2, sort_keys=True, default=str
+        )
+        for key, items in arrays.items():
+            # only a top-level key sits at exactly 2 spaces, and JSON strings
+            # hold no raw newline, so this matches the envelope's key
+            array = "[\n    " + ",\n    ".join(items) + "\n  ]"
+            text = text.replace(f'\n  "{key}": []', f'\n  "{key}": {array}', 1)
+        return text + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         buf.write("# config: " + json.dumps(payload["config"], sort_keys=True) + "\n")

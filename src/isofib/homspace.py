@@ -57,12 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CERT_RESIDUAL_TOL, CONSTANT_SPREAD_TOL, COSET_TOL, GAP_TOL
 from .liealg import MEMBERSHIP_TOL, BlockFactor, GroupModel, complexify, matrix_exp, realify
 
-COSET_TOL = 1e-8
-CERT_RESIDUAL_TOL = 1e-9
-CONSTANT_SPREAD_TOL = 1e-4
-GAP_TOL = 1e-3
 ABS_ZERO_TOL = 1e-9
 CIRCLE_GRID = 256
 TRACE_SLACK = 1e-11  # absorbs roundoff in the max traces behind lower bounds

@@ -75,23 +75,62 @@ def test_catalog_family_labels(families, rank_cap, letters, groups):
     assert got["cases"] == keep(whole["cases"], lambda c: c["g"])
 
 
+SRC = str(Path(isofib.__file__).parents[1])
+
+
 def test_catalog_loads_no_scipy_submodules():
-    # a fresh interpreter: the package imports no scipy module at all
+    # fresh interpreters: a catalog request imports no scipy module and no
+    # numpy; the numeric modules are bound in sys.modules, where span
+    # tracers find them, but never executed
     child = (
         "import contextlib, io, sys\n"
-        f"sys.path.insert(0, {str(Path(isofib.__file__).parents[1])!r})\n"
+        f"sys.path.insert(0, {SRC!r})\n"
         "from isofib import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['catalog', '--family', 'G'])\n"
+        "    code = cli.main(sys.argv[1:])\n"
         "print(code, ' '.join(sorted(sys.modules)))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert out[0] == "0"
-    loaded = set(out[1:])
-    assert "isofib.homspace" in loaded and "isofib.dynkin" in loaded
-    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    for argv in (["catalog", "--family", "G"], ["catalog", "--golden"]):
+        out = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert out[0] == "0"
+        loaded = set(out[1:])
+        assert {"isofib.dynkin", "isofib.homspace", "isofib.liealg"} <= loaded
+        assert "numpy" not in loaded
+        assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_verify_after_catalog_matches_fresh_process():
+    # the numeric half, loaded on first use after a numpy-free catalog,
+    # gives the bytes of a process that starts with verify
+    verify = ["verify", "su3-su1u2--k1-t1", "--format", "json", *FAST_VERIFY]
+    child = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "from isofib import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['catalog', '--rank-cap', '3']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"sys.exit(cli.main({verify!r}))\n"
+    )
+    after = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "isofib.cli", *verify],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert after.returncode == fresh.returncode == 0, after.stderr + fresh.stderr
+    assert after.stdout == fresh.stdout
+
+
+def test_default_tolerances_have_one_source():
+    for key, name in (
+        ("coset", "COSET_TOL"),
+        ("constant", "CONSTANT_SPREAD_TOL"),
+        ("gap", "GAP_TOL"),
+        ("cert", "CERT_RESIDUAL_TOL"),
+    ):
+        assert cli.DEFAULT_TOLERANCES[key] is getattr(isofib, name) is getattr(homspace, name)
 
 
 @pytest.mark.parametrize("case", ["su3-su1u2--k1-t1", "so6-stiefel"])
@@ -100,7 +139,7 @@ def test_verify_runs_without_scipy(case):
     child = (
         "import contextlib, io, sys\n"
         "sys.modules['scipy'] = None\n"
-        f"sys.path.insert(0, {str(Path(isofib.__file__).parents[1])!r})\n"
+        f"sys.path.insert(0, {SRC!r})\n"
         "from isofib import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['verify', {case!r}, *{FAST_VERIFY!r}])\n"
@@ -184,11 +223,13 @@ def _assert_same_text(got, want):
         ["catalog", "--family", "E8"],
         # no record: the envelope alone
         ["catalog", "--class", "nearly-kaehler", "--family", "A"],
+        # a case and no record
+        ["catalog", "--family", "G", "--simple-k", "--class", "nearly-kaehler"],
     ],
 )
 def test_render_matches_stdlib_encoding(argv):
-    # the cached per-record text must lay out what encoding the whole
-    # payload, with every record as its dict, gives
+    # the cached per-record and per-case text must lay out what encoding
+    # the whole payload, with every record as its dict, gives
     _, payload = payload_for(argv)
     dicts = [dynkin.record_to_dict(r) for r in payload["records"]]
     want = json.dumps({**payload, "records": dicts}, indent=2, sort_keys=True, default=str)
@@ -227,11 +268,10 @@ def test_catalog_cached_requests_match_fresh_process(capsys):
     # must not leak one request into another: in process, after a full
     # catalog and in either order, each request renders the bytes a fresh
     # process does
-    src = str(Path(isofib.__file__).parents[1])
     fresh = [
         subprocess.run(
             [sys.executable, "-m", "isofib.cli", *argv],
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": SRC},
             capture_output=True,
             check=True,
         ).stdout.decode()
@@ -327,11 +367,10 @@ def test_verify_displacement_honours_tol_coset():
 
 def test_verify_huge_tol_coset_ends_with_a_verdict():
     # a stopping floor of (1e-6 tol)^2 overflows a float above tol ~1e160
-    src = str(Path(isofib.__file__).parents[1])
     argv = ["verify", "su3-hopf", "--samples", "2", "--restarts", "0", "--tol-coset", "1e300"]
     out = subprocess.run(
         [sys.executable, "-m", "isofib.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
     )
