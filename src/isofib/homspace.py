@@ -11,14 +11,19 @@ polish.  The factors of K1 and K2 are SO blocks, SU blocks of two or more
 columns, and a circle.  Every block has an exact maximizer, so without a circle both
 sides agree to roundoff; with a circle they agree to grid-polish accuracy.
 
-Displacement verdicts compare per-point upper bounds (from a multistart
-Riemannian log) against per-point lower bounds (`distance_lower_bound`:
-the arc length sqrt(lambda_min N) 2 asin(c / (2 sqrt N)) that a certified
-chord lower value c forces on an N x N model, where lambda_min is the
-smallest eigenvalue of the normal metric against the ambient Frobenius
-form), batched over point pairs as the logs are.  A profile is reported
-constant-within-tol, certified-nonconstant (some point's upper bound lies
-below another point's lower bound), or inconclusive.
+Displacement verdicts compare upper bounds against per-point lower bounds
+(`distance_lower_bound`: the arc length sqrt(lambda_min N) 2 asin(c / (2
+sqrt N)) that a certified chord lower value c forces on an N x N model,
+where lambda_min is the smallest eigenvalue of the normal metric against
+the ambient Frobenius form), batched over point pairs.  A profile is
+reported constant-within-tol, certified-nonconstant (some point's upper
+bound lies below another point's lower bound), or inconclusive.  A
+profile that may turn out constant (`profile_report`) takes an upper bound
+at every sampled point from a multistart Riemannian log.  A left
+translation predicted nonconstant (`witness_report`) takes one upper
+bound, at a closed-form torus witness point (`_torus_witness`): there x^-1
+k x lies in a maximal torus that contains one of K1, and what K1's torus
+cannot cancel has an explicit log, checked to reach the image coset.
 
 The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
 solves whose cost is the finite-difference Jacobian: d residuals per
@@ -39,8 +44,9 @@ its solve.
 point pairs in one `_lm` call, starting each pair from the m1 part of one
 batched real log (`_orthogonal_log`) and seeded perturbations of it: a
 verify job passes it every log it needs (round trips, bound-ordering
-pairs and the sampled points of its four displacement profiles), and
-`distance_lower_bound` the last two.  `riemannian_log` and
+pairs and the sampled points of its two central displacement profiles),
+and `distance_lower_bound` the bound-ordering pairs and the sampled points
+of all four profiles.  `riemannian_log` and
 `displacement_profile` (`sample_profile`, then `share_logs`,
 `distance_lower_bound` and `profile_report`) are compositions.
 `share_logs` offers a profile's shortest converged log to each of its
@@ -48,10 +54,12 @@ points, which adopt it where it also reaches the image coset and is
 shorter than their own.  Every per-problem operation, the matrix exponential included, acts
 on that problem's rows alone, so a pair's result does not depend on the
 problems it is solved with.  The module needs numpy alone: the reversal
-certificates take their invariant planes from `np.linalg.eig`.
+certificates and the SO torus witnesses take their invariant planes from
+`np.linalg.eig`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -882,6 +890,35 @@ def displacement_profile(
     return profile_report(sample, logs, lowers, restarts, tol_constant, tol_gap)
 
 
+def witness_report(
+    sample: ProfileSample,
+    lowers: list[float],
+    tol: float = COSET_TOL,
+    tol_gap: float = GAP_TOL,
+) -> DisplacementReport:
+    """The verdict on a left translation predicted nonconstant, from the
+    one upper bound of its torus witness (`_torus_witness`) against the
+    lower bounds of the sampled points: certified-nonconstant when the
+    highest lower bound exceeds the witness upper by more than tol_gap,
+    inconclusive otherwise.  One upper bound shows no spread, so the report
+    never claims constancy (its rel_spread is inf) and solves no log."""
+    upper = _torus_witness(sample.gamma, tol)[1].upper
+    gap = max(lowers) - upper
+    return DisplacementReport(
+        label=sample.gamma.label,
+        n_samples=sample.n_samples,
+        seed=sample.seed,
+        uppers=(upper,),
+        lowers=tuple(lowers),
+        verdict="certified-nonconstant" if gap > tol_gap else "inconclusive",
+        rel_spread=math.inf,
+        gap=gap,
+        restarts=0,
+        tol_constant=CONSTANT_SPREAD_TOL,
+        tol_gap=tol_gap,
+    )
+
+
 # --- fixed fibers ---------------------------------------------------------------
 
 
@@ -938,27 +975,20 @@ class PlaneCertificate:
         return self.basis.shape[1]
 
 
-def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
-    """Invariant (2s+1)-plane of an orthogonal matrix with determinant -1
-    on R^{2s+2+2t}: the +1 line that a negative determinant forces, plus s
-    two-dimensional invariant pieces (rotation planes by ascending angle,
-    then paired fixed lines, then paired -1 lines).  The pieces come from
-    the eigenpairs (lambda, x) of A, which `np.linalg.eig` computes with a
-    small residual A x - lambda x even where eigenvalues cluster.  An
-    eigenvalue with imaginary part above _HALF_TURN_TOL gives the rotation
-    plane span(Re x, Im x); every other eigenvalue gives +1 or -1 lines,
-    by the sign of its real part, from Re x (and Im x for a non-real one).
-    Each piece is taken orthogonal to the pieces before it, planes first,
-    so a plane whose angle repeats or nearly repeats an earlier one is
-    still found."""
-    n = 2 * s + 2 + 2 * t
-    if A.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} matrix for (s, t) = ({s}, {t})")
-    if np.linalg.norm(A @ A.T - np.eye(n)) > 1e-9:
-        raise ValueError("matrix is not orthogonal")
-    if np.linalg.det(A) > 0:
-        raise ValueError("determinant +1: no invariant odd plane is implied")
-
+def _invariant_pieces(
+    A: np.ndarray,
+) -> tuple[list[tuple[float, np.ndarray]], list[np.ndarray], list[np.ndarray]]:
+    """(rotation planes with their angles in (0, pi], +1 lines, -1 lines)
+    of an orthogonal matrix, all orthonormal.  The pieces come from the
+    eigenpairs (lambda, x) of A, which `np.linalg.eig` computes with a small
+    residual A x - lambda x even where eigenvalues cluster.  An eigenvalue
+    with imaginary part above _HALF_TURN_TOL gives the rotation plane
+    span(Re x, Im x); every other eigenvalue gives +1 or -1 lines, by the
+    sign of its real part, from Re x (and Im x for a non-real one).  Each
+    piece is taken orthogonal to the pieces before it, planes first, so a
+    plane whose angle repeats or nearly repeats an earlier one is still
+    found."""
+    n = len(A)
     lam, X = np.linalg.eig(A)
     done = np.zeros((n, 0))  # every piece so far, orthonormal columns
 
@@ -983,7 +1013,24 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
         L = fresh(np.column_stack(parts))
         (plus_lines if lam[j].real > 0 else minus_lines).extend(L.T)
         done = np.column_stack([done, L])
+    return planes, plus_lines, minus_lines
 
+
+def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
+    """Invariant (2s+1)-plane of an orthogonal matrix with determinant -1
+    on R^{2s+2+2t}: the +1 line that a negative determinant forces, plus s
+    two-dimensional invariant pieces (rotation planes by ascending angle,
+    then paired fixed lines, then paired -1 lines), the pieces of
+    `_invariant_pieces`."""
+    n = 2 * s + 2 + 2 * t
+    if A.shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix for (s, t) = ({s}, {t})")
+    if np.linalg.norm(A @ A.T - np.eye(n)) > 1e-9:
+        raise ValueError("matrix is not orthogonal")
+    if np.linalg.det(A) > 0:
+        raise ValueError("determinant +1: no invariant odd plane is implied")
+
+    planes, plus_lines, minus_lines = _invariant_pieces(A)
     if not plus_lines:
         raise AssertionError(
             "no +1 eigenvector found; impossible for det -1 in even dimension"
@@ -1007,3 +1054,154 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
         residual=residual,
         rotation_angles=tuple(th for th, _ in planes),
     )
+
+
+# --- torus witnesses ---------------------------------------------------------------
+
+
+def _so_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, L) for a real model: x in SO(n) and L the log of x^T k x on x's
+    column planes.  The invariant pieces of k (`_invariant_pieces`: half
+    turns, rotation planes by descending angle, then paired fixed lines)
+    fill first the planes of K1's torus (rows in pairs, m // 2 planes per
+    SO(m) block) and then the other rows in pairs, so that K1's torus meets
+    the largest angles."""
+    n = model.n
+    planes, plus, minus = _invariant_pieces(k)
+    pieces = [np.column_stack(minus[i : i + 2]) for i in range(0, len(minus) - 1, 2)]
+    pieces += [P for _, P in sorted(planes, key=lambda p: -p[0])]
+    pieces += [np.column_stack(plus[i : i + 2]) for i in range(0, len(plus) - 1, 2)]
+    slots = [f.cols[i : i + 2] for f in model.k1_factors for i in range(0, len(f.cols) - 1, 2)]
+    taken = {r for slot in slots for r in slot}
+    rest = [r for r in range(n) if r not in taken]
+    slots += [tuple(rest[i : i + 2]) for i in range(0, len(rest) - 1, 2)]
+    x = np.zeros((n, n))
+    for slot, P in zip(slots, pieces):
+        x[:, slot] = P
+    if n % 2:
+        x[:, rest[-1]] = plus[-1]
+    if np.linalg.det(x) < 0:
+        x[:, -1] = -x[:, -1]  # reverses one plane's angle, or the fixed line
+    R = x.T @ k @ x
+    L = np.zeros((n, n))
+    for a, b in slots:
+        L[b, a] = math.atan2(R[b, a] - R[a, b], R[a, a] + R[b, b])
+        L[a, b] = -L[b, a]
+    return x, L
+
+
+def _assignments(classes: list[tuple[int, ...]], free: tuple[int, ...]) -> list[dict[int, int]]:
+    """Every way to hand the indices `free` to the columns of `classes`
+    that differs in which indices each class gets, as {column: index}."""
+    if not classes:
+        return [{}]
+    return [
+        dict(zip(classes[0], chosen)) | tail
+        for chosen in itertools.combinations(free, len(classes[0]))
+        for tail in _assignments(classes[1:], tuple(i for i in free if i not in chosen))
+    ]
+
+
+def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, L) for a unitary model, both realified: x in SU(m) with
+    eigenvectors of k as columns, and L = i diag(phi), traceless, with
+    exp(L) = x^H k x k1 for some k1 in K1's torus, chosen for the shortest
+    m1 part found.
+
+    The columns are orthonormal eigenvectors from `eigh` of the Hermitian
+    part of e^{-i} k, whose eigenvalues cos(alpha - 1) keep the eigenphases
+    alpha of k apart unless two of them add up to 2 mod 2 pi.  The m1 part
+    of L depends on phi only through the phase sum of each SU block of K1
+    (the traceless rest lies in the block) and only up to multiples of the
+    circle's speeds a; so each single column and each block is one unit u
+    with a phase sum, and the search runs over
+    - the assignments of eigenphases to columns, up to reordering within a
+      block or within the single columns of one speed;
+    - the circle angle t: one per interval on which every unit's sum
+      alpha_u + s_u t (s_u = a on a single column, c a on a block of c
+      columns) keeps one principal value in [-pi, pi];
+    - the 2 pi shifts that bring the principal sums to a sum of 0, the
+      trace of su(m), jointly: one unit at a time, each by the least
+      increase of the m1 norm.
+    A block's sum is spread evenly over its columns."""
+    m = model.complex_size
+    kc = complexify(k)
+    h = np.exp(-1j) * kc
+    vecs = np.linalg.eigh((h + h.conj().T) / 2)[1]
+    alpha = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), kc, vecs))
+    singles, blocks = _split_columns(model, model.k1_factors)
+    circle = next((f for f in model.k1_factors if f.kind == "circle"), None)
+    speeds = _circle_phases(model) if circle else np.zeros(m)
+    units = [(j,) for j in singles] + blocks
+    S = np.zeros((len(units), m))  # unit phase sums of the column phases
+    for u, cols in enumerate(units):
+        S[u, list(cols)] = 1.0
+    W = S / S.sum(axis=1, keepdims=True)  # unit sums -> column phases
+    E = np.zeros((m, m, m), dtype=complex)
+    E[np.arange(m), np.arange(m), np.arange(m)] = 1j
+    M = W @ model.m1_coords(realify(E))  # unit sums -> m1 coordinates
+    Q = M @ M.T  # the squared m1 norm on unit sums that add up to 0
+    classes = blocks + [
+        tuple(j for j in singles if speeds[j] == a) for a in sorted({speeds[j] for j in singles})
+    ]
+    perms = np.array([[a[j] for j in range(m)] for a in _assignments(classes, tuple(range(m)))])
+    sums = alpha[perms] @ S.T  # (assignments, units)
+    s = S @ speeds
+    if circle is None:
+        ts = np.zeros((len(perms), 1))
+    else:
+        # unit u's sum crosses pi |s_u| period / 2 pi times per period
+        laps = [np.arange(round(abs(v) * circle.period / (2 * np.pi))) for v in s]
+        cross = np.concatenate(
+            [
+                ((np.pi - sums[:, [u]] + 2 * np.pi * r) / s[u]) % circle.period
+                for u, r in enumerate(laps)
+            ],
+            axis=1,
+        )
+        cross.sort(axis=1)
+        ts = (cross + np.concatenate([cross[:, 1:], cross[:, :1] + circle.period], axis=1)) / 2
+    C = ts.shape[1]
+    T = (sums[:, None, :] + ts[..., None] * s).reshape(-1, len(units))
+    T -= 2 * np.pi * np.round(T / (2 * np.pi))
+    excess = np.round(T.sum(axis=1) / (2 * np.pi))
+    cost = np.einsum("iu,uv,iv->i", T, Q, T)
+    for _ in range(int(np.abs(excess).max(initial=0))):
+        rows = np.flatnonzero(excess)
+        d = -2 * np.pi * np.sign(excess[rows])[:, None]
+        rise = 2 * d * (T[rows] @ Q) + d * d * np.diag(Q)
+        u = np.argmin(rise, axis=1)
+        T[rows, u] += d[:, 0]
+        cost[rows] += rise[np.arange(len(rows)), u]
+        excess[rows] += np.sign(d[:, 0])
+    best = int(np.argmin(cost))
+    x = vecs[:, perms[best // C]]
+    x[:, 0] /= np.linalg.det(x)
+    return realify(x), realify(np.diag(1j * (T[best] @ W)))
+
+
+def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[CosetPoint, LogResult]:
+    """A point x K1 where the left translation gamma by k moves little, with
+    an explicit log to its image: xi, the m1 part of the torus log L of
+    `_so_torus_log` or `_su_torus_log`, and upper bound ||xi||.
+
+    Why it is an upper bound: x^-1 k x k1 = exp(L) for some k1 in K1, with
+    L in a Cartan subalgebra t that contains K1's t1.  L's k1 part lies in
+    t1 (K1's blocks are aligned with t), so it commutes with xi = L - (k1
+    part) and exponentiates into K1: x exp(xi) K1 = x exp(L) K1 = k x K1.
+    The curve x exp(s xi) K1, s in [0, 1], has constant speed ||xi|| in the
+    normal metric, and so the displacement at x K1 is at most ||xi||,
+    which is at most ||L|| (G -> G/K1 is a Riemannian submersion).  The
+    witness is used only if x exp(xi) reaches the image coset, with a chord
+    upper value below tol; otherwise it gives no upper bound (inf).  It
+    draws no random numbers."""
+    model = gamma.model
+    k = gamma.left
+    x, L = (_su_torus_log if model.complex_size else _so_torus_log)(model, k)
+    c = model.m1_coords(L)
+    xi = model.from_m1_coords(c)
+    end = (x @ matrix_exp(xi))[None]
+    resid = float(chord_to_coset(model, end, k @ x, model.k1_factors).upper[0])
+    if resid < tol:
+        return CosetPoint(model, x), LogResult(xi, float(np.linalg.norm(c)), resid, True)
+    return CosetPoint(model, x), LogResult(None, math.inf, resid, False)

@@ -380,10 +380,13 @@ def test_verify_huge_tol_coset_ends_with_a_verdict():
 
 
 def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
-    # every Riemannian log of a job shares one lockstep solve; each
-    # fixed-fiber restart is a solve of its own
+    # every Riemannian log of a job shares one lockstep solve: 3 round
+    # trips, 4 bound-ordering pairs and the points of the two central
+    # profiles (the noncentral ones take their upper bound from a torus
+    # witness); each fixed-fiber restart is a solve of its own
     calls = {"lm": 0, "fiber_depth": 0}
-    real_lm, real_fiber = homspace._lm, homspace.fixed_fiber
+    pairs = []
+    real_lm, real_fiber, real_logs = homspace._lm, homspace.fixed_fiber, homspace.riemannian_logs
 
     def counting_lm(*args, **kwargs):
         calls["lm"] += calls["fiber_depth"] == 0
@@ -396,11 +399,17 @@ def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
         finally:
             calls["fiber_depth"] -= 1
 
+    def counting_logs(xs, ys, *args, **kwargs):
+        pairs.append(len(xs))
+        return real_logs(xs, ys, *args, **kwargs)
+
     monkeypatch.setattr(homspace, "_lm", counting_lm)
     monkeypatch.setattr(homspace, "fixed_fiber", fiber)
+    monkeypatch.setattr(homspace, "riemannian_logs", counting_logs)
     code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     assert code == 0
     assert calls["lm"] == 1
+    assert pairs == [3 + 4 + 2 * 10]
 
 
 def test_verify_job_makes_one_lower_bound_call(monkeypatch):
@@ -463,6 +472,20 @@ def test_verify_k2_left_certified_by_arc_lower_bound(case, seed):
     checks = {c["name"]: c for c in payload["checks"]}
     noncentral = checks["displacement-noncentral-certified"]
     assert noncentral["passed"], noncentral["detail"]
+    assert "k2-left: certified-nonconstant" in noncentral["detail"]
+
+
+@pytest.mark.parametrize("seed", [9, 9906])
+def test_verify_so8_noncentral_certified_by_torus_witness(seed):
+    # k2-left was inconclusive here with its upper bounds from multistart
+    # logs at Haar points; the torus witness's upper separates it, and the
+    # detail names the bounds the verdict rests on
+    _, payload = payload_for(["verify", "so8-so3so5--k1-0so3", "--seed", str(seed)])
+    checks = {c["name"]: c for c in payload["checks"]}
+    noncentral = checks["displacement-noncentral-certified"]
+    assert noncentral["passed"], noncentral["detail"]
+    assert "k1-left: certified-nonconstant (gap" in noncentral["detail"]
+    assert "witness upper < 1e-12, max lower" in noncentral["detail"]
     assert "k2-left: certified-nonconstant" in noncentral["detail"]
 
 

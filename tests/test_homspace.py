@@ -46,8 +46,9 @@ from isofib.homspace import (
     _su_curve,
     _su_procrustes,
     _su2_procrustes,
+    _torus_witness,
 )
-from isofib.liealg import build_model, find_record, matrix_exp, realify
+from isofib.liealg import build_model, complexify, find_record, matrix_exp, realify
 
 
 @functools.lru_cache(maxsize=None)
@@ -929,6 +930,62 @@ def test_displacement_bounds_ordered(su3):
     rep = displacement_profile(gam, n_samples=8, seed=3, restarts=2)
     for lo, up in zip(rep.lowers, rep.uppers):
         assert lo <= up + 1e-9
+
+
+# --- torus witnesses -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case_id, upper",
+    [
+        ("so8-so3so5--k1-0so3", 8.330200316911625),  # K1 = SO(3)
+        ("so8-so3so5--k1-1so5", 4.9399701785543355),  # K1 = SO(5)
+        ("su3-su1u2--k1-t1", 0.30595830282989467),  # K1 = a circle
+        ("su3-hopf", 3.4548506189989014),  # K1 = SU(2)
+        ("su4-su1u3--k1-0a2", 1.4770368478521674),  # K1 = SU(3)
+    ],
+)
+def test_torus_witness_is_a_log_to_the_image(case_id, upper):
+    # left translations by a sample of K1, of K2 and of G: each witness
+    # is a log in m1 (traceless on SU models) whose exponential carries
+    # the witness point into its image coset, so its length is an upper
+    # bound at that point and never below the certified lower bound;
+    # a K1 element fixes a point, where the witness upper is 0
+    model = model_for(case_id)
+    rng = np.random.default_rng(1)
+    ks = [sample_subgroup_element(model, f, rng) for f in (model.k1_factors, model.k2_factors)]
+    ks.append(haar_point(model, rng).rep)
+    logs = []
+    for k in ks:
+        gam = Isometry(model, left=k)
+        x, log = _torus_witness(gam)
+        assert log.converged
+        assert model.g.membership_residual(log.xi) < 1e-12
+        assert np.linalg.norm(log.xi - model.project_m1(log.xi)) < 1e-12
+        if model.complex_size:
+            assert abs(np.trace(complexify(log.xi))) < 1e-12
+        assert log.upper == pytest.approx(math.sqrt(model.kappa_ip(log.xi, log.xi)), abs=1e-12)
+        end = CosetPoint(model, x.rep @ matrix_exp(log.xi))
+        assert chord(model, end, gam.apply(x))[1] < 1e-12
+        assert lower_bound(x, gam.apply(x)) <= log.upper + 1e-9
+        logs.append(log)
+    assert logs[0].upper < 1e-12
+    assert logs[2].upper == pytest.approx(upper, rel=0, abs=1e-9)
+
+
+def test_witness_report_never_claims_constancy(su3):
+    # one upper bound shows no spread: a separation certifies, anything
+    # else is inconclusive, even a witness upper of 0 (a K1 element)
+    gam = Isometry(su3, left=matrix_exp(0.7 * su3.k1.basis[0]), label="k1-left")
+    sample = homspace.sample_profile(gam, n_samples=6, seed=4)
+    lowers = distance_lower_bound(sample.points, sample.images).tolist()
+    rep = homspace.witness_report(sample, lowers)
+    assert rep.verdict == "certified-nonconstant"
+    assert rep.uppers[0] < 1e-12 and rep.gap == pytest.approx(max(lowers), abs=1e-12)
+    assert homspace.witness_report(sample, [0.0] * 6).verdict == "inconclusive"
+    # a witness that cannot meet the coset tolerance gives no upper bound
+    rep = homspace.witness_report(sample, lowers, tol=1e-300)
+    assert (rep.verdict, rep.gap) == ("inconclusive", -math.inf)
 
 
 # --- fixed fibers -----------------------------------------------------------------------
