@@ -26,20 +26,24 @@ k x lies in a maximal torus that contains one of K1, and what K1's torus
 cannot cancel has an explicit log, checked to reach the image coset.
 
 The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
-solves whose cost is the finite-difference Jacobian: d residuals per
-Jacobian, each needing the chord maximizer k*.  `_k_star_batch` computes
-k* for a whole stack of points in one numpy pass (batched SO Procrustes;
+solves of coset residuals F = P exp(xi) k* - X, each evaluation needing
+the chord maximizer k*.  Their Jacobians (`_coset_jacobian`) come from one
+eigendecomposition of xi per problem and the k* of the residual: the
+columns hold k* fixed, less their projection onto the K-orbit's tangent,
+which leaves J^T F the exact gradient and J exact at a zero residual.
+`_k_star_batch` computes k* for a whole stack of points in one numpy
+pass (batched SO Procrustes;
 `_su_procrustes` for SU blocks, closed form for SU(2) and one bisection
 on the whole stack for larger blocks; under a circle, one SVD per row
 makes each SU block's maximum an exact curve in the angle, `_su_curve`,
 evaluated on one theta grid for every row, then one safeguarded Newton
 polish, `_polish_roots`, of every row's angle with exact T' and T'').
 `_lm` advances a stack of problems in lockstep, each with its own damping
-and stop, sends the Jacobian points or trial points of all of them
-through stacked residual calls of at most `_LM_SLICE` points, and reduces
-the Jacobian to J^T J and J^T F one such call at a time; a problem stops
-at the latest once its residual is at most 1e-6 times the tolerance of
-its solve.
+and stop, sends the trial points of all of them through stacked residual
+calls of at most `_LM_SLICE` points, and takes and reduces the Jacobians
+to J^T J and J^T F in stacks of at most `_LM_SLICE` (problem, column)
+pairs; a problem stops at the latest once its residual is at most 1e-6
+times the tolerance of its solve.
 `riemannian_logs` solves the (pair, start) problems of any number of
 point pairs in one `_lm` call, starting each pair from the m1 part of one
 batched real log (`_orthogonal_log`) and seeded perturbations of it: a
@@ -513,51 +517,86 @@ def geodesic(x: CosetPoint, xi: np.ndarray, t: float) -> CosetPoint:
     return CosetPoint(model, g @ matrix_exp(t * xi))
 
 
-_FD_STEP = math.sqrt(np.finfo(float).eps)
 _LM_TOL = 1e-15  # step and cost-reduction floors: stop only at roundoff
 _LM_LAM0, _LM_LAM_MAX = 1e-3, 1e16
 _LM_MAX_ITER = 200
 # a problem stops once its residual norm is at most _LM_STOP times the
 # tolerance of its solve: below that, steps only polish roundoff
 _LM_STOP = 1e-6
-# points per residual call: the kernel's temporaries, and so the peak
-# memory, grow with the stack, while a so8 verify ran as fast in stacks
-# of 128 points as of 256 (2-core x86 VM)
+# points per residual call and (problem, column) pairs per Jacobian call:
+# the kernels' temporaries, and so the peak memory, grow with the stack
+# (a so12 verify peaked at 55 MB, and at 81 MB with 64 problems per
+# Jacobian call), while a so8 verify ran as fast in stacks of 128 points
+# as of 256 (2-core x86 VM)
 _LM_SLICE = 128
 
 
-def _fd_jacobian(residuals, X: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """scipy's 2-point forward-difference Jacobian (step sqrt(eps) sign0(x)
-    max(1, |x|), divided by (x + h) - x) of every problem of a stack: X (p,
-    d) coordinates with residuals F (p, r), and `residuals` a map (p, k, d)
-    -> (p, k, r) that evaluates the d perturbed points of all problems in
-    one batch.  Returns J with shape (p, r, d)."""
-    d = X.shape[-1]
-    H = _FD_STEP * np.where(X >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(X))
-    idx = np.arange(d)
-    Xs = np.repeat(X[:, None], d, axis=1)
-    Xs[:, idx, idx] = X + H
-    Fs = residuals(Xs)  # (p, d, r): row j perturbed in coordinate j
-    Fs -= F[:, None]
-    Fs /= ((X + H) - X)[..., None]
-    return np.swapaxes(Fs, 1, 2)
+def _frobenius_onb(basis: np.ndarray) -> np.ndarray:
+    """Frobenius-orthonormal rows (k, n * n) spanning the (k, n, n) basis."""
+    return np.linalg.qr(basis.reshape(len(basis), -1).T)[0].T
 
 
-def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _coset_jacobian(
+    xi: np.ndarray,
+    basis: np.ndarray,
+    P: np.ndarray,
+    K: np.ndarray,
+    onb: np.ndarray,
+    X: np.ndarray | None = None,
+) -> np.ndarray:
+    """Jacobians (p, n * n, d) of the coset residuals F = P(c) k* - X(c)
+    of a stack of p problems, with P = A exp(xi) for xi = sum_j c_j
+    basis_j (basis (d, n, n), skew), k* the maximizer K at c and X either
+    fixed (None) or B exp(xi).  Column j holds k* fixed, P Omega_j k* (-
+    X Omega_j) with Omega_j = exp(-xi) dexp_xi(basis_j), less its
+    Frobenius projection onto the tangent P k* eta of the K-orbit at P k*,
+    eta in the span of onb (orthonormal rows, `_frobenius_onb`).
+
+    Since F is orthogonal to that tangent at the maximizer (envelope
+    theorem), J^T F is the exact gradient; at a zero residual F is
+    orthogonal to it nearby too, so J is the exact Jacobian there.
+    Omega_j comes from one eigendecomposition i xi = Q diag(lam) Q^H per
+    problem (divided differences): Q (Psi o Q^H basis_j Q) Q^H, with Psi_kl
+    = e^{i delta} sin(delta) / delta at delta = (lam_k - lam_l) / 2.  Each
+    problem takes its own products, so its Jacobian does not depend on
+    the stack."""
+    p, n = P.shape[0], P.shape[-1]
+    lam, Q = np.linalg.eigh(1j * xi)
+    half = (lam[:, :, None] - lam[:, None, :]) / 2
+    psi = (np.exp(1j * half) * np.sinc(half / np.pi))[:, None]
+    Q, Qh = Q[:, None], np.conj(np.swapaxes(Q, 1, 2))[:, None]
+    omega = (Q @ (psi * (Qh @ basis @ Q)) @ Qh).real  # (p, d, n, n)
+    top = P @ K
+    # the columns in the frame of P k*: (P k*)^T col_j
+    Z = np.swapaxes(K, 1, 2)[:, None] @ omega @ K[:, None]
+    if X is not None:
+        Z -= (np.swapaxes(top, 1, 2) @ X)[:, None] @ omega
+    Z = Z.reshape(p, len(basis), n * n)
+    Z -= (Z @ onb.T) @ onb
+    J = top[:, None] @ Z.reshape(p, len(basis), n, n)
+    return np.swapaxes(J.reshape(p, len(basis), n * n), 1, 2)
+
+
+def _lm(
+    residuals, jacobians, C0: np.ndarray, tol: float = COSET_TOL
+) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt from every row of C0 (p, d), all problems
-    advanced in lockstep.  `residuals(C, rows)` maps the (len(rows), k, d)
-    coordinates of the problems `rows` to their (len(rows), k, r)
-    residuals; each step evaluates it on stacks of at most _LM_SLICE
-    points.  Each problem keeps its own damping lam against diag J^T J
-    (Marquardt scaling, Nielsen's update), takes a step only when it
-    lowers the cost, and stops on its own: at a residual norm of at most
-    _LM_STOP * tol, at a step or relative cost reduction below _LM_TOL, at
-    damping above _LM_LAM_MAX, or after _LM_MAX_ITER steps.  The Jacobian
-    is `_fd_jacobian`, taken and reduced to J^T J and J^T F one stack of at
-    most _LM_SLICE points at a time, so no array holds the Jacobians of all
-    problems.  Every per-problem operation acts on that problem's rows
-    alone, so a problem follows the iterates it would follow in a stack of
-    one.  Returns (C, F): final coordinates and the residuals there."""
+    advanced in lockstep.  `residuals(C, rows)` maps the (len(rows), d)
+    coordinates of the problems `rows` to their (len(rows), r) residuals,
+    and `jacobians(rows)` gives their (len(rows), r, d) Jacobians at the
+    points where `residuals` last evaluated them: a Jacobian is taken only
+    at a start or an accepted step, right after its residual.  Each step
+    evaluates residuals on stacks of at most _LM_SLICE points and
+    Jacobians on stacks of at most _LM_SLICE (problem, column) pairs, each
+    reduced to J^T J and J^T F before the next, so no array holds the
+    Jacobians of all problems.  Each problem keeps its own damping lam
+    against diag J^T J (Marquardt scaling, Nielsen's update), takes a step
+    only when it lowers the cost, and stops on its own: at a residual norm
+    of at most _LM_STOP * tol, at a step or relative cost reduction below
+    _LM_TOL, at damping above _LM_LAM_MAX, or after _LM_MAX_ITER steps.
+    Every per-problem operation acts on that problem's rows alone, so a
+    problem follows the iterates it would follow in a stack of one.
+    Returns (C, F): final coordinates and the residuals there."""
     p, d = C0.shape
     try:
         floor = (_LM_STOP * tol) ** 2  # underflows to 0.0 for a tol below ~1e-150
@@ -565,14 +604,14 @@ def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, 
         floor = math.inf
 
     def sliced(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        step = max(1, _LM_SLICE // C.shape[1])
-        parts = [residuals(C[i : i + step], rows[i : i + step]) for i in range(0, len(rows), step)]
+        s = _LM_SLICE
+        parts = [residuals(C[i : i + s], rows[i : i + s]) for i in range(0, len(rows), s)]
         return np.concatenate(parts)
 
     jac_step = max(1, _LM_SLICE // d)  # problems per Jacobian stack
 
     X = C0.astype(float)
-    F = sliced(X[:, None], np.arange(p))[:, 0]
+    F = sliced(X, np.arange(p))
     cost = np.einsum("ij,ij->i", F, F)
     lam, nu = np.full(p, _LM_LAM0), np.full(p, 2.0)
     diag = np.arange(d)
@@ -586,7 +625,7 @@ def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, 
         jr = act[fresh[act]]
         for i in range(0, len(jr), jac_step):
             rows = jr[i : i + jac_step]
-            J = _fd_jacobian(lambda C: residuals(C, rows), X[rows], F[rows])
+            J = jacobians(rows)
             Jt = np.swapaxes(J, 1, 2)
             A[rows] = Jt @ J
             g[rows] = (Jt @ F[rows][..., None])[..., 0]
@@ -599,7 +638,7 @@ def _lm(residuals, C0: np.ndarray, tol: float = COSET_TOL) -> tuple[np.ndarray, 
         # reduction predicted by the linear model: -g.step + lam step.D.step
         pred = np.einsum("ij,ij->i", step, la[:, None] * D * step - ga)
         Xt = X[act] + step
-        Ft = sliced(Xt[:, None], act)[:, 0]
+        Ft = sliced(Xt, act)
         cost_t = np.einsum("ij,ij->i", Ft, Ft)
         gain = cost[act] - cost_t
         ok = gain > 0
@@ -653,6 +692,28 @@ class LogResult:
     converged: bool
 
 
+def _log_maps(model: GroupModel, U: np.ndarray, V: np.ndarray):
+    """(residuals, jacobians) of `_lm` for the log problems of the (p, n, n)
+    stacks U and V: problem i has coordinates c of xi in m1 and residual
+    U_i exp(xi) k* - V_i, with k* the maximizer over K1 (`_k_star_batch`).
+    `residuals` keeps xi, U_i exp(xi) and k* of each point it evaluates,
+    and `jacobians` takes the Jacobians there."""
+    factors, onb = model.k1_factors, _frobenius_onb(model.k1.basis)
+    xi, P, K = np.empty_like(U), np.empty_like(U), np.empty_like(U)
+
+    def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        x = model.from_m1_coords(C)
+        Pr = U[rows] @ matrix_exp(x)
+        Kr = _k_star_batch(model, Pr, V[rows], factors)
+        xi[rows], P[rows], K[rows] = x, Pr, Kr
+        return (Pr @ Kr - V[rows]).reshape(len(C), -1)
+
+    def jacobians(rows: np.ndarray) -> np.ndarray:
+        return _coset_jacobian(xi[rows], model.m1_basis, P[rows], K[rows], onb)
+
+    return residuals, jacobians
+
+
 def riemannian_logs(
     xs: list[CosetPoint],
     ys: list[CosetPoint],
@@ -666,7 +727,7 @@ def riemannian_logs(
     lockstep `_lm` call, and each pair's result is, bit for bit, the one it
     gets when solved alone."""
     model = xs[0].model
-    n, d, factors = model.n, model.dim_m1, model.k1_factors
+    d, factors = model.dim_m1, model.k1_factors
     U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
     restarts = max(restarts, 0)
     # smart start: the m1 part of the log of the chord-aligned difference
@@ -678,14 +739,7 @@ def riemannian_logs(
         starts.append(c0)
         starts += [c0 + rng.normal(scale=0.35 * scale, size=d) for _ in range(restarts)]
     pair = np.repeat(np.arange(len(U)), 1 + restarts)
-
-    def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        P = (U[pair[rows], None] @ matrix_exp(model.from_m1_coords(C))).reshape(-1, n, n)
-        T = np.repeat(V[pair[rows]], C.shape[1], axis=0)
-        K = _k_star_batch(model, P, T, factors)
-        return (P @ K - T).reshape(C.shape[:2] + (-1,))
-
-    X, F = _lm(residuals, np.array(starts), tol)
+    X, F = _lm(*_log_maps(model, U[pair], V[pair]), np.array(starts), tol)
     X = X.reshape(len(U), 1 + restarts, d)
     R = np.linalg.norm(F, axis=-1).reshape(len(U), 1 + restarts)
     out = []
@@ -922,6 +976,28 @@ def witness_report(
 # --- fixed fibers ---------------------------------------------------------------
 
 
+def _fiber_maps(model: GroupModel, gmat: np.ndarray, x0: np.ndarray):
+    """(residuals, jacobians) of `_lm` for the one-problem fixed-fiber
+    search from x0: coordinates c of xi in g, X = x0 exp(xi), and residual
+    gmat X k* - X, with k* the maximizer over K1 x K2.  As in `_log_maps`,
+    `jacobians` takes the Jacobian at the point last evaluated."""
+    factors = model.k1_factors + model.k2_factors
+    onb = _frobenius_onb(np.concatenate([model.k1.basis, model.k2.basis]))
+    xi, X, Y, K = (np.empty((1, model.n, model.n)) for _ in range(4))
+
+    def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        xi[:] = model.g.from_coords(C)
+        X[:] = x0 @ matrix_exp(xi)
+        Y[:] = gmat @ X
+        K[:] = _k_star_batch(model, Y, X, factors)
+        return (Y @ K - X).reshape(1, -1)
+
+    def jacobians(rows: np.ndarray) -> np.ndarray:
+        return _coset_jacobian(xi, model.g.basis, Y, K, onb, X)
+
+    return residuals, jacobians
+
+
 def fixed_fiber(
     gamma: Isometry,
     restarts: int = 8,
@@ -936,20 +1012,12 @@ def fixed_fiber(
     model = gamma.model
     gmat = gamma.left if gamma.left is not None else np.eye(model.n)
     dg = model.g.dim
-    k_factors = model.k1_factors + model.k2_factors
     rng = np.random.default_rng(seed)
-
-    def residuals(C: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        X = (x0 @ matrix_exp(model.g.from_coords(C))).reshape(-1, model.n, model.n)
-        Y = gmat @ X
-        K = _k_star_batch(model, Y, X, k_factors)
-        return (Y @ K - X).reshape(C.shape[:2] + (-1,))
-
     best_val, best_X = np.inf, None
     for trial in range(max(1, restarts)):
         x0 = np.eye(model.n) if trial == 0 else haar_point(model, rng).rep
         c0 = np.zeros(dg) if trial == 0 else rng.normal(scale=0.3, size=dg)
-        C, F = _lm(lambda C, rows, x0=x0: residuals(C, x0), c0[None], tol)
+        C, F = _lm(*_fiber_maps(model, gmat, x0), c0[None], tol)
         r = float(np.linalg.norm(F[0]))
         if r < best_val:
             best_val = r

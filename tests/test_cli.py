@@ -445,6 +445,33 @@ def test_verify_job_makes_no_logm_call(monkeypatch):
     assert calls == []
 
 
+def test_verify_so8_log_solve_stops_before_the_step_cap(monkeypatch):
+    # at this seed a restart of a bound-ordering pair crawled, and held the
+    # job's whole lockstep log solve to the _LM_MAX_ITER cap, under a
+    # finite-difference Jacobian; with the exact one it converges first
+    steps = []
+    real_lm = homspace._lm
+
+    def counting_lm(residuals, jacobians, C0, *args, **kwargs):
+        calls = []
+
+        def counted(C, rows):
+            calls.append(len(rows))
+            return residuals(C, rows)
+
+        out = real_lm(counted, jacobians, C0, *args, **kwargs)
+        steps.append((len(C0), len(calls) - 1))  # one trial call per step
+        return out
+
+    monkeypatch.setattr(homspace, "_lm", counting_lm)
+    monkeypatch.setattr(homspace, "_LM_SLICE", 10**6)  # no step splits its calls
+    code, _ = payload_for(["verify", "so8-so3so5--k1-0so3", "--seed", "2"])
+    assert code == 0
+    # the one solve of many problems is the job's riemannian_logs call
+    [log_steps] = [n for p, n in steps if p > 1]
+    assert log_steps < homspace._LM_MAX_ITER
+
+
 @pytest.mark.parametrize("seed", [2, 1803])
 def test_verify_so8_central_constant_without_restart_luck(seed):
     # at these seeds a restart converges at some points of central-0 to a

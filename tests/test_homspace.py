@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from scipy.optimize._numdiff import approx_derivative
 
 from isofib import homspace
 from isofib.homspace import (
@@ -38,8 +37,9 @@ from isofib.homspace import (
     share_logs,
     _circle_angles,
     _complex_pairing,
-    _fd_jacobian,
+    _fiber_maps,
     _k_star_batch,
+    _log_maps,
     _orthogonal_log,
     _polish_roots,
     _so_procrustes,
@@ -476,23 +476,59 @@ def test_polish_accepts_a_newton_point_on_a_bracket_end():
     assert got[0] == 1.0
 
 
-@pytest.mark.parametrize("case_id", ["so6-stiefel", "su3-hopf", "su3-su1u2--k1-t1"])
-def test_fd_jacobian_is_scipy_two_point(case_id):
+def central_jacobian(residuals, c, h=1e-6):
+    """Central differences of a one-problem residual map at c; k* is
+    solved again at every point."""
+    cols = []
+    for j in range(len(c)):
+        e = np.zeros(len(c))
+        e[j] = h
+        up, down = residuals((c + e)[None], np.arange(1)), residuals((c - e)[None], np.arange(1))
+        cols.append((up[0] - down[0]) / (2 * h))
+    return np.array(cols).T
+
+
+# SO blocks, an SU(2) block, an SU(3) block, and a circle
+JACOBIAN_CASES = ["so6-stiefel", "su3-hopf", "su4-su1u3--k1-0a2", "su3-su1u2--k1-t1"]
+
+
+@pytest.mark.parametrize("case_id", JACOBIAN_CASES)
+def test_coset_jacobian_is_exact_at_a_zero_residual(case_id):
+    # there the orbit-projected Jacobian with k* held fixed is the full
+    # derivative, k* moving included, for both residual maps
     model = model_for(case_id)
     rng = np.random.default_rng(31)
-    U, V = haar_point(model, rng).rep, haar_point(model, rng).rep
+    c = rng.normal(size=model.dim_m1)
+    c *= 0.7 / np.linalg.norm(c)
+    U = haar_point(model, rng).rep[None]
+    maps = [(_log_maps(model, U, U @ matrix_exp(model.from_m1_coords(c))), c)]
+    c = rng.normal(scale=0.3, size=model.g.dim)
+    x0 = haar_point(model, rng).rep
+    X = x0 @ matrix_exp(model.g.from_coords(c))
+    k = sample_subgroup_element(model, model.k1_factors + model.k2_factors, rng)
+    maps.append((_fiber_maps(model, X @ k.T @ X.T, x0), c))
+    for (residuals, jacobians), c in maps:
+        assert np.linalg.norm(residuals(c[None], np.arange(1))) < 1e-13
+        J = jacobians(np.arange(1))[0]
+        np.testing.assert_allclose(J, central_jacobian(residuals, c), rtol=0, atol=1e-6)
 
-    def residuals(C):
-        P = U @ matrix_exp(model.from_m1_coords(C))
-        K = _k_star_batch(model, P, V, model.k1_factors)
-        return (P @ K - V).reshape(len(C), -1)
 
-    # zero, negative, and beyond-unit coordinates take different steps
-    x = 2.0 * rng.normal(size=model.dim_m1)
-    x[:2] = (0.0, -0.3)
-    J = _fd_jacobian(lambda C: residuals(C[0])[None], x[None], residuals(x[None]))[0]
-    ref = approx_derivative(lambda c: residuals(c[None])[0], x, method="2-point")
-    assert np.array_equal(J, ref)
+@pytest.mark.parametrize("case_id", JACOBIAN_CASES)
+def test_coset_jacobian_gives_the_gradient_at_haar_pairs(case_id):
+    # away from a zero residual J is not the derivative, but J^T F is the
+    # gradient of |F|^2 / 2 (envelope theorem: F is orthogonal to the
+    # K-orbit at the maximizer)
+    model = model_for(case_id)
+    rng = np.random.default_rng(32)
+    U, V = (np.array([haar_point(model, rng).rep]) for _ in range(2))
+    fiber = _fiber_maps(model, haar_point(model, rng).rep, haar_point(model, rng).rep)
+    for (residuals, jacobians), d in ((_log_maps(model, U, V), model.dim_m1), (fiber, model.g.dim)):
+        c = rng.normal(scale=0.5, size=d)
+        F = residuals(c[None], np.arange(1))[0]
+        J = jacobians(np.arange(1))[0]
+        assert np.linalg.norm(F) > 0.1
+        grad = central_jacobian(lambda C, rows: (residuals(C, rows) ** 2).sum(1, keepdims=True) / 2, c)
+        np.testing.assert_allclose(J.T @ F, grad[0], rtol=0, atol=1e-6)
 
 
 # --- metric constants ---------------------------------------------------------------
@@ -704,28 +740,27 @@ def test_joint_logs_match_solo_logs(case_id):
 
 
 def test_lm_jacobian_chunks_are_exact(so6, monkeypatch):
-    # the Jacobian is reduced to J^T J and J^T F per stack of at most
-    # _LM_SLICE points; smaller stacks must not change a single iterate
+    # the Jacobians are taken and reduced to J^T J and J^T F per stack of
+    # at most _LM_SLICE (problem, column) pairs; one problem per stack must
+    # not change a single iterate
     rng = np.random.default_rng(37)
-    n, d = so6.n, so6.dim_m1
+    d = so6.dim_m1
     U = np.array([haar_point(so6, rng).rep for _ in range(5)])
     V = np.array([haar_point(so6, rng).rep for _ in range(5)])
     C0 = rng.normal(size=(5, d))
+    residuals, jacobians = _log_maps(so6, U, V)
     sizes = []
 
-    def residuals(C, rows):
-        sizes.append(C.shape[0] * C.shape[1])
-        P = (U[rows, None] @ matrix_exp(so6.from_m1_coords(C))).reshape(-1, n, n)
-        T = np.repeat(V[rows], C.shape[1], axis=0)
-        K = _k_star_batch(so6, P, T, so6.k1_factors)
-        return (P @ K - T).reshape(C.shape[:2] + (-1,))
+    def counted(rows):
+        sizes.append(len(rows))
+        return jacobians(rows)
 
-    X, F = homspace._lm(residuals, C0)
-    assert max(sizes) == 5 * d  # every Jacobian in one stack
+    X, F = homspace._lm(residuals, counted, C0)
+    assert max(sizes) == 5  # every Jacobian in one stack
     sizes.clear()
-    monkeypatch.setattr(homspace, "_LM_SLICE", 2)
-    X2, F2 = homspace._lm(residuals, C0)
-    assert max(sizes) == d  # one problem's Jacobian points per stack
+    monkeypatch.setattr(homspace, "_LM_SLICE", d)
+    X2, F2 = homspace._lm(residuals, counted, C0)
+    assert max(sizes) == 1  # one problem's d columns per stack
     assert np.array_equal(X, X2) and np.array_equal(F, F2)
 
 
@@ -770,24 +805,26 @@ def test_lm_stops_at_converged_starts(case_id):
     # from an exact start it takes no step, from a near one a few steps
     model = model_for(case_id)
     rng = np.random.default_rng(38)
-    n, d = model.n, model.dim_m1
+    d = model.dim_m1
     U = np.array([haar_point(model, rng).rep for _ in range(3)])
     C = rng.normal(size=(3, d))
     C *= 0.5 / np.linalg.norm(C, axis=1, keepdims=True)
     V = U @ matrix_exp(model.from_m1_coords(C))
     calls = []
+    maps = _log_maps(model, U, V)
 
     def residuals(X, rows):
         calls.append(len(rows))
-        P = (U[rows, None] @ matrix_exp(model.from_m1_coords(X))).reshape(-1, n, n)
-        T = np.repeat(V[rows], X.shape[1], axis=0)
-        K = _k_star_batch(model, P, T, model.k1_factors)
-        return (P @ K - T).reshape(X.shape[:2] + (-1,))
+        return maps[0](X, rows)
 
-    X, F = homspace._lm(residuals, C, tol=1e-8)
+    def jacobians(rows):
+        calls.append(len(rows))
+        return maps[1](rows)
+
+    X, F = homspace._lm(residuals, jacobians, C, tol=1e-8)
     assert len(calls) == 1 and np.array_equal(X, C)
     calls.clear()
-    X, F = homspace._lm(residuals, C + 1e-3 * rng.normal(size=C.shape), tol=1e-8)
+    X, F = homspace._lm(residuals, jacobians, C + 1e-3 * rng.normal(size=C.shape), tol=1e-8)
     # one initial call, then a Jacobian and a trial call per step
     assert len(calls) <= 1 + 2 * 6
     assert np.linalg.norm(F, axis=1).max() <= 1e-14

@@ -58,7 +58,7 @@ CATALOG_SET = (
 )
 
 # the 18 requests of perfbench's verify_jobs decks 1-3, then further seeds
-# of the same cases used as parity checks since the batched Jacobian.
+# of the same cases.
 # so8-so3so5--k1-0so3 at 9, 10, 11, 29, 9980, 6205, 9906 and 9094 failed
 # (displacement-inconclusive: the k2-left profile was not separated while
 # its upper bounds came from multistart logs at Haar points), and at 1, 4242
