@@ -211,10 +211,10 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
 
     # the pairs of every Riemannian log of the job are drawn first and
     # solved in one lockstep call: the log round trips, the bound-ordering
-    # pairs and the sampled points of the two central profiles.  The lower
-    # bounds of the bound-ordering pairs and of every profile point come
-    # from one batched call; each noncentral profile takes its one upper
-    # bound from its torus witness
+    # pairs and each central profile's base point, whose log `share_logs`
+    # carries to the other points.  The lower bounds of the bound-ordering
+    # pairs and of every profile point come from one batched call; each
+    # noncentral profile takes its one upper bound from its torus witness
     roundtrip = []
     for _ in range(3):
         x = homspace.haar_point(model, rng)
@@ -236,12 +236,11 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         gammas.append(homspace.Isometry(model, left=k, label=label))
     samples = [homspace.sample_profile(g, cfg.samples, cfg.seed) for g in gammas]
     central, noncentral = samples[:2], samples[2:]
-    pairs = roundtrip + ordered + [pq for s in central for pq in zip(s.points, s.images)]
-    seeds = [cfg.seed] * (len(roundtrip) + len(ordered))
-    seeds += [seed for s in central for seed in s.log_seeds]
+    pairs = roundtrip + ordered + [(s.points[0], s.images[0]) for s in central]
+    seeds = [cfg.seed] * (len(roundtrip) + len(ordered)) + [s.log_seeds[0] for s in central]
     xs, ys = zip(*pairs)
     logs = iter(homspace.riemannian_logs(xs, ys, seeds, cfg.restarts, tol["coset"]))
-    bounded = pairs[len(roundtrip) :] + [pq for s in noncentral for pq in zip(s.points, s.images)]
+    bounded = ordered + [pq for s in samples for pq in zip(s.points, s.images)]
     lowers = iter(homspace.distance_lower_bound(*zip(*bounded)).tolist())
     roundtrip_logs = [next(logs) for _ in roundtrip]
     ordered_logs = [next(logs) for _ in ordered]
@@ -249,7 +248,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     central_reports = [
         homspace.profile_report(
             s,
-            homspace.share_logs(s, [next(logs) for _ in s.points], tol["coset"]),
+            homspace.share_logs(s, [next(logs)], tol["coset"]),
             [next(lowers) for _ in s.points],
             cfg.restarts,
             tol["constant"],

@@ -48,18 +48,18 @@ times the tolerance of its solve.
 point pairs in one `_lm` call, starting each pair from the m1 part of one
 batched real log (`_orthogonal_log`) and seeded perturbations of it: a
 verify job passes it every log it needs (round trips, bound-ordering
-pairs and the sampled points of its two central displacement profiles),
-and `distance_lower_bound` the bound-ordering pairs and the sampled points
-of all four profiles.  `riemannian_log` and
+pairs and the base point of each of its two central displacement
+profiles), and `distance_lower_bound` the bound-ordering pairs and the
+sampled points of all four profiles.  `riemannian_log` and
 `displacement_profile` (`sample_profile`, then `share_logs`,
 `distance_lower_bound` and `profile_report`) are compositions.
 `share_logs` offers a profile's shortest converged log to each of its
 points, which adopt it where it also reaches the image coset and is
-shorter than their own.  Every per-problem operation, the matrix exponential included, acts
-on that problem's rows alone, so a pair's result does not depend on the
-problems it is solved with.  The module needs numpy alone: the reversal
-certificates and the SO torus witnesses take their invariant planes from
-`np.linalg.eig`.
+shorter than their own, if any.  Every per-problem operation, the matrix
+exponential included, acts on that problem's rows alone, so a pair's
+result does not depend on the problems it is solved with.  The module
+needs numpy alone: the reversal certificates and the SO torus witnesses
+take their invariant planes from `np.linalg.eig`.
 """
 from __future__ import annotations
 
@@ -859,13 +859,14 @@ def share_logs(
     sample: ProfileSample, logs: list[LogResult], tol: float = COSET_TOL
 ) -> list[LogResult]:
     """The logs of a sampled profile after sharing its shortest converged
-    log xi: every point p where xi also joins p to gamma(p) (chord upper
-    value below tol, all points in one `chord_to_coset` call) and is
-    shorter than p's own log adopts it.  Upper bounds only fall, each
-    adopted one is an explicit converged geodesic, and the lower bounds do
-    not change.  For a central gamma the problem is the same at every point
-    up to a left translation, so restart luck cannot spread the uppers; for
-    a non-central one the residual test fails away from xi's own point."""
+    log xi.  `logs` holds those of the first len(logs) points (verify
+    solves the base point's alone).  Every point p where xi also joins p to
+    gamma(p) (chord upper value below tol, all points in one
+    `chord_to_coset` call) and is shorter than p's own log, if any, adopts
+    it as an explicit converged geodesic; a point with neither reads as
+    non-converged.  A central gamma = z k2 maps x K1 to x (z k2) K1, the
+    left translate of the base problem, so every point adopts xi."""
+    logs = logs + [LogResult(None, math.inf, math.inf, False)] * (len(sample.points) - len(logs))
     converged = [log for log in logs if log.converged]
     if not converged:
         return logs

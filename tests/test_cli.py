@@ -381,9 +381,10 @@ def test_verify_huge_tol_coset_ends_with_a_verdict():
 
 def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
     # every Riemannian log of a job shares one lockstep solve: 3 round
-    # trips, 4 bound-ordering pairs and the points of the two central
-    # profiles (the noncentral ones take their upper bound from a torus
-    # witness); each fixed-fiber restart is a solve of its own
+    # trips, 4 bound-ordering pairs and the base point of each central
+    # profile, whose log the profile's other points share (the noncentral
+    # ones take their upper bound from a torus witness); each fixed-fiber
+    # restart is a solve of its own
     calls = {"lm": 0, "fiber_depth": 0}
     pairs = []
     real_lm, real_fiber, real_logs = homspace._lm, homspace.fixed_fiber, homspace.riemannian_logs
@@ -409,7 +410,7 @@ def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
     code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     assert code == 0
     assert calls["lm"] == 1
-    assert pairs == [3 + 4 + 2 * 10]
+    assert pairs == [3 + 4 + 2]
 
 
 def test_verify_job_makes_one_lower_bound_call(monkeypatch):

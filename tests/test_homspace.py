@@ -863,6 +863,38 @@ def test_shared_logs_only_lower_uppers_by_converged_geodesics(case_id):
     assert adopted[0] > 0 and adopted[1:] == [0, 0]
 
 
+@pytest.mark.parametrize("case_id", ["so6-stiefel", "su3-hopf"])
+def test_base_point_log_reaches_every_point_only_for_a_central_isometry(case_id):
+    # a verify job solves each profile's base point alone and shares that
+    # log: gamma = z k2 poses the left translate of the base problem at
+    # every point, a noncentral left translation does not
+    model = model_for(case_id)
+    rng = np.random.default_rng(41)
+    k2 = sample_subgroup_element(model, model.k2_factors, rng)
+    central = Isometry(model, left=model.center_elements[1], right=k2)
+    noncentral = Isometry(model, left=sample_subgroup_element(model, model.k2_factors, rng))
+    for gamma in (central, noncentral):
+        sample = homspace.sample_profile(gamma, n_samples=8, seed=13)
+        base = homspace.riemannian_logs(
+            [sample.points[0]], [sample.images[0]], sample.log_seeds[:1], restarts=2
+        )
+        assert base[0].converged
+        shared = share_logs(sample, base)
+        assert len(shared) == len(sample.points) and shared[0] is base[0]
+        lowers = distance_lower_bound(sample.points, sample.images).tolist()
+        report = homspace.profile_report(sample, shared, lowers, restarts=2)
+        if gamma is central:
+            for p, q, log in zip(sample.points, sample.images, shared):
+                assert log.converged and log.xi is base[0].xi
+                assert log.upper == pytest.approx(model.m1_norm(log.xi), rel=1e-12)
+                assert chord(model, geodesic(p, log.xi, 1.0), q)[1] < homspace.COSET_TOL
+            assert report.verdict == "constant-within-tol"
+        else:
+            assert not any(log.converged for log in shared[1:])
+            assert all(log.upper == math.inf for log in shared[1:])
+            assert report.verdict != "constant-within-tol"
+
+
 def test_log_of_same_point_is_zero(su3):
     x = haar_point(su3, np.random.default_rng(18))
     log = riemannian_log(x, x, restarts=1, seed=0)
