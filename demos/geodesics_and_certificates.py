@@ -16,7 +16,7 @@ from isofib.homspace import (
     chord_to_coset,
     fixed_point_certificate,
     geodesic,
-    haar_orthogonal,
+    haar_matrices,
     riemannian_log,
 )
 from isofib.liealg import build_model, find_record
@@ -44,7 +44,7 @@ print(f"chord bounds on the endpoint: [{chord.lower[0]:.6f}, {chord.upper[0]:.6f
 # an orientation-reversing orthogonal map always preserves a plane of the
 # complementary dimension; the certificate returns an orthonormal basis
 # and the residual of invariance
-A = haar_orthogonal(6, rng, special=False)
+A = haar_matrices("o", 6, rng, 1)[0]
 if np.linalg.det(A) > 0:
     A[:, 0] = -A[:, 0]
 cert = fixed_point_certificate(A, 1, 1)

@@ -16,7 +16,7 @@ from isofib.homspace import (
     Isometry,
     KillingField,
     displacement_profile,
-    haar_point,
+    haar_points,
     killing_length,
     sample_subgroup_element,
 )
@@ -24,7 +24,7 @@ from isofib.liealg import build_model, find_record
 
 model = build_model(find_record("su3-hopf"))
 rng = np.random.default_rng(0)
-points = [haar_point(model, rng) for _ in range(60)]
+points = haar_points(model, rng, 60)
 
 # a vertical right translation field: length identical at every point
 eta = model.k2.basis[0]

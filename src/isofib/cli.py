@@ -162,9 +162,8 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         f"k1={model.dim_k1} k2={model.dim_k2} m1={model.dim_m1} m={model.dim_m}",
     )
 
-    pts = [homspace.base_point(model)] + [
-        homspace.haar_point(model, rng) for _ in range(max(cfg.samples, 4) - 1)
-    ]
+    pts = [homspace.base_point(model)]
+    pts += homspace.haar_points(model, rng, max(cfg.samples, 4) - 1)
 
     # right-invariant fields have constant length
     spreads = []
@@ -197,7 +196,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     # geodesics along k2 directions stay in the base coset (the fiber)
     eta = model.k2.from_coords(rng.normal(size=model.dim_k2))
     eta = eta / max(model.m1_norm(eta), 1e-12)
-    x0 = homspace.haar_point(model, rng)
+    x0 = homspace.haar_points(model, rng, 1)[0]
     ys = np.array([homspace.geodesic(x0, eta, t).rep for t in (0.2, 0.9, 2.3)])
     U = np.broadcast_to(x0.rep, ys.shape)
     chords = homspace.chord_to_coset(model, U, ys, model.k1_factors + model.k2_factors)
@@ -217,13 +216,12 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     # noncentral profile takes its one upper bound from its torus witness
     roundtrip = []
     for _ in range(3):
-        x = homspace.haar_point(model, rng)
+        x = homspace.haar_points(model, rng, 1)[0]
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(0.4 * c / np.linalg.norm(c))
         roundtrip.append((x, homspace.geodesic(x, xi, 1.0)))
-    ordered = []
-    for _ in range(4):
-        ordered.append((homspace.haar_point(model, rng), homspace.haar_point(model, rng)))
+    ends = homspace.haar_points(model, rng, 8)
+    ordered = list(zip(ends[0::2], ends[1::2]))
     gammas = []
     for i in range(2):
         # central x right translations, predicted constant
@@ -323,7 +321,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     ok = found is not None
     if model.record.equal_rank:
         # equal rank: every element fixes some base coset
-        g = homspace.haar_point(model, rng).rep
+        g = homspace.haar_points(model, rng, 1)[0].rep
         found2, resid2 = homspace.fixed_fiber(
             homspace.Isometry(model, left=g), restarts=6, seed=cfg.seed, tol=tol["coset"]
         )
@@ -341,8 +339,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     if all(f.kind == "so" and len(f.cols) % 2 for f in factors):
         s, t = (len(f.cols) // 2 for f in factors)
         worst = 0.0
-        for _ in range(10):
-            Q = homspace.haar_orthogonal(model.n, rng, special=False)
+        for Q in homspace.haar_matrices("o", model.n, rng, 10):
             if np.linalg.det(Q) > 0:
                 Q[:, 0] = -Q[:, 0]
             cert = homspace.fixed_point_certificate(Q, s, t)
@@ -773,8 +770,10 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"--seed must be at least 0, got {cfg.seed}")
     if cfg.samples < 2:
         raise ConfigError(f"--samples must be at least 2, got {cfg.samples}")
-    if cfg.restarts < 0:
-        raise ConfigError(f"--restarts must be at least 0, got {cfg.restarts}")
+    if cfg.restarts < 1:
+        # with no restart a central profile's log rests on its smart start,
+        # which never moves when z = -1
+        raise ConfigError(f"--restarts must be at least 1, got {cfg.restarts}")
     if cfg.rank_cap < 1:
         raise ConfigError(f"--rank-cap must be at least 1, got {cfg.rank_cap}")
     if cfg.command == "catalog":

@@ -53,6 +53,9 @@ profiles), and `distance_lower_bound` the bound-ordering pairs and the
 sampled points of all four profiles.  `riemannian_log` and
 `displacement_profile` (`sample_profile`, then `share_logs`,
 `distance_lower_bound` and `profile_report`) are compositions.
+Haar points come in batches (`haar_points`, over `haar_matrices`): one
+normal draw and one stacked QR per batch, laid out so that a batch reads
+the stream, and gets the points, that batches of one read in turn.
 `share_logs` offers a profile's shortest converged log to each of its
 points, which adopt it where it also reaches the image coset and is
 shorter than their own, if any.  Every per-problem operation, the matrix
@@ -134,28 +137,36 @@ def base_point(model: GroupModel) -> CosetPoint:
 # --- Haar-like sampling -------------------------------------------------------
 
 
-def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    Z = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(2)
-    Qm, R = np.linalg.qr(Z)
-    Qm = Qm * (np.diag(R) / np.abs(np.diag(R)))
-    # fold the determinant phase into the first column: Haar on SU(m)
-    Qm[:, 0] = Qm[:, 0] / np.linalg.det(Qm)
-    return Qm
+def haar_matrices(group: str, size: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, size, size) stack of Haar samples of SO(size), O(size) or
+    SU(size) (group "so", "o" or "su"; complex for "su") from one
+    `rng.normal` draw and one stacked QR: Q R = Z with the sign or phase of
+    each diagonal entry of R moved into Q, then for SO and SU the
+    determinant folded into the first column.  The draw is laid out as
+    `count` draws of one matrix (for SU the real part, then the imaginary
+    part), so a batch reads the stream that batches of one read in turn,
+    and each matrix is the one it is alone."""
+    Z = rng.normal(size=(count, 2, size, size) if group == "su" else (count, size, size))
+    if group == "su":
+        Z = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2)
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    Q = Q * (d / np.abs(d))[:, None, :]
+    if group == "su":
+        Q[:, :, 0] /= np.linalg.det(Q)[:, None]
+    elif group == "so":
+        Q[:, :, 0] *= np.sign(np.linalg.det(Q))[:, None]
+    return Q
 
 
-def haar_orthogonal(k: int, rng: np.random.Generator, special: bool = True) -> np.ndarray:
-    Z = rng.normal(size=(k, k))
-    Qm, R = np.linalg.qr(Z)
-    Qm = Qm * np.sign(np.diag(R))
-    if special and np.linalg.det(Qm) < 0:
-        Qm[:, 0] = -Qm[:, 0]
-    return Qm
-
-
-def haar_point(model: GroupModel, rng: np.random.Generator) -> CosetPoint:
+def haar_points(model: GroupModel, rng: np.random.Generator, count: int) -> list[CosetPoint]:
+    """count Haar points of the model's group, from one `haar_matrices`
+    batch."""
     if model.complex_size:
-        return CosetPoint(model, realify(haar_unitary(model.complex_size, rng)))
-    return CosetPoint(model, haar_orthogonal(model.n, rng))
+        reps = realify(haar_matrices("su", model.complex_size, rng, count))
+    else:
+        reps = haar_matrices("so", model.n, rng, count)
+    return [CosetPoint(model, rep) for rep in reps]
 
 
 def embed_factor_element(
@@ -165,13 +176,14 @@ def embed_factor_element(
     if factor.kind == "circle":
         theta = rng.uniform(0.0, factor.period)
         return matrix_exp(theta * model.circle_mat)
+    block = haar_matrices(factor.kind, len(factor.cols), rng, 1)[0]
+    ix = np.ix_(factor.cols, factor.cols)
     if factor.kind == "so":
         out = np.eye(model.n)
-        out[np.ix_(factor.cols, factor.cols)] = haar_orthogonal(len(factor.cols), rng)
+        out[ix] = block
         return out
-    # su block
     Z = np.eye(model.complex_size, dtype=complex)
-    Z[np.ix_(factor.cols, factor.cols)] = haar_unitary(len(factor.cols), rng)
+    Z[ix] = block
     return realify(Z)
 
 
@@ -310,11 +322,6 @@ def _so_procrustes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(sig, axis=-1), U @ Vt
 
 
-def _circle_phases(model: GroupModel) -> np.ndarray:
-    """Diagonal speeds a_j with exp(theta z) = diag(e^{i a_j theta})."""
-    return np.diag(complexify(model.circle_mat)).imag
-
-
 def _split_columns(
     model: GroupModel, factors: tuple[BlockFactor, ...]
 ) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -373,7 +380,7 @@ def _circle_angles(
     e^{-i a theta} of an SU block of c columns keeps its singular values
     and multiplies det(U V^h) by e^{-i c a theta}: one SVD per row gives
     the block's maximum at every angle, the curve `_su_curve`."""
-    speeds = _circle_phases(model)
+    speeds = model.circle_phases
     period = next(f.period for f in factors if f.kind == "circle")
     singles, blocks = _split_columns(model, factors)
     rows = np.arange(len(P))
@@ -441,7 +448,7 @@ def _k_star_batch(
     Kc = np.tile(np.eye(m, dtype=complex), (len(M), 1, 1))
     theta = None
     if any(f.kind == "circle" for f in factors):
-        speeds = _circle_phases(model)
+        speeds = model.circle_phases
         theta = _circle_angles(model, P, factors)
         Kc[:, np.arange(m), np.arange(m)] = np.exp(1j * speeds * theta[:, None])
     for f in factors:
@@ -531,11 +538,6 @@ _LM_STOP = 1e-6
 _LM_SLICE = 128
 
 
-def _frobenius_onb(basis: np.ndarray) -> np.ndarray:
-    """Frobenius-orthonormal rows (k, n * n) spanning the (k, n, n) basis."""
-    return np.linalg.qr(basis.reshape(len(basis), -1).T)[0].T
-
-
 def _coset_jacobian(
     xi: np.ndarray,
     basis: np.ndarray,
@@ -550,7 +552,7 @@ def _coset_jacobian(
     fixed (None) or B exp(xi).  Column j holds k* fixed, P Omega_j k* (-
     X Omega_j) with Omega_j = exp(-xi) dexp_xi(basis_j), less its
     Frobenius projection onto the tangent P k* eta of the K-orbit at P k*,
-    eta in the span of onb (orthonormal rows, `_frobenius_onb`).
+    eta in the span of onb (orthonormal rows, `MatrixAlgebra.frobenius_onb`).
 
     Since F is orthogonal to that tangent at the maximizer (envelope
     theorem), J^T F is the exact gradient; at a zero residual F is
@@ -698,7 +700,7 @@ def _log_maps(model: GroupModel, U: np.ndarray, V: np.ndarray):
     U_i exp(xi) k* - V_i, with k* the maximizer over K1 (`_k_star_batch`).
     `residuals` keeps xi, U_i exp(xi) and k* of each point it evaluates,
     and `jacobians` takes the Jacobians there."""
-    factors, onb = model.k1_factors, _frobenius_onb(model.k1.basis)
+    factors, onb = model.k1_factors, model.k1.frobenius_onb
     xi, P, K = np.empty_like(U), np.empty_like(U), np.empty_like(U)
 
     def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -847,9 +849,7 @@ class ProfileSample:
 def sample_profile(gamma: Isometry, n_samples: int = 200, seed: int = 42) -> ProfileSample:
     """The seeded sample of `displacement_profile`."""
     rng = np.random.default_rng(seed)
-    points = [base_point(gamma.model)]
-    while len(points) < n_samples:
-        points.append(haar_point(gamma.model, rng))
+    points = [base_point(gamma.model), *haar_points(gamma.model, rng, max(n_samples - 1, 0))]
     return ProfileSample(
         gamma, n_samples, seed, tuple(points), tuple(gamma.apply(p) for p in points)
     )
@@ -982,8 +982,7 @@ def _fiber_maps(model: GroupModel, gmat: np.ndarray, x0: np.ndarray):
     search from x0: coordinates c of xi in g, X = x0 exp(xi), and residual
     gmat X k* - X, with k* the maximizer over K1 x K2.  As in `_log_maps`,
     `jacobians` takes the Jacobian at the point last evaluated."""
-    factors = model.k1_factors + model.k2_factors
-    onb = _frobenius_onb(np.concatenate([model.k1.basis, model.k2.basis]))
+    factors, onb = model.k1_factors + model.k2_factors, model.k.frobenius_onb
     xi, X, Y, K = (np.empty((1, model.n, model.n)) for _ in range(4))
 
     def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -1016,7 +1015,7 @@ def fixed_fiber(
     rng = np.random.default_rng(seed)
     best_val, best_X = np.inf, None
     for trial in range(max(1, restarts)):
-        x0 = np.eye(model.n) if trial == 0 else haar_point(model, rng).rep
+        x0 = np.eye(model.n) if trial == 0 else haar_points(model, rng, 1)[0].rep
         c0 = np.zeros(dg) if trial == 0 else rng.normal(scale=0.3, size=dg)
         C, F = _lm(*_fiber_maps(model, gmat, x0), c0[None], tol)
         r = float(np.linalg.norm(F[0]))
@@ -1200,7 +1199,7 @@ def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndar
     alpha = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), kc, vecs))
     singles, blocks = _split_columns(model, model.k1_factors)
     circle = next((f for f in model.k1_factors if f.kind == "circle"), None)
-    speeds = _circle_phases(model) if circle else np.zeros(m)
+    speeds = model.circle_phases if circle else np.zeros(m)
     units = [(j,) for j in singles] + blocks
     S = np.zeros((len(units), m))  # unit phase sums of the column phases
     for u, cols in enumerate(units):

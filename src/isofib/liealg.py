@@ -17,7 +17,10 @@ the finite center of G, and block descriptors of K1 and K2 that
 downstream geometry uses for group sampling and coset projections.
 All structural invariants (bracket closure, orthogonality, definiteness,
 the centralizer identity, and the zero-fixed-space property of ad(k) on m)
-are validated at build time.
+are validated at build time.  `build_model` builds and validates one model
+per record per process and hands the same object to every caller, so
+every array a model holds, those of its algebras and its cached
+properties included, is read-only: writing into one raises ValueError.
 """
 from __future__ import annotations
 
@@ -30,6 +33,12 @@ from .dynkin import FibrationRecord
 
 STRUCTURAL_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-8
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: models are shared (`build_model`)."""
+    a.setflags(write=False)
+    return a
 
 
 def realify(Z: np.ndarray) -> np.ndarray:
@@ -62,7 +71,8 @@ class MatrixAlgebra:
         flat = self.basis.reshape(self.dim, -1).T  # (n*n, dim)
         if np.linalg.matrix_rank(flat, tol=1e-8) != self.dim:
             raise ValueError(f"{self.name}: basis not linearly independent")
-        object.__setattr__(self, "_pinv", np.linalg.pinv(flat))
+        _read_only(self.basis)
+        object.__setattr__(self, "_pinv", _read_only(np.linalg.pinv(flat)))
 
     @property
     def dim(self) -> int:
@@ -72,7 +82,12 @@ class MatrixAlgebra:
     def killing_gram(self) -> np.ndarray:
         """The basis Gram matrix of the Killing form (`killing_matrix`),
         computed once per algebra."""
-        return killing_matrix(self)
+        return _read_only(killing_matrix(self))
+
+    @cached_property
+    def frobenius_onb(self) -> np.ndarray:
+        """Frobenius-orthonormal rows (dim, n * n) spanning the basis."""
+        return _read_only(np.linalg.qr(self.basis.reshape(self.dim, -1).T)[0].T)
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         return self._pinv @ X.reshape(-1)
@@ -250,6 +265,7 @@ class GroupModel:
     g: MatrixAlgebra
     k1: MatrixAlgebra
     k2: MatrixAlgebra
+    k: MatrixAlgebra  # k1 + k2, the k1 basis first
     m_basis: np.ndarray  # kappa-orthonormal basis of k-perp (as matrices)
     m1_basis: np.ndarray  # kappa-orthonormal basis of k1-perp, k2 directions first
     kappa: np.ndarray  # Killing Gram matrix on g.basis coordinates
@@ -257,6 +273,11 @@ class GroupModel:
     k1_factors: tuple[BlockFactor, ...]
     k2_factors: tuple[BlockFactor, ...]
     circle_mat: np.ndarray | None  # generator when a circle factor exists
+
+    def __post_init__(self):
+        for a in (self.m_basis, self.m1_basis, self.kappa, self.circle_mat, *self.center_elements):
+            if a is not None:
+                _read_only(a)
 
     @property
     def dim_g(self) -> int:
@@ -290,6 +311,12 @@ class GroupModel:
                 F[i, j] = F[j, i] = float(np.sum(E[i] * E[j]))
         return 1.0 / float(np.linalg.eigvalsh(F)[-1])
 
+    @cached_property
+    def circle_phases(self) -> np.ndarray:
+        """Diagonal speeds a_j with exp(theta z) = diag(e^{i a_j theta}) for
+        the circle generator z."""
+        return _read_only(np.diag(complexify(self.circle_mat)).imag)
+
     def kappa_ip(self, X: np.ndarray, Y: np.ndarray) -> float:
         """The metric inner product -kappa(X, Y) on g."""
         return float(-(self.g.coords(X) @ self.kappa @ self.g.coords(Y)))
@@ -302,7 +329,7 @@ class GroupModel:
         """(n^2, d) matrix D with m1_coords(X) = vec(X) @ D: column j is the
         functional X -> -kappa(X, E_j) on g coordinates."""
         E = np.array([self.g.coords(B) for B in self.m1_basis])
-        return -self.g._pinv.T @ (self.kappa @ E.T)
+        return _read_only(-self.g._pinv.T @ (self.kappa @ E.T))
 
     def m1_coords(self, X: np.ndarray) -> np.ndarray:
         """The coordinates -kappa(X, E_j) on the m1 basis; leading axes of X
@@ -468,10 +495,13 @@ def _block_data(
     return [circle_generator(idx)], BlockFactor("circle", (), period)
 
 
+@lru_cache(maxsize=None)
 def build_model(rec: FibrationRecord) -> GroupModel:
     """Concrete validated model of a record from its `dynkin.ModelSpec`: g,
     K1 and K2 as block subalgebras, m1 = k1-perp with the k2 directions
-    first, and m = k-perp.  Catalog-only records are rejected."""
+    first, and m = k-perp.  Catalog-only records are rejected.  Built and
+    validated once per record per process; every caller gets the same
+    read-only model."""
     spec = rec.model_spec
     if spec is None:
         raise ValueError(
@@ -522,6 +552,7 @@ def build_model(rec: FibrationRecord) -> GroupModel:
         g=g,
         k1=k1,
         k2=k2,
+        k=k_all,
         m_basis=m_perp,
         m1_basis=np.array(m1_ordered),
         kappa=kappa,

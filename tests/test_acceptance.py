@@ -21,8 +21,8 @@ from isofib.homspace import (
     KillingField,
     displacement_profile,
     fixed_point_certificate,
-    haar_orthogonal,
-    haar_point,
+    haar_matrices,
+    haar_points,
     killing_length,
     sample_subgroup_element,
 )
@@ -182,7 +182,7 @@ def test_killing_length_dichotomy(models):
     n_points = 200
     for model in models:
         rng = np.random.default_rng(42)
-        pts = [haar_point(model, rng) for _ in range(n_points)]
+        pts = haar_points(model, rng, n_points)
 
         def unit(mat):
             return mat / np.sqrt(model.kappa_ip(mat, mat))
@@ -252,8 +252,7 @@ def test_reversal_certificates():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 0.0
-    for _ in range(100):
-        A = haar_orthogonal(6, rng, special=False)
+    for A in haar_matrices("o", 6, rng, 100):
         if np.linalg.det(A) > 0:
             A[:, 0] = -A[:, 0]
         cert = fixed_point_certificate(A, 1, 1)

@@ -352,6 +352,17 @@ def test_verify_deterministic_bytes():
     assert cli.render(a, "json") == cli.render(b, "json")
 
 
+def test_verify_rerun_around_another_request_repeats_its_bytes(capsys):
+    # all three requests share one cached model: a request that changed it
+    # would show in the rerun
+    first = ["verify", "so6-stiefel", "--seed", "4", "--format", "json", *FAST_VERIFY]
+    outs = []
+    for argv in (first, ["verify", "so6-stiefel", "--seed", "5", *FAST_VERIFY], first):
+        run_main(argv)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2]
+
+
 def test_verify_displacement_honours_tol_coset():
     # no log reaches a residual of 1e-300, so no profile has a finite upper
     # bound and neither displacement verdict can be drawn
@@ -367,7 +378,7 @@ def test_verify_displacement_honours_tol_coset():
 
 def test_verify_huge_tol_coset_ends_with_a_verdict():
     # a stopping floor of (1e-6 tol)^2 overflows a float above tol ~1e160
-    argv = ["verify", "su3-hopf", "--samples", "2", "--restarts", "0", "--tol-coset", "1e300"]
+    argv = ["verify", "su3-hopf", "--samples", "2", "--restarts", "1", "--tol-coset", "1e300"]
     out = subprocess.run(
         [sys.executable, "-m", "isofib.cli", *argv],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -646,6 +657,9 @@ def test_failure_lines_name_claims():
         (["verify", "su3-hopf", "--seed", "-1"], "--seed must be at least 0"),
         (["catalog", "--rank-cap", "25"], "--rank-cap"),
         (["catalog", "--rank-cap", "1000000000"], "--rank-cap"),
+        # a central profile's log with no restart rests on a smart start
+        # that never moves when z = -1
+        (["verify", "so6-stiefel", "--restarts", "0"], "--restarts must be at least 1"),
     ],
 )
 def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):

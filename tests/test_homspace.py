@@ -28,9 +28,8 @@ from isofib.homspace import (
     fixed_fiber,
     fixed_point_certificate,
     geodesic,
-    haar_orthogonal,
-    haar_point,
-    haar_unitary,
+    haar_matrices,
+    haar_points,
     killing_length,
     riemannian_log,
     sample_subgroup_element,
@@ -84,24 +83,36 @@ def so6():
 
 def test_haar_unitary_special():
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        Q = haar_unitary(3, rng)
+    for Q in haar_matrices("su", 3, rng, 5):
         assert np.allclose(Q @ Q.conj().T, np.eye(3), atol=1e-12)
         assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_haar_orthogonal_special():
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        Q = haar_orthogonal(6, rng)
+    for Q in haar_matrices("so", 6, rng, 5):
         assert np.allclose(Q @ Q.T, np.eye(6), atol=1e-12)
         assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_haar_point_deterministic(su3):
-    a = haar_point(su3, np.random.default_rng(5)).rep
-    b = haar_point(su3, np.random.default_rng(5)).rep
+    a = haar_points(su3, np.random.default_rng(5), 1)[0].rep
+    b = haar_points(su3, np.random.default_rng(5), 1)[0].rep
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case_id", ["so6-stiefel", "su3-hopf"])
+def test_haar_batch_reads_the_stream_of_batches_of_one(case_id):
+    # one normal draw and one stacked QR for a batch, laid out as the
+    # draws of batches of one in turn
+    model = model_for(case_id)
+    batch = haar_points(model, np.random.default_rng(11), 7)
+    rng = np.random.default_rng(11)
+    for p in batch:
+        assert np.allclose(p.rep, haar_points(model, rng, 1)[0].rep, rtol=0, atol=1e-14)
+    assert haar_points(model, rng, 0) == []
+    sample = homspace.sample_profile(Isometry(model, label="identity"), n_samples=1, seed=3)
+    assert len(sample.points) == 1 and np.array_equal(sample.points[0].rep, np.eye(model.n))
 
 
 def test_coset_point_validates(su3):
@@ -128,9 +139,7 @@ def test_su2_procrustes_exact_against_sampling():
     assert np.allclose(k @ k.conj().T, np.eye(2), atol=1e-12)
     assert np.linalg.det(k) == pytest.approx(1.0, abs=1e-12)
     assert np.real(np.trace(k.conj().T @ P)) == pytest.approx(val, abs=1e-12)
-    best = max(
-        np.real(np.trace(haar_unitary(2, rng).conj().T @ P)) for _ in range(4000)
-    )
+    best = max(np.real(np.trace(k.conj().T @ P)) for k in haar_matrices("su", 2, rng, 4000))
     assert best <= val + 1e-9
 
 
@@ -164,7 +173,7 @@ def test_su_procrustes_three_by_three():
         ([1.7, 0.6, 0.6, 0.6], 2.5),
         ([1.9, 1.2, 0.7, 0.3], np.pi),
     ):
-        U, V = haar_unitary(len(sig), rng), haar_unitary(len(sig), rng)
+        U, V = haar_matrices("su", len(sig), rng, 2)
         U[:, 0] *= np.exp(-1j * tau)  # U, V special unitary: -arg det(U V^h) = tau
         Ps.append(U @ np.diag(sig) @ V.conj().T)
     for P in Ps:
@@ -215,7 +224,7 @@ def _su_curve_cases():
         ("tie-c4", [1.7, 0.6, 0.6, 0.6], 2.5),
         ("zero-c3", [2.0, 1.1, 0.0], 1.0),
     ):
-        U, V = haar_unitary(len(sig), rng), haar_unitary(len(sig), rng)
+        U, V = haar_matrices("su", len(sig), rng, 2)
         U[:, 0] *= np.exp(-1j * tau)  # U, V special unitary: -arg det(U V^h) = tau
         cases.append(pytest.param(U @ np.diag(sig) @ V.conj().T, id=name))
     for sig in ([1.0, -1.0], [1.0, 1.0, -1.0]):
@@ -257,7 +266,7 @@ def test_so_procrustes_exact():
     assert np.allclose(k @ k.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(k) == pytest.approx(1.0, abs=1e-12)
     assert np.trace(k.T @ A) == pytest.approx(val, abs=1e-12)
-    best = max(np.trace(haar_orthogonal(3, rng).T @ A) for _ in range(4000))
+    best = max(np.trace(k.T @ A) for k in haar_matrices("so", 3, rng, 4000))
     assert best <= val + 1e-9
 
 
@@ -267,7 +276,7 @@ def test_so_procrustes_exact():
 def test_chord_zero_on_same_coset(su3, so6):
     rng = np.random.default_rng(6)
     for model in (su3, so6):
-        x = haar_point(model, rng)
+        x = haar_points(model, rng, 1)[0]
         k = sample_subgroup_element(model, model.k1_factors, rng)
         y = CosetPoint(model, x.rep @ k)
         assert chord(model, x, y)[1] < 1e-12
@@ -276,7 +285,7 @@ def test_chord_zero_on_same_coset(su3, so6):
 def test_chord_symmetric(su3, so6):
     rng = np.random.default_rng(7)
     for model in (su3, so6):
-        x, y = haar_point(model, rng), haar_point(model, rng)
+        x, y = haar_points(model, rng, 2)
         assert chord(model, x, y)[1] == pytest.approx(chord(model, y, x)[1], abs=1e-9)
 
 
@@ -284,7 +293,7 @@ def test_chord_lower_at_most_upper(su3, so6):
     rng = np.random.default_rng(8)
     for model in (su3, so6):
         for _ in range(10):
-            x, y = haar_point(model, rng), haar_point(model, rng)
+            x, y = haar_points(model, rng, 2)
             lower, upper = chord(model, x, y)
             assert lower <= upper + 1e-12
             # the shipped models have exact block maximizers
@@ -298,7 +307,7 @@ def test_chord_bounds_meet_on_su_blocks(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(40)
     for _ in range(5):
-        x, y = haar_point(model, rng), haar_point(model, rng)
+        x, y = haar_points(model, rng, 2)
         lower, upper = chord(model, x, y)
         assert 0.0 <= upper - lower < 1e-9
 
@@ -306,7 +315,7 @@ def test_chord_bounds_meet_on_su_blocks(case_id):
 def test_chord_k_includes_more_group(su3):
     # minimizing over the bigger subgroup K can only shrink the chord
     rng = np.random.default_rng(9)
-    x, y = haar_point(su3, rng), haar_point(su3, rng)
+    x, y = haar_points(su3, rng, 2)
     k_factors = su3.k1_factors + su3.k2_factors
     assert chord(su3, x, y, k_factors)[1] <= chord(su3, x, y)[1] + 1e-9
 
@@ -342,8 +351,8 @@ def test_k_star_batch_matches_per_row_chords(case_id, group, grid, monkeypatch):
     model = model_for(case_id)
     factors = model.k1_factors + (model.k2_factors if group == "k" else ())
     rng = np.random.default_rng(30)
-    U = np.array([haar_point(model, rng).rep for _ in range(3)])
-    V = haar_point(model, rng).rep
+    U = np.array([p.rep for p in haar_points(model, rng, 3)])
+    V = haar_points(model, rng, 1)[0].rep
     K = _k_star_batch(model, U, V, factors)
     # a stack of targets, as the fixed-fiber residual passes, gives the same
     assert np.array_equal(K, _k_star_batch(model, U, np.array([V] * 3), factors))
@@ -371,8 +380,8 @@ def test_stacked_chords_equal_one_row_calls(case_id, group):
     model = model_for(case_id)
     factors = model.k1_factors + (model.k2_factors if group == "k" else ())
     rng = np.random.default_rng(31)
-    xs = [haar_point(model, rng) for _ in range(6)]
-    ys = [haar_point(model, rng) for _ in range(6)]
+    xs = haar_points(model, rng, 6)
+    ys = haar_points(model, rng, 6)
     U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
     ch = chord_to_coset(model, U, V, factors)
     assert ch.lower.shape == ch.upper.shape == (6,)
@@ -388,7 +397,7 @@ def _brentq_circle_angles(model, P, factors):
     """The circle angles as a per-row oracle: the same grid, scipy's brentq
     (xtol 1e-14) on the envelope derivative of each bracketed row, and the
     better of the polished and the grid angle."""
-    speeds = homspace._circle_phases(model)
+    speeds = model.circle_phases
     period = next(f.period for f in factors if f.kind == "circle")
     singles, blocks = homspace._split_columns(model, factors)
     fs = speeds[singles]
@@ -436,8 +445,8 @@ def test_polished_circle_angles_match_brentq(case_id, group, grid, rows, monkeyp
     model = model_for(case_id)
     factors = model.k1_factors + (model.k2_factors if group == "k" else ())
     rng = np.random.default_rng(40)
-    U = np.array([haar_point(model, rng).rep for _ in range(rows)])
-    P = _complex_pairing(np.swapaxes(U, 1, 2) @ haar_point(model, rng).rep)
+    U = np.array([p.rep for p in haar_points(model, rng, rows)])
+    P = _complex_pairing(np.swapaxes(U, 1, 2) @ haar_points(model, rng, 1)[0].rep)
     diff = _circle_angles(model, P, factors) - _brentq_circle_angles(model, P, factors)
     if group == "k" and case_id == "su3-hopf":
         # exp(pi z) lies in the SU(2) block, so the maximized trace has
@@ -500,10 +509,10 @@ def test_coset_jacobian_is_exact_at_a_zero_residual(case_id):
     rng = np.random.default_rng(31)
     c = rng.normal(size=model.dim_m1)
     c *= 0.7 / np.linalg.norm(c)
-    U = haar_point(model, rng).rep[None]
+    U = haar_points(model, rng, 1)[0].rep[None]
     maps = [(_log_maps(model, U, U @ matrix_exp(model.from_m1_coords(c))), c)]
     c = rng.normal(scale=0.3, size=model.g.dim)
-    x0 = haar_point(model, rng).rep
+    x0 = haar_points(model, rng, 1)[0].rep
     X = x0 @ matrix_exp(model.g.from_coords(c))
     k = sample_subgroup_element(model, model.k1_factors + model.k2_factors, rng)
     maps.append((_fiber_maps(model, X @ k.T @ X.T, x0), c))
@@ -520,8 +529,8 @@ def test_coset_jacobian_gives_the_gradient_at_haar_pairs(case_id):
     # K-orbit at the maximizer)
     model = model_for(case_id)
     rng = np.random.default_rng(32)
-    U, V = (np.array([haar_point(model, rng).rep]) for _ in range(2))
-    fiber = _fiber_maps(model, haar_point(model, rng).rep, haar_point(model, rng).rep)
+    U, V = (np.array([p.rep]) for p in haar_points(model, rng, 2))
+    fiber = _fiber_maps(model, *(p.rep for p in haar_points(model, rng, 2)))
     for (residuals, jacobians), d in ((_log_maps(model, U, V), model.dim_m1), (fiber, model.g.dim)):
         c = rng.normal(scale=0.5, size=d)
         F = residuals(c[None], np.arange(1))[0]
@@ -543,7 +552,7 @@ def test_lower_bound_metric_is_per_model_not_per_name(su3):
     # a model whose m1 basis is halved keeps su3's name but has lambda_min
     # 12, so the chord (which does not see m1) gives twice the lower bound
     rng = np.random.default_rng(30)
-    x, y = haar_point(su3, rng), haar_point(su3, rng)
+    x, y = haar_points(su3, rng, 2)
     lower = lower_bound(x, y)
     half = dataclasses.replace(su3, m1_basis=su3.m1_basis / 2)
     assert half.name == su3.name
@@ -561,7 +570,7 @@ def test_lower_bound_at_most_geodesic_length(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(38)
     for length in (0.05, 0.3, 1.0, 2.5):
-        x = haar_point(model, rng)
+        x = haar_points(model, rng, 1)[0]
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(c)
         xi *= length / model.m1_norm(xi)
@@ -583,9 +592,9 @@ def test_arc_lower_bound_never_below_chord_bound(case_id):
     rng = np.random.default_rng(39)
     scale = math.sqrt(model.frobenius_lambda_min)
     for _ in range(10):
-        x, y = haar_point(model, rng), haar_point(model, rng)
+        x, y = haar_points(model, rng, 2)
         assert lower_bound(x, y) >= scale * chord(model, x, y)[0]
-    x = haar_point(model, rng)
+    x = haar_points(model, rng, 1)[0]
     assert lower_bound(x, x) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -595,7 +604,7 @@ def test_arc_lower_bound_never_below_chord_bound(case_id):
 def test_right_field_constant_length(su3):
     eta = KillingField(su3, "right", su3.circle_mat)
     rng = np.random.default_rng(10)
-    vals = [killing_length(eta, haar_point(su3, rng)) for _ in range(50)]
+    vals = [killing_length(eta, p) for p in haar_points(su3, rng, 50)]
     assert max(vals) - min(vals) < 1e-10
     assert vals[0] == pytest.approx(6.0, abs=1e-9)
 
@@ -604,7 +613,7 @@ def test_left_field_generic_not_constant(su3):
     rng = np.random.default_rng(11)
     xi = su3.g.from_coords(rng.normal(size=su3.dim_g))
     f = KillingField(su3, "left", xi)
-    vals = [killing_length(f, haar_point(su3, rng)) for _ in range(50)]
+    vals = [killing_length(f, p) for p in haar_points(su3, rng, 50)]
     assert max(vals) - min(vals) > 1e-3
 
 
@@ -612,7 +621,7 @@ def test_left_version_of_fiber_direction_not_constant(su3):
     # the same generator, acting from the left, fails to have constant length
     f = KillingField(su3, "left", su3.circle_mat)
     rng = np.random.default_rng(12)
-    vals = [killing_length(f, haar_point(su3, rng)) for _ in range(50)]
+    vals = [killing_length(f, p) for p in haar_points(su3, rng, 50)]
     assert max(vals) - min(vals) > 1e-3
 
 
@@ -633,14 +642,14 @@ def test_geodesic_rejects_directions_outside_m1(su3):
 
 def test_geodesic_at_zero_time(su3):
     rng = np.random.default_rng(13)
-    x = haar_point(su3, rng)
+    x = haar_points(su3, rng, 1)[0]
     xi = su3.from_m1_coords(rng.normal(size=su3.dim_m1))
     assert np.allclose(geodesic(x, xi, 0.0).rep, x.rep, atol=1e-12)
 
 
 def test_geodesic_concatenation(su3):
     rng = np.random.default_rng(14)
-    x = haar_point(su3, rng)
+    x = haar_points(su3, rng, 1)[0]
     xi = su3.from_m1_coords(rng.normal(size=su3.dim_m1))
     a = geodesic(x, xi, 0.9)
     b = geodesic(geodesic(x, xi, 0.4), xi, 0.5)
@@ -651,7 +660,7 @@ def test_geodesic_speed_constant(su3, so6):
     # the generating left field has constant length along its own curve
     rng = np.random.default_rng(15)
     for model in (su3, so6):
-        x = haar_point(model, rng)
+        x = haar_points(model, rng, 1)[0]
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(0.7 * c / np.linalg.norm(c))
         zeta = x.rep @ xi @ x.rep.T  # the field generating this geodesic
@@ -663,7 +672,7 @@ def test_geodesic_speed_constant(su3, so6):
 def test_log_roundtrip(su3, so6):
     rng = np.random.default_rng(16)
     for model in (su3, so6):
-        x = haar_point(model, rng)
+        x = haar_points(model, rng, 1)[0]
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(0.4 * c / np.linalg.norm(c))
         y = geodesic(x, xi, 1.0)
@@ -684,7 +693,7 @@ def test_log_matches_recorded_upper(case_id, seed, upper):
     # recorded from the solver with scipy's per-point 2-point Jacobian
     model = model_for(case_id)
     rng = np.random.default_rng(seed)
-    x, y = haar_point(model, rng), haar_point(model, rng)
+    x, y = haar_points(model, rng, 2)
     log = riemannian_log(x, y, restarts=2, seed=7)
     assert log.converged
     assert log.upper == pytest.approx(upper, rel=0, abs=1e-12)
@@ -702,7 +711,7 @@ def test_profile_uppers_do_not_depend_on_the_batch(case_id):
     seed, n, restarts = 9, 6, 2
     report = displacement_profile(gam, n_samples=n, seed=seed, restarts=restarts)
     prng = np.random.default_rng(seed)
-    points = [base_point(model)] + [haar_point(model, prng) for _ in range(n - 1)]
+    points = [base_point(model), *haar_points(model, prng, n - 1)]
     uppers = tuple(
         riemannian_log(p, gam.apply(p), restarts=restarts, seed=seed + 1000 + i).upper
         for i, p in enumerate(points)
@@ -726,8 +735,8 @@ def test_joint_logs_match_solo_logs(case_id):
         ys += sample.images
         seeds += sample.log_seeds
     for seed in (5, 6):
-        xs.append(haar_point(model, rng))
-        ys.append(haar_point(model, rng))
+        xs.append(haar_points(model, rng, 1)[0])
+        ys.append(haar_points(model, rng, 1)[0])
         seeds.append(seed)
     joint = homspace.riemannian_logs(xs, ys, seeds, restarts=2)
     for x, y, seed, log in zip(xs, ys, seeds, joint):
@@ -745,8 +754,8 @@ def test_lm_jacobian_chunks_are_exact(so6, monkeypatch):
     # not change a single iterate
     rng = np.random.default_rng(37)
     d = so6.dim_m1
-    U = np.array([haar_point(so6, rng).rep for _ in range(5)])
-    V = np.array([haar_point(so6, rng).rep for _ in range(5)])
+    U = np.array([p.rep for p in haar_points(so6, rng, 5)])
+    V = np.array([p.rep for p in haar_points(so6, rng, 5)])
     C0 = rng.normal(size=(5, d))
     residuals, jacobians = _log_maps(so6, U, V)
     sizes = []
@@ -772,8 +781,8 @@ def test_orthogonal_log_matches_scipy_logm(case_id):
     # the smart start of a log: W = U^T V k*^T for Haar points U, V
     model = model_for(case_id)
     rng = np.random.default_rng(39)
-    U = np.array([haar_point(model, rng).rep for _ in range(12)])
-    V = np.array([haar_point(model, rng).rep for _ in range(12)])
+    U = np.array([p.rep for p in haar_points(model, rng, 12)])
+    V = np.array([p.rep for p in haar_points(model, rng, 12)])
     K = _k_star_batch(model, U, V, model.k1_factors)
     W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)
     L = _orthogonal_log(W)
@@ -806,7 +815,7 @@ def test_lm_stops_at_converged_starts(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(38)
     d = model.dim_m1
-    U = np.array([haar_point(model, rng).rep for _ in range(3)])
+    U = np.array([p.rep for p in haar_points(model, rng, 3)])
     C = rng.normal(size=(3, d))
     C *= 0.5 / np.linalg.norm(C, axis=1, keepdims=True)
     V = U @ matrix_exp(model.from_m1_coords(C))
@@ -896,7 +905,7 @@ def test_base_point_log_reaches_every_point_only_for_a_central_isometry(case_id)
 
 
 def test_log_of_same_point_is_zero(su3):
-    x = haar_point(su3, np.random.default_rng(18))
+    x = haar_points(su3, np.random.default_rng(18), 1)[0]
     log = riemannian_log(x, x, restarts=1, seed=0)
     assert log.converged and log.upper < 1e-9
 
@@ -912,7 +921,7 @@ def test_log_fiber_arc_small(su3):
 
 def test_log_monotone_in_restarts(su3):
     rng = np.random.default_rng(20)
-    x, y = haar_point(su3, rng), haar_point(su3, rng)
+    x, y = haar_points(su3, rng, 2)
     u_small = riemannian_log(x, y, restarts=0, seed=21).upper
     u_big = riemannian_log(x, y, restarts=4, seed=21).upper
     assert u_big <= u_small + 1e-12
@@ -922,7 +931,7 @@ def test_log_never_reports_below_true_distance(su3):
     # the log bound stays above the chord-based lower bound
     rng = np.random.default_rng(22)
     for _ in range(5):
-        x, y = haar_point(su3, rng), haar_point(su3, rng)
+        x, y = haar_points(su3, rng, 2)
         log = riemannian_log(x, y, restarts=2, seed=23)
         if log.converged:
             assert lower_bound(x, y) <= log.upper + 1e-9
@@ -933,7 +942,7 @@ def test_lower_bound_at_most_upper(su3, so6):
     # su4-su1u3--k1-0a2: K1 = SU(3), whose lower bound is the exact block maximum
     for model in (su3, so6, model_for("su4-su1u3--k1-0a2")):
         for _ in range(5):
-            x, y = haar_point(model, rng), haar_point(model, rng)
+            x, y = haar_points(model, rng, 2)
             log = riemannian_log(x, y, restarts=2, seed=25)
             if log.converged:
                 assert lower_bound(x, y) <= log.upper + 1e-9
@@ -1023,7 +1032,7 @@ def test_torus_witness_is_a_log_to_the_image(case_id, upper):
     model = model_for(case_id)
     rng = np.random.default_rng(1)
     ks = [sample_subgroup_element(model, f, rng) for f in (model.k1_factors, model.k2_factors)]
-    ks.append(haar_point(model, rng).rep)
+    ks.append(haar_points(model, rng, 1)[0].rep)
     logs = []
     for k in ks:
         gam = Isometry(model, left=k)
@@ -1062,7 +1071,7 @@ def test_witness_report_never_claims_constancy(su3):
 
 def test_fixed_fiber_found_generic_su3(su3):
     rng = np.random.default_rng(28)
-    g = haar_point(su3, rng).rep
+    g = haar_points(su3, rng, 1)[0].rep
     pt, resid = fixed_fiber(Isometry(su3, left=g), restarts=4, seed=4)
     assert pt is not None and resid < 1e-8
     assert resid < 1e-12  # recorded from the per-point solver: 5.1e-16
@@ -1105,8 +1114,7 @@ def test_certificate_reflection_block_exact():
 
 def test_certificate_random_reversals():
     rng = np.random.default_rng(29)
-    for _ in range(10):
-        Q = haar_orthogonal(6, rng, special=False)
+    for Q in haar_matrices("o", 6, rng, 10):
         if np.linalg.det(Q) > 0:
             Q[:, 0] = -Q[:, 0]
         cert = fixed_point_certificate(Q, 1, 1)
@@ -1118,7 +1126,7 @@ def test_certificate_random_reversals():
 
 def test_certificate_other_signature():
     rng = np.random.default_rng(30)
-    Q = haar_orthogonal(8, rng, special=False)
+    Q = haar_matrices("o", 8, rng, 1)[0]
     if np.linalg.det(Q) > 0:
         Q[:, 0] = -Q[:, 0]
     cert = fixed_point_certificate(Q, 2, 1)
@@ -1157,7 +1165,7 @@ def test_certificate_angles_match_schur_on_haar_reversals():
     rng = np.random.default_rng(41)
     for i in range(1000):
         s, t = ((1, 1), (2, 1), (1, 2), (0, 2), (3, 0))[i % 5]
-        Q = haar_orthogonal(2 * s + 2 + 2 * t, rng, special=False)
+        Q = haar_matrices("o", 2 * s + 2 + 2 * t, rng, 1)[0]
         if np.linalg.det(Q) > 0:
             Q[:, 0] = -Q[:, 0]
         _assert_certificate_matches_schur(Q, s, t)
@@ -1198,8 +1206,7 @@ def test_certificate_angles_match_schur_on_degenerate_inputs(blocks, s):
     for b in blocks:
         D[i : i + len(b), i : i + len(b)] = b
         i += len(b)
-    for _ in range(20):
-        R = haar_orthogonal(n, rng)
+    for R in haar_matrices("so", n, rng, 20):
         _assert_certificate_matches_schur(R @ D @ R.T, s, (n - 2 - 2 * s) // 2)
 
 

@@ -313,10 +313,33 @@ def test_every_model_builds_its_records_splitting():
 
 
 def test_model_build_deterministic():
-    a = build_model(find_record("su3-hopf"))
-    b = build_model(find_record("su3-hopf"))
+    rec = find_record("su3-hopf")
+    a = build_model(rec)
+    assert build_model(find_record("su3-hopf")) is a  # one model per record
+    b = build_model.__wrapped__(rec)  # a fresh build, past the cache
+    assert b is not a
     assert np.allclose(a.m1_basis, b.m1_basis, atol=0)
     assert np.allclose(a.m_basis, b.m_basis, atol=0)
+
+
+def _model_arrays(model):
+    """Every array the model holds, those of its algebras and its cached
+    properties included."""
+    out = [model.m_basis, model.m1_basis, model.kappa, *model.center_elements]
+    out += [model._m1_dual, model.k1.frobenius_onb, model.k.frobenius_onb]
+    for alg in (model.g, model.k1, model.k2, model.k):
+        out += [alg.basis, alg._pinv, alg.killing_gram]
+    if model.circle_mat is not None:
+        out += [model.circle_mat, model.circle_phases]
+    return out
+
+
+@pytest.mark.parametrize("case_id", ["su3-hopf", "so6-stiefel", "so8-so3so5--k1-0so3"])
+def test_shared_model_arrays_are_read_only(case_id):
+    model = build_model(find_record(case_id))
+    for a in _model_arrays(model):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
 
 
 def test_validation_catches_noncommuting_factors(su3_model):
