@@ -305,26 +305,16 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
         ),
     )
 
-    # fixed fibers: isotropy-type elements fix a base coset
-    found, resid = homspace.fixed_fiber(
-        homspace.Isometry(
-            model,
-            left=homspace.sample_subgroup_element(
-                model, model.k1_factors + model.k2_factors, rng
-            ),
-        ),
-        restarts=4,
-        seed=cfg.seed,
-        tol=tol["coset"],
-    )
+    # fixed fibers: isotropy-type elements fix the base coset
+    factors = model.k1_factors + model.k2_factors
+    k = homspace.sample_subgroup_element(model, factors, rng)
+    resid = float(homspace.chord_to_coset(model, k[None], np.eye(model.n), factors).upper[0])
     detail = f"isotropy sample residual {_solver_value(resid)}"
-    ok = found is not None
+    ok = resid < tol["coset"]
     if model.record.equal_rank:
         # equal rank: every element fixes some base coset
         g = homspace.haar_points(model, rng, 1)[0].rep
-        found2, resid2 = homspace.fixed_fiber(
-            homspace.Isometry(model, left=g), restarts=6, seed=cfg.seed, tol=tol["coset"]
-        )
+        found2, resid2 = homspace.fixed_fiber(homspace.Isometry(model, left=g), tol["coset"])
         ok = ok and found2 is not None
         detail += f"; generic sample residual {_solver_value(resid2)}"
     add(
@@ -335,7 +325,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
     )
 
     # odd Stiefel models, two odd SO blocks: reversal certificates
-    factors = sorted(model.k1_factors + model.k2_factors, key=lambda f: f.cols)
+    factors = sorted(factors, key=lambda f: f.cols)
     if all(f.kind == "so" and len(f.cols) % 2 for f in factors):
         s, t = (len(f.cols) // 2 for f in factors)
         worst = 0.0

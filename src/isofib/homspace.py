@@ -25,11 +25,13 @@ bound, at a closed-form torus witness point (`_torus_witness`): there x^-1
 k x lies in a maximal torus that contains one of K1, and what K1's torus
 cannot cancel has an explicit log, checked to reach the image coset.
 
-The Riemannian log and the fixed-fiber search are Levenberg-Marquardt
-solves of coset residuals F = P exp(xi) k* - X, each evaluation needing
-the chord maximizer k*.  Their Jacobians (`_coset_jacobian`) come from one
+A fixed fiber (`fixed_fiber`) comes from the same alignment in closed
+form: a frame x with x^-1 g x in a maximal torus that contains K's (on an
+equal-rank model, one in K), checked to fix x K.  The Riemannian log is
+the one Levenberg-Marquardt solve, of coset residuals F = U exp(xi) k* -
+V, each evaluation needing the chord maximizer k*.  Its Jacobians (`_coset_jacobian`) come from one
 eigendecomposition of xi per problem and the k* of the residual: the
-columns hold k* fixed, less their projection onto the K-orbit's tangent,
+columns hold k* fixed, less their projection onto the K1-orbit's tangent,
 which leaves J^T F the exact gradient and J exact at a zero residual.
 `_k_star_batch` computes k* for a whole stack of points in one numpy
 pass (batched SO Procrustes;
@@ -544,15 +546,14 @@ def _coset_jacobian(
     P: np.ndarray,
     K: np.ndarray,
     onb: np.ndarray,
-    X: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Jacobians (p, n * n, d) of the coset residuals F = P(c) k* - X(c)
-    of a stack of p problems, with P = A exp(xi) for xi = sum_j c_j
-    basis_j (basis (d, n, n), skew), k* the maximizer K at c and X either
-    fixed (None) or B exp(xi).  Column j holds k* fixed, P Omega_j k* (-
-    X Omega_j) with Omega_j = exp(-xi) dexp_xi(basis_j), less its
-    Frobenius projection onto the tangent P k* eta of the K-orbit at P k*,
-    eta in the span of onb (orthonormal rows, `MatrixAlgebra.frobenius_onb`).
+    """Jacobians (p, n * n, d) of the coset residuals F = P(c) k* - V of a
+    stack of p problems, with P = U exp(xi) for xi = sum_j c_j basis_j
+    (basis (d, n, n), skew), k* the maximizer K at c and V fixed.  Column
+    j holds k* fixed, P Omega_j k* with Omega_j = exp(-xi)
+    dexp_xi(basis_j), less its Frobenius projection onto the tangent P k*
+    eta of the K-orbit at P k*, eta in the span of onb (orthonormal rows,
+    `MatrixAlgebra.frobenius_onb`).
 
     Since F is orthogonal to that tangent at the maximizer (envelope
     theorem), J^T F is the exact gradient; at a zero residual F is
@@ -568,14 +569,10 @@ def _coset_jacobian(
     psi = (np.exp(1j * half) * np.sinc(half / np.pi))[:, None]
     Q, Qh = Q[:, None], np.conj(np.swapaxes(Q, 1, 2))[:, None]
     omega = (Q @ (psi * (Qh @ basis @ Q)) @ Qh).real  # (p, d, n, n)
-    top = P @ K
     # the columns in the frame of P k*: (P k*)^T col_j
-    Z = np.swapaxes(K, 1, 2)[:, None] @ omega @ K[:, None]
-    if X is not None:
-        Z -= (np.swapaxes(top, 1, 2) @ X)[:, None] @ omega
-    Z = Z.reshape(p, len(basis), n * n)
+    Z = (np.swapaxes(K, 1, 2)[:, None] @ omega @ K[:, None]).reshape(p, len(basis), n * n)
     Z -= (Z @ onb.T) @ onb
-    J = top[:, None] @ Z.reshape(p, len(basis), n, n)
+    J = (P @ K)[:, None] @ Z.reshape(p, len(basis), n, n)
     return np.swapaxes(J.reshape(p, len(basis), n * n), 1, 2)
 
 
@@ -727,11 +724,13 @@ def riemannian_logs(
     of points of one model, pair i drawing its restarts from seeds[i].  The
     len(xs) x (1 + restarts) (pair, start) problems are solved in one
     lockstep `_lm` call, and each pair's result is, bit for bit, the one it
-    gets when solved alone."""
+    gets when solved alone.  restarts = 0 keeps the smart start alone; a
+    negative count raises ValueError."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
     model = xs[0].model
     d, factors = model.dim_m1, model.k1_factors
     U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
-    restarts = max(restarts, 0)
     # smart start: the m1 part of the log of the chord-aligned difference
     W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(_k_star_batch(model, U, V, factors), 1, 2)
     starts = []
@@ -977,56 +976,34 @@ def witness_report(
 # --- fixed fibers ---------------------------------------------------------------
 
 
-def _fiber_maps(model: GroupModel, gmat: np.ndarray, x0: np.ndarray):
-    """(residuals, jacobians) of `_lm` for the one-problem fixed-fiber
-    search from x0: coordinates c of xi in g, X = x0 exp(xi), and residual
-    gmat X k* - X, with k* the maximizer over K1 x K2.  As in `_log_maps`,
-    `jacobians` takes the Jacobian at the point last evaluated."""
-    factors, onb = model.k1_factors + model.k2_factors, model.k.frobenius_onb
-    xi, X, Y, K = (np.empty((1, model.n, model.n)) for _ in range(4))
+def fixed_fiber(gamma: Isometry, tol: float = COSET_TOL) -> tuple[CosetPoint | None, float]:
+    """A base coset x K (K = K1 K2) that the left translation gamma by g
+    fixes, in closed form: on a unitary model x is the eigenvector frame
+    of g (`_su_frame`) scaled to det 1, so x^-1 g x is diagonal; on a real
+    model x is the invariant-plane frame of g (`_so_frame`) with the planes
+    of K's torus filled first.  Returns (x K, residual), the residual being
+    the chord upper value between x and g x over K, when it is below tol,
+    and (None, residual) otherwise; nothing else is searched.
 
-    def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        xi[:] = model.g.from_coords(C)
-        X[:] = x0 @ matrix_exp(xi)
-        Y[:] = gmat @ X
-        K[:] = _k_star_batch(model, Y, X, factors)
-        return (Y @ K - X).reshape(1, -1)
-
-    def jacobians(rows: np.ndarray) -> np.ndarray:
-        return _coset_jacobian(xi, model.g.basis, Y, K, onb, X)
-
-    return residuals, jacobians
-
-
-def fixed_fiber(
-    gamma: Isometry,
-    restarts: int = 8,
-    seed: int = 0,
-    tol: float = COSET_TOL,
-) -> tuple[CosetPoint | None, float]:
-    """Search for a base coset xK with (left of gamma) . xK = xK, by
-    multistart minimization over x in G of the K-coset residual.  Returns
-    (witness, best residual); the witness is None when no start converges,
-    which is reported honestly (an equal-rank model should always succeed,
-    a rank-deficient one can genuinely fail)."""
+    Why an equal-rank model always succeeds: there K contains a maximal
+    torus T of G, the diagonal one on a unitary model (K's blocks are
+    diagonal) and the one on K's torus planes on a real model.  The frame
+    puts t = x^-1 g x in T, so g x K = x t K = x K.  On a unitary model
+    this needs eigenvectors of g, which `eigh` gives unless two
+    eigenphases of g add up to 2 mod 2 pi (never, almost surely, for a
+    Haar g).  A rank-deficient model can genuinely fail: its K misses part
+    of every maximal torus."""
     model = gamma.model
-    gmat = gamma.left if gamma.left is not None else np.eye(model.n)
-    dg = model.g.dim
-    rng = np.random.default_rng(seed)
-    best_val, best_X = np.inf, None
-    for trial in range(max(1, restarts)):
-        x0 = np.eye(model.n) if trial == 0 else haar_points(model, rng, 1)[0].rep
-        c0 = np.zeros(dg) if trial == 0 else rng.normal(scale=0.3, size=dg)
-        C, F = _lm(*_fiber_maps(model, gmat, x0), c0[None], tol)
-        r = float(np.linalg.norm(F[0]))
-        if r < best_val:
-            best_val = r
-            best_X = x0 @ matrix_exp(model.g.from_coords(C[0]))
-        if best_val < tol:
-            break
-    if best_val < tol:
-        return CosetPoint(model, best_X), best_val
-    return None, best_val
+    k = gamma.left if gamma.left is not None else np.eye(model.n)
+    factors = model.k1_factors + model.k2_factors
+    if model.complex_size:
+        x = _su_frame(complexify(k))
+        x[:, 0] /= np.linalg.det(x)
+        x = realify(x)
+    else:
+        x = _so_frame(model, k, factors)[0]
+    resid = float(chord_to_coset(model, x[None], k @ x, factors).upper[0])
+    return (CosetPoint(model, x) if resid < tol else None), resid
 
 
 # --- fixed-point certificates ----------------------------------------------------
@@ -1127,19 +1104,23 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
 # --- torus witnesses ---------------------------------------------------------------
 
 
-def _so_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, L) for a real model: x in SO(n) and L the log of x^T k x on x's
-    column planes.  The invariant pieces of k (`_invariant_pieces`: half
-    turns, rotation planes by descending angle, then paired fixed lines)
-    fill first the planes of K1's torus (rows in pairs, m // 2 planes per
-    SO(m) block) and then the other rows in pairs, so that K1's torus meets
-    the largest angles."""
+def _so_frame(
+    model: GroupModel, k: np.ndarray, factors: tuple[BlockFactor, ...]
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """(x, slots) for a real model: x in SO(n) whose column planes, the
+    row pairs `slots`, hold the invariant pieces of k (`_invariant_pieces`:
+    half turns, rotation planes by descending angle, then paired fixed
+    lines), so that x^T k x rotates within each slot.  The slots are first
+    the planes of the factors' torus (rows in pairs, m // 2 planes per
+    SO(m) block) and then the other rows in pairs, so that the factors'
+    torus meets the largest angles; for odd n the row left over holds a
+    fixed line."""
     n = model.n
     planes, plus, minus = _invariant_pieces(k)
     pieces = [np.column_stack(minus[i : i + 2]) for i in range(0, len(minus) - 1, 2)]
     pieces += [P for _, P in sorted(planes, key=lambda p: -p[0])]
     pieces += [np.column_stack(plus[i : i + 2]) for i in range(0, len(plus) - 1, 2)]
-    slots = [f.cols[i : i + 2] for f in model.k1_factors for i in range(0, len(f.cols) - 1, 2)]
+    slots = [f.cols[i : i + 2] for f in factors for i in range(0, len(f.cols) - 1, 2)]
     taken = {r for slot in slots for r in slot}
     rest = [r for r in range(n) if r not in taken]
     slots += [tuple(rest[i : i + 2]) for i in range(0, len(rest) - 1, 2)]
@@ -1150,8 +1131,15 @@ def _so_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndar
         x[:, rest[-1]] = plus[-1]
     if np.linalg.det(x) < 0:
         x[:, -1] = -x[:, -1]  # reverses one plane's angle, or the fixed line
+    return x, slots
+
+
+def _so_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, L) for a real model: x the frame of `_so_frame` that fills K1's
+    torus planes first, and L the log of x^T k x on x's column planes."""
+    x, slots = _so_frame(model, k, model.k1_factors)
     R = x.T @ k @ x
-    L = np.zeros((n, n))
+    L = np.zeros((model.n, model.n))
     for a, b in slots:
         L[b, a] = math.atan2(R[b, a] - R[a, b], R[a, a] + R[b, b])
         L[a, b] = -L[b, a]
@@ -1170,15 +1158,22 @@ def _assignments(classes: list[tuple[int, ...]], free: tuple[int, ...]) -> list[
     ]
 
 
+def _su_frame(kc: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors, as columns, of the m x m unitary kc: those
+    of `eigh` of the Hermitian part of e^{-i} kc, whose eigenvalues
+    cos(alpha - 1) keep the eigenphases alpha of kc apart unless two of
+    them add up to 2 mod 2 pi."""
+    h = np.exp(-1j) * kc
+    return np.linalg.eigh((h + h.conj().T) / 2)[1]
+
+
 def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, L) for a unitary model, both realified: x in SU(m) with
     eigenvectors of k as columns, and L = i diag(phi), traceless, with
     exp(L) = x^H k x k1 for some k1 in K1's torus, chosen for the shortest
     m1 part found.
 
-    The columns are orthonormal eigenvectors from `eigh` of the Hermitian
-    part of e^{-i} k, whose eigenvalues cos(alpha - 1) keep the eigenphases
-    alpha of k apart unless two of them add up to 2 mod 2 pi.  The m1 part
+    The columns are the eigenvectors of `_su_frame`.  The m1 part
     of L depends on phi only through the phase sum of each SU block of K1
     (the traceless rest lies in the block) and only up to multiples of the
     circle's speeds a; so each single column and each block is one unit u
@@ -1194,8 +1189,7 @@ def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndar
     A block's sum is spread evenly over its columns."""
     m = model.complex_size
     kc = complexify(k)
-    h = np.exp(-1j) * kc
-    vecs = np.linalg.eigh((h + h.conj().T) / 2)[1]
+    vecs = _su_frame(kc)
     alpha = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), kc, vecs))
     singles, blocks = _split_columns(model, model.k1_factors)
     circle = next((f for f in model.k1_factors if f.kind == "circle"), None)

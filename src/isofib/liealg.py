@@ -265,7 +265,6 @@ class GroupModel:
     g: MatrixAlgebra
     k1: MatrixAlgebra
     k2: MatrixAlgebra
-    k: MatrixAlgebra  # k1 + k2, the k1 basis first
     m_basis: np.ndarray  # kappa-orthonormal basis of k-perp (as matrices)
     m1_basis: np.ndarray  # kappa-orthonormal basis of k1-perp, k2 directions first
     kappa: np.ndarray  # Killing Gram matrix on g.basis coordinates
@@ -552,7 +551,6 @@ def build_model(rec: FibrationRecord) -> GroupModel:
         g=g,
         k1=k1,
         k2=k2,
-        k=k_all,
         m_basis=m_perp,
         m1_basis=np.array(m1_ordered),
         kappa=kappa,

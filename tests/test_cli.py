@@ -390,37 +390,29 @@ def test_verify_huge_tol_coset_ends_with_a_verdict():
     assert out.stdout.startswith("command: verify")
 
 
-def test_verify_job_makes_one_lm_call_outside_fixed_fiber(monkeypatch):
+def test_verify_job_makes_one_lm_call(monkeypatch):
     # every Riemannian log of a job shares one lockstep solve: 3 round
     # trips, 4 bound-ordering pairs and the base point of each central
     # profile, whose log the profile's other points share (the noncentral
-    # ones take their upper bound from a torus witness); each fixed-fiber
-    # restart is a solve of its own
-    calls = {"lm": 0, "fiber_depth": 0}
+    # ones take their upper bound from a torus witness, and fixed fibers
+    # come in closed form)
+    calls = []
     pairs = []
-    real_lm, real_fiber, real_logs = homspace._lm, homspace.fixed_fiber, homspace.riemannian_logs
+    real_lm, real_logs = homspace._lm, homspace.riemannian_logs
 
     def counting_lm(*args, **kwargs):
-        calls["lm"] += calls["fiber_depth"] == 0
+        calls.append(1)
         return real_lm(*args, **kwargs)
-
-    def fiber(*args, **kwargs):
-        calls["fiber_depth"] += 1
-        try:
-            return real_fiber(*args, **kwargs)
-        finally:
-            calls["fiber_depth"] -= 1
 
     def counting_logs(xs, ys, *args, **kwargs):
         pairs.append(len(xs))
         return real_logs(xs, ys, *args, **kwargs)
 
     monkeypatch.setattr(homspace, "_lm", counting_lm)
-    monkeypatch.setattr(homspace, "fixed_fiber", fiber)
     monkeypatch.setattr(homspace, "riemannian_logs", counting_logs)
     code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     assert code == 0
-    assert calls["lm"] == 1
+    assert len(calls) == 1
     assert pairs == [3 + 4 + 2]
 
 

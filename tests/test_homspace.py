@@ -36,7 +36,6 @@ from isofib.homspace import (
     share_logs,
     _circle_angles,
     _complex_pairing,
-    _fiber_maps,
     _k_star_batch,
     _log_maps,
     _orthogonal_log,
@@ -504,22 +503,16 @@ JACOBIAN_CASES = ["so6-stiefel", "su3-hopf", "su4-su1u3--k1-0a2", "su3-su1u2--k1
 @pytest.mark.parametrize("case_id", JACOBIAN_CASES)
 def test_coset_jacobian_is_exact_at_a_zero_residual(case_id):
     # there the orbit-projected Jacobian with k* held fixed is the full
-    # derivative, k* moving included, for both residual maps
+    # derivative, k* moving included
     model = model_for(case_id)
     rng = np.random.default_rng(31)
     c = rng.normal(size=model.dim_m1)
     c *= 0.7 / np.linalg.norm(c)
     U = haar_points(model, rng, 1)[0].rep[None]
-    maps = [(_log_maps(model, U, U @ matrix_exp(model.from_m1_coords(c))), c)]
-    c = rng.normal(scale=0.3, size=model.g.dim)
-    x0 = haar_points(model, rng, 1)[0].rep
-    X = x0 @ matrix_exp(model.g.from_coords(c))
-    k = sample_subgroup_element(model, model.k1_factors + model.k2_factors, rng)
-    maps.append((_fiber_maps(model, X @ k.T @ X.T, x0), c))
-    for (residuals, jacobians), c in maps:
-        assert np.linalg.norm(residuals(c[None], np.arange(1))) < 1e-13
-        J = jacobians(np.arange(1))[0]
-        np.testing.assert_allclose(J, central_jacobian(residuals, c), rtol=0, atol=1e-6)
+    residuals, jacobians = _log_maps(model, U, U @ matrix_exp(model.from_m1_coords(c)))
+    assert np.linalg.norm(residuals(c[None], np.arange(1))) < 1e-13
+    J = jacobians(np.arange(1))[0]
+    np.testing.assert_allclose(J, central_jacobian(residuals, c), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("case_id", JACOBIAN_CASES)
@@ -530,14 +523,13 @@ def test_coset_jacobian_gives_the_gradient_at_haar_pairs(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(32)
     U, V = (np.array([p.rep]) for p in haar_points(model, rng, 2))
-    fiber = _fiber_maps(model, *(p.rep for p in haar_points(model, rng, 2)))
-    for (residuals, jacobians), d in ((_log_maps(model, U, V), model.dim_m1), (fiber, model.g.dim)):
-        c = rng.normal(scale=0.5, size=d)
-        F = residuals(c[None], np.arange(1))[0]
-        J = jacobians(np.arange(1))[0]
-        assert np.linalg.norm(F) > 0.1
-        grad = central_jacobian(lambda C, rows: (residuals(C, rows) ** 2).sum(1, keepdims=True) / 2, c)
-        np.testing.assert_allclose(J.T @ F, grad[0], rtol=0, atol=1e-6)
+    residuals, jacobians = _log_maps(model, U, V)
+    c = rng.normal(scale=0.5, size=model.dim_m1)
+    F = residuals(c[None], np.arange(1))[0]
+    J = jacobians(np.arange(1))[0]
+    assert np.linalg.norm(F) > 0.1
+    grad = central_jacobian(lambda C, rows: (residuals(C, rows) ** 2).sum(1, keepdims=True) / 2, c)
+    np.testing.assert_allclose(J.T @ F, grad[0], rtol=0, atol=1e-6)
 
 
 # --- metric constants ---------------------------------------------------------------
@@ -919,6 +911,14 @@ def test_log_fiber_arc_small(su3):
     assert log.upper == pytest.approx(0.3, abs=1e-6)
 
 
+def test_riemannian_logs_rejects_negative_restarts(su3):
+    x, y = haar_points(su3, np.random.default_rng(33), 2)
+    with pytest.raises(ValueError, match="restarts"):
+        homspace.riemannian_logs([x], [y], [0], restarts=-1)
+    # zero restarts keeps the smart start alone
+    assert homspace.riemannian_logs([x], [x], [0], restarts=0)[0].converged
+
+
 def test_log_monotone_in_restarts(su3):
     rng = np.random.default_rng(20)
     x, y = haar_points(su3, rng, 2)
@@ -1069,20 +1069,42 @@ def test_witness_report_never_claims_constancy(su3):
 # --- fixed fibers -----------------------------------------------------------------------
 
 
-def test_fixed_fiber_found_generic_su3(su3):
-    rng = np.random.default_rng(28)
-    g = haar_points(su3, rng, 1)[0].rep
-    pt, resid = fixed_fiber(Isometry(su3, left=g), restarts=4, seed=4)
-    assert pt is not None and resid < 1e-8
-    assert resid < 1e-12  # recorded from the per-point solver: 5.1e-16
-    moved = g @ pt.rep
-    assert chord(su3, CosetPoint(su3, moved), pt, su3.k1_factors + su3.k2_factors)[1] < 1e-7
+# one equal-rank model per K shape: a circle and SU(2), a circle and a
+# single column, a circle and two SU(2) blocks, SU(3) and a single column,
+# SU(2) and SU(3)
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize(
+    "case_id",
+    [
+        "su3-hopf",
+        "su3-su1u2--k1-t1",
+        "su4-su2u2--k1-0a1-t1",
+        "su4-su1u3--k1-0a2",
+        "su5-su2u3--k1-0a1-1a2",
+    ],
+)
+def test_fixed_fiber_found_generic_su3(case_id, seed):
+    model = model_for(case_id)
+    assert model.record.equal_rank
+    g = haar_points(model, np.random.default_rng(seed), 1)[0].rep
+    pt, resid = fixed_fiber(Isometry(model, left=g))
+    assert pt is not None and resid < 1e-12
+    factors = model.k1_factors + model.k2_factors
+    assert chord(model, CosetPoint(model, g @ pt.rep), pt, factors)[1] < 1e-12
 
 
 def test_fixed_fiber_trivial_for_isotropy_element(su3):
     g = matrix_exp(0.7 * su3.circle_mat)
-    pt, resid = fixed_fiber(Isometry(su3, left=g), restarts=1, seed=5)
+    pt, resid = fixed_fiber(Isometry(su3, left=g))
     assert pt is not None and resid < 1e-8
+    # a real model of lower rank: K's torus planes take k's rotation planes
+    so8 = model_for("so8-so3so5--k1-0so3")
+    assert not so8.record.equal_rank
+    factors = so8.k1_factors + so8.k2_factors
+    k = sample_subgroup_element(so8, factors, np.random.default_rng(5))
+    pt, resid = fixed_fiber(Isometry(so8, left=k))
+    assert pt is not None and resid < 1e-12
+    assert chord(so8, CosetPoint(so8, k @ pt.rep), pt, factors)[1] < 1e-12
 
 
 def test_fixed_fiber_honest_negative(so6):
@@ -1093,10 +1115,12 @@ def test_fixed_fiber_honest_negative(so6):
             [math.cos(a), -math.sin(a)],
             [math.sin(a), math.cos(a)],
         ]
-    pt, resid = fixed_fiber(Isometry(so6, left=rot), restarts=4, seed=6)
+    pt, resid = fixed_fiber(Isometry(so6, left=rot))
     assert pt is None
     assert resid > 0.5
-    # recorded from the solver with scipy's per-point 2-point Jacobian
+    # no method can succeed: x^T rot x lies in K = SO(3) x SO(3) for a
+    # fixed coset x K, but rot has no eigenvalue 1, while every element of
+    # SO(3) x SO(3) has it twice
     assert resid == pytest.approx(1.2302683150099174, rel=0, abs=1e-12)
 
 

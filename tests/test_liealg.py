@@ -326,8 +326,8 @@ def _model_arrays(model):
     """Every array the model holds, those of its algebras and its cached
     properties included."""
     out = [model.m_basis, model.m1_basis, model.kappa, *model.center_elements]
-    out += [model._m1_dual, model.k1.frobenius_onb, model.k.frobenius_onb]
-    for alg in (model.g, model.k1, model.k2, model.k):
+    out += [model._m1_dual, model.k1.frobenius_onb]
+    for alg in (model.g, model.k1, model.k2):
         out += [alg.basis, alg._pinv, alg.killing_gram]
     if model.circle_mat is not None:
         out += [model.circle_mat, model.circle_phases]
