@@ -1,4 +1,4 @@
-"""Concrete matrix models for the unitary and odd-orthogonal catalog cases.
+"""Concrete matrix models for the unitary and orthogonal catalog cases.
 
 Conventions.  Complex algebras are realified up front: an m x m complex
 matrix Z = A + iB becomes the 2m x 2m real matrix [[A, -B], [B, A]], so a
@@ -7,20 +7,25 @@ unitaries are orthogonal.  All bases, Killing forms and decompositions live
 in this single real backend.
 
 The Killing form is computed as the trace form of the adjoint action on the
-model's own basis (structure constants), never from a closed formula; the
-closed trace forms (2n tr(XY) for su(n), (n-2) tr(XY) for so(n)) appear
-only in tests as independent oracles.
+model's own basis (structure constants, one bracket stack per basis
+element), never from a closed formula; the closed trace forms (2n tr(XY)
+for su(n), (n-2) tr(XY) for so(n)) appear only in tests as independent
+oracles.
 
 A GroupModel, built from a record's `dynkin.ModelSpec`, packages
 g = k1 + m1 with m1 = k1-perp relative to the Killing form, m = k-perp,
 the finite center of G, and block descriptors of K1 and K2 that
 downstream geometry uses for group sampling and coset projections.
-All structural invariants (bracket closure, orthogonality, definiteness,
-the centralizer identity, and the zero-fixed-space property of ad(k) on m)
-are validated at build time.  `build_model` builds and validates one model
-per record per process and hands the same object to every caller, so
-every array a model holds, those of its algebras and its cached
-properties included, is read-only: writing into one raises ValueError.
+The build works on coordinate rows in g's basis, where the metric inner
+product of rows C1 and C2 is C1 @ (-kappa) @ C2.T: complements are SVD
+null spaces, made orthonormal by Gram-Schmidt on the rows.  All structural
+invariants (bracket closure, orthogonality, definiteness, the centralizer
+identity, and the zero-fixed-space property of ad(k) on m) are validated
+at build time, each by one stacked bracket and one product.
+`build_model` builds and validates one model per record per process and
+hands the same object to every caller, so every array a model holds, those
+of its algebras and its cached properties included, is read-only: writing
+into one raises ValueError.
 """
 from __future__ import annotations
 
@@ -90,7 +95,8 @@ class MatrixAlgebra:
         return _read_only(np.linalg.qr(self.basis.reshape(self.dim, -1).T)[0].T)
 
     def coords(self, X: np.ndarray) -> np.ndarray:
-        return self._pinv @ X.reshape(-1)
+        """The coordinates of X on the basis; leading axes of X are a batch."""
+        return X.reshape(X.shape[:-2] + (-1,)) @ self._pinv.T
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """The matrix with coordinates c; leading axes of c are a batch."""
@@ -99,8 +105,10 @@ class MatrixAlgebra:
     def project(self, X: np.ndarray) -> np.ndarray:
         return self.from_coords(self.coords(X))
 
-    def membership_residual(self, X: np.ndarray) -> float:
-        return float(np.linalg.norm(X - self.project(X)))
+    def membership_residual(self, X: np.ndarray) -> float | np.ndarray:
+        """The Frobenius distance of X from the algebra; leading axes of X
+        are a batch."""
+        return np.linalg.norm(X - self.project(X), axis=(-2, -1))
 
 
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -171,21 +179,20 @@ def circle_generator(speeds: tuple[int, ...]) -> np.ndarray:
 # --- Killing form -----------------------------------------------------------
 
 
-def adjoint_matrix(a: MatrixAlgebra, X: np.ndarray) -> np.ndarray:
-    """ad(X) in the algebra's own basis coordinates."""
-    cols = [a.coords(bracket(X, B)) for B in a.basis]
-    return np.array(cols).T
+def structure_constants(a: MatrixAlgebra) -> np.ndarray:
+    """The (dim, dim, dim) tensor c with [B_i, B_j] = sum_k c[i, j, k] B_k,
+    one bracket stack per basis element."""
+    c = np.empty((a.dim,) * 3)
+    for i, B in enumerate(a.basis):
+        c[i] = a.coords(bracket(B, a.basis))
+    return c
 
 
 def killing_matrix(a: MatrixAlgebra) -> np.ndarray:
-    """Gram matrix kappa(B_i, B_j) of the basis, by the ad-trace."""
-    ads = [adjoint_matrix(a, B) for B in a.basis]
-    d = a.dim
-    K = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            K[i, j] = K[j, i] = np.trace(ads[i] @ ads[j])
-    return K
+    """Gram matrix kappa(B_i, B_l) = tr(ad B_i ad B_l) of the basis: ad B_i
+    has the entry c[i, j, k] at (k, j), so the trace pairs j with k."""
+    c = structure_constants(a)
+    return np.tensordot(c, c, axes=([1, 2], [2, 1]))
 
 
 def killing_form(a: MatrixAlgebra, X: np.ndarray, Y: np.ndarray) -> float:
@@ -267,14 +274,13 @@ class GroupModel:
     k2: MatrixAlgebra
     m_basis: np.ndarray  # kappa-orthonormal basis of k-perp (as matrices)
     m1_basis: np.ndarray  # kappa-orthonormal basis of k1-perp, k2 directions first
-    kappa: np.ndarray  # Killing Gram matrix on g.basis coordinates
     center_elements: tuple[np.ndarray, ...]
     k1_factors: tuple[BlockFactor, ...]
     k2_factors: tuple[BlockFactor, ...]
     circle_mat: np.ndarray | None  # generator when a circle factor exists
 
     def __post_init__(self):
-        for a in (self.m_basis, self.m1_basis, self.kappa, self.circle_mat, *self.center_elements):
+        for a in (self.m_basis, self.m1_basis, self.circle_mat, *self.center_elements):
             if a is not None:
                 _read_only(a)
 
@@ -302,13 +308,8 @@ class GroupModel:
     def frobenius_lambda_min(self) -> float:
         """Smallest eigenvalue of the normal metric on m1 against the ambient
         Frobenius form: -kappa(xi, xi) >= lambda_min ||xi||_F^2 on m1."""
-        E = self.m1_basis  # -kappa-orthonormal
-        d = len(E)
-        F = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                F[i, j] = F[j, i] = float(np.sum(E[i] * E[j]))
-        return 1.0 / float(np.linalg.eigvalsh(F)[-1])
+        E = self.m1_basis.reshape(self.dim_m1, -1)  # -kappa-orthonormal
+        return 1.0 / float(np.linalg.eigvalsh(E @ E.T)[-1])
 
     @cached_property
     def circle_phases(self) -> np.ndarray:
@@ -318,7 +319,7 @@ class GroupModel:
 
     def kappa_ip(self, X: np.ndarray, Y: np.ndarray) -> float:
         """The metric inner product -kappa(X, Y) on g."""
-        return float(-(self.g.coords(X) @ self.kappa @ self.g.coords(Y)))
+        return float(-(self.g.coords(X) @ self.g.killing_gram @ self.g.coords(Y)))
 
     def project_m1(self, X: np.ndarray) -> np.ndarray:
         return self.from_m1_coords(self.m1_coords(X))
@@ -327,8 +328,8 @@ class GroupModel:
     def _m1_dual(self) -> np.ndarray:
         """(n^2, d) matrix D with m1_coords(X) = vec(X) @ D: column j is the
         functional X -> -kappa(X, E_j) on g coordinates."""
-        E = np.array([self.g.coords(B) for B in self.m1_basis])
-        return _read_only(-self.g._pinv.T @ (self.kappa @ E.T))
+        E = self.g.coords(self.m1_basis)
+        return _read_only(-self.g._pinv.T @ (self.g.killing_gram @ E.T))
 
     def m1_coords(self, X: np.ndarray) -> np.ndarray:
         """The coordinates -kappa(X, E_j) on the m1 basis; leading axes of X
@@ -346,48 +347,44 @@ class GroupModel:
         return np.einsum("...i,ijk->...jk", c, self.m1_basis)
 
 
-def _gram_schmidt_kappa(
-    g: MatrixAlgebra, kappa: np.ndarray, mats: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Orthonormalize matrices in the -kappa inner product, dropping
-    dependent directions."""
+def _null_rows(A: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal rows spanning the null space of A: the right singular
+    vectors past the rank, which counts the singular values above rtol
+    times the largest."""
+    # a wide A needs all of V; a tall one has it with U kept thin
+    _, sv, Vt = np.linalg.svd(A, full_matrices=len(A) < A.shape[1])
+    return Vt[int(np.sum(sv > rtol * sv.max(initial=0.0))):]
 
-    def ip(X, Y):
-        return float(-(g.coords(X) @ kappa @ g.coords(Y)))
 
-    out: list[np.ndarray] = []
-    for M in mats:
-        V = M.copy()
-        for E in out:
-            V = V - ip(V, E) * E
-        norm2 = ip(V, V)
+def _gram_schmidt(C: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the coordinate rows C, in order, in the inner product
+    x @ G @ y, dropping each row whose remainder has squared norm at most
+    1e-16.  Each row is projected off the rows kept before it twice, so the
+    kept rows stay orthonormal to roundoff."""
+    Q, k = np.empty(C.shape), 0
+    for v in C:
+        for _ in range(2):
+            v = v - (v @ G @ Q[:k].T) @ Q[:k]
+        norm2 = v @ G @ v
         if norm2 > 1e-16:
-            out.append(V / np.sqrt(norm2))
-    return out
+            Q[k], k = v / np.sqrt(norm2), k + 1
+    return Q[:k]
 
 
-def orthogonal_complement(
-    g: MatrixAlgebra, kappa: np.ndarray, sub: MatrixAlgebra
-) -> np.ndarray:
-    """kappa-orthonormal basis (as matrices) of the complement of sub in g.
+def orthogonal_complement(g: MatrixAlgebra, rows: np.ndarray) -> np.ndarray:
+    """-kappa-orthonormal coordinate rows spanning the kappa-complement in g
+    of the span of the coordinate rows `rows`.
 
     The form -kappa must be positive definite on the complement; a
     degenerate restriction is rejected.
     """
-    K = kappa
-    sub_coords = np.array([g.coords(B) for B in sub.basis])  # (ds, dg)
-    # solution space of kappa(x, sub) = 0 in g coordinates
-    A = sub_coords @ K  # (ds, dg)
-    _, sv, Vt = np.linalg.svd(A)
-    rank = int(np.sum(sv > 1e-9 * (sv[0] if len(sv) else 1.0)))
-    null = Vt[rank:]  # rows span the complement in coords
-    mats = [g.from_coords(c) for c in null]
-    onb = _gram_schmidt_kappa(g, K, mats)
-    if len(onb) != g.dim - sub.dim:
+    K = g.killing_gram
+    onb = _gram_schmidt(_null_rows(rows @ K, 1e-9), -K)
+    if len(onb) != g.dim - len(rows):
         raise ValueError(
             "degenerate Killing restriction on the requested complement"
         )
-    return np.array(onb) if onb else np.zeros((0, g.n, g.n))
+    return onb
 
 
 def natural_reductivity_check(model: GroupModel) -> float:
@@ -404,80 +401,67 @@ def natural_reductivity_check(model: GroupModel) -> float:
 
 def _validate_model(model: GroupModel) -> None:
     g, k1, k2 = model.g, model.k1, model.k2
-    # bracket closure of g and of the subalgebras
-    rng = np.random.default_rng(7)
-    for _ in range(12):
-        i, j = rng.integers(0, g.dim, size=2)
-        if g.membership_residual(bracket(g.basis[i], g.basis[j])) > STRUCTURAL_TOL:
-            raise ValueError("g basis not bracket-closed")
+    # bracket closure of g on 12 seeded pairs and of the subalgebras
+    i, j = np.random.default_rng(7).integers(0, g.dim, size=(12, 2)).T
+    if g.membership_residual(bracket(g.basis[i], g.basis[j])).max() > STRUCTURAL_TOL:
+        raise ValueError("g basis not bracket-closed")
     for sub in (k1, k2):
-        for i in range(sub.dim):
-            for j in range(i + 1, sub.dim):
-                B = bracket(sub.basis[i], sub.basis[j])
-                if sub.membership_residual(B) > STRUCTURAL_TOL:
-                    raise ValueError(f"{sub.name} not bracket-closed")
+        B = bracket(sub.basis[:, None], sub.basis[None])
+        if sub.membership_residual(B).max() > STRUCTURAL_TOL:
+            raise ValueError(f"{sub.name} not bracket-closed")
+    # every kappa product below is on coordinate rows in g's basis
+    G = -g.killing_gram
+    C1, C2 = g.coords(k1.basis), g.coords(k2.basis)
     # k1 and k2 commute and are kappa-orthogonal
-    for X in k1.basis:
-        for Y in k2.basis:
-            if np.linalg.norm(bracket(X, Y)) > STRUCTURAL_TOL:
-                raise ValueError("k1 and k2 do not commute")
-            if abs(model.kappa_ip(X, Y)) > STRUCTURAL_TOL * 100:
-                raise ValueError("k1 not kappa-orthogonal to k2")
+    B = bracket(k1.basis[:, None], k2.basis[None])
+    if np.linalg.norm(B, axis=(-2, -1)).max() > STRUCTURAL_TOL:
+        raise ValueError("k1 and k2 do not commute")
+    if np.abs(C1 @ G @ C2.T).max() > STRUCTURAL_TOL * 100:
+        raise ValueError("k1 not kappa-orthogonal to k2")
     # reductivity: [k1, m1] inside m1
-    for X in k1.basis:
-        for E in model.m1_basis:
-            B = bracket(X, E)
-            resid = np.linalg.norm(B - model.project_m1(B))
-            if resid > STRUCTURAL_TOL * 100:
-                raise ValueError("[k1, m1] escapes m1")
+    B = bracket(k1.basis[:, None], model.m1_basis[None])
+    if np.linalg.norm(B - model.project_m1(B), axis=(-2, -1)).max() > STRUCTURAL_TOL * 100:
+        raise ValueError("[k1, m1] escapes m1")
     # -kappa positive definite on m1 (orthonormal by construction; spot check)
-    for E in model.m1_basis:
-        if model.kappa_ip(E, E) < 0.5:
-            raise ValueError("-kappa not positive definite on m1")
-    # centralizer: fixed space of ad(k1) on g = k2 + center(k1)
-    ads = np.vstack([adjoint_matrix(g, X) for X in k1.basis])
-    _, sv, Vt = np.linalg.svd(ads, full_matrices=False)
-    rank = int(np.sum(sv > 1e-8 * sv[0]))
-    fixed = Vt[rank:]  # coords of the centralizer of k1 in g
-    # center of k1: fixed space of ad(k1) inside k1
-    ads_k1 = np.vstack([adjoint_matrix(k1, X) for X in k1.basis])
-    _, sv1, Vt1 = np.linalg.svd(ads_k1, full_matrices=False)
-    rank1 = int(np.sum(sv1 > 1e-8 * sv1[0])) if k1.dim else 0
-    z_k1_dim = k1.dim - rank1
-    if len(fixed) != k2.dim + z_k1_dim:
+    C_m1 = g.coords(model.m1_basis)
+    if np.diag(C_m1 @ G @ C_m1.T).min() < 0.5:
+        raise ValueError("-kappa not positive definite on m1")
+    # centralizer: fixed space of ad(k1) on g = k2 + center(k1).  Row j of
+    # ad_k1[x] holds the coordinates of [X_x, B_j], so ad(X_x) is its
+    # transpose; the transposes stack row-wise over k1's basis
+    ad_k1 = g.coords(bracket(k1.basis[:, None], g.basis[None]))
+    fixed = _null_rows(np.swapaxes(ad_k1, 1, 2).reshape(-1, g.dim), 1e-8)
+    # center of k1: fixed space of ad(k1) inside k1, in k1 coordinates
+    ad_k1 = structure_constants(k1)
+    z_k1 = _null_rows(np.swapaxes(ad_k1, 1, 2).reshape(-1, k1.dim), 1e-8)
+    if len(fixed) != k2.dim + len(z_k1):
         raise ValueError(
             f"centralizer dimension {len(fixed)} != dim k2 + dim z(k1) "
-            f"= {k2.dim} + {z_k1_dim}"
+            f"= {k2.dim} + {len(z_k1)}"
         )
     # each fixed vector decomposes into k2 + z(k1) parts within tolerance
-    span = [g.coords(Y) for Y in k2.basis]
-    span += [g.coords(k1.from_coords(c)) for c in Vt1[rank1:]]
-    if span:
-        S = np.array(span).T
-        for c in fixed:
-            resid = np.linalg.norm(c - S @ np.linalg.lstsq(S, c, rcond=None)[0])
-            if resid > 1e-8:
-                raise ValueError("centralizer of k1 exceeds k2 + z(k1)")
+    S = np.concatenate([C2, z_k1 @ C1]).T
+    if S.size:
+        resid = fixed.T - S @ np.linalg.lstsq(S, fixed.T, rcond=None)[0]
+        if np.linalg.norm(resid, axis=0).max() > 1e-8:
+            raise ValueError("centralizer of k1 exceeds k2 + z(k1)")
     # zero fixed space of ad(k) on m: no nonzero invariant vector on the base
     if model.dim_m:
-        k_mats = list(k1.basis) + list(k2.basis)
-        rows = []
-        for X in k_mats:
-            for E in model.m_basis:
-                B = bracket(X, E)
-                rows.append([model.kappa_ip(B, F) for F in model.m_basis])
-        A = np.array(rows).reshape(len(k_mats), len(model.m_basis), -1)
-        A = np.concatenate([A[i] for i in range(len(k_mats))], axis=0)
+        k_basis = np.concatenate([k1.basis, k2.basis])
+        B = g.coords(bracket(k_basis[:, None], model.m_basis[None]))
+        # A[(X, E), F] = -kappa([X, E], F) for X in k, E and F in m
+        A = (B @ G @ g.coords(model.m_basis).T).reshape(-1, model.dim_m)
         sv = np.linalg.svd(A.T @ A, compute_uv=False)
         if sv[-1] < 1e-10:
             raise ValueError("ad(k) has a nonzero fixed vector on m")
     # center elements commute with the whole algebra
-    for cmat in model.center_elements:
-        if np.linalg.norm(cmat @ cmat.T - np.eye(model.n)) > STRUCTURAL_TOL:
-            raise ValueError("center element not orthogonal")
-        for B in g.basis[:: max(1, g.dim // 6)]:
-            if np.linalg.norm(cmat @ B - B @ cmat) > STRUCTURAL_TOL:
-                raise ValueError("center element does not commute with g")
+    Z = np.array(model.center_elements)
+    B = Z @ np.swapaxes(Z, 1, 2) - np.eye(model.n)
+    if np.linalg.norm(B, axis=(-2, -1)).max() > STRUCTURAL_TOL:
+        raise ValueError("center element not orthogonal")
+    B = bracket(Z[:, None], g.basis[:: max(1, g.dim // 6)][None])
+    if np.linalg.norm(B, axis=(-2, -1)).max() > STRUCTURAL_TOL:
+        raise ValueError("center element does not commute with g")
 
 
 def _block_data(
@@ -530,18 +514,12 @@ def build_model(rec: FibrationRecord) -> GroupModel:
     k2_mats = [M for mats, _ in k2_data for M in mats]
     k1 = MatrixAlgebra(name=f"k1[{rec.slug}]", n=n, basis=np.array(k1_mats))
     k2 = MatrixAlgebra(name=f"k2[{rec.slug}]", n=n, basis=np.array(k2_mats))
-    kappa = g.killing_gram
-
-    m1 = orthogonal_complement(g, kappa, k1)
+    m1_rows = orthogonal_complement(g, g.coords(k1.basis))
     # reorder m1 so the k2 directions come first (Gram-Schmidt from k2)
-    seed = list(k2.basis) + [M for M in m1]
-    m1_ordered = _gram_schmidt_kappa(g, kappa, seed)
-    if len(m1_ordered) != len(m1):
+    seed = np.concatenate([g.coords(k2.basis), m1_rows])
+    m1_ordered = _gram_schmidt(seed, -g.killing_gram)
+    if len(m1_ordered) != len(m1_rows):
         raise ValueError("k2 escapes the k1-complement")
-    k_all = MatrixAlgebra(
-        name=f"k[{rec.slug}]", n=n, basis=np.array(k1_mats + k2_mats)
-    )
-    m_perp = orthogonal_complement(g, kappa, k_all)
     model = GroupModel(
         record=rec,
         name=rec.slug,
@@ -551,9 +529,9 @@ def build_model(rec: FibrationRecord) -> GroupModel:
         g=g,
         k1=k1,
         k2=k2,
-        m_basis=m_perp,
-        m1_basis=np.array(m1_ordered),
-        kappa=kappa,
+        # m = k-perp: the directions of m1 past k2
+        m_basis=g.from_coords(m1_ordered[k2.dim :]),
+        m1_basis=g.from_coords(m1_ordered),
         center_elements=center,
         k1_factors=tuple(fac for _, fac in k1_data),
         k2_factors=tuple(fac for _, fac in k2_data),

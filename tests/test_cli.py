@@ -302,6 +302,10 @@ def test_verify_su3_passes():
     assert details["fixed-fiber-witness"] == (
         "isotropy sample residual < 1e-12; generic sample residual < 1e-12"
     )
+    # so does the roundoff-level reductivity residual
+    assert details["natural-reductivity"] == (
+        "residual < 1e-12 (tol 1.0e-09); dims g=8 k1=3 k2=1 m1=5 m=4"
+    )
     names = {c["name"] for c in payload["checks"]}
     assert {
         "natural-reductivity",
@@ -537,6 +541,10 @@ def test_selfcheck_passes():
     # E6 exceeds the rank cap, so five of the six table entries are compared
     details = {c["name"]: c["detail"] for c in payload["checks"]}
     assert details["diagram-automorphism-table"] == "5 diagrams checked"
+    # a roundoff-level reductivity residual prints as the floor
+    assert details["model-validation"] == (
+        "both models validated; worst reductivity residual < 1e-12"
+    )
 
 
 def test_selfcheck_detects_corrupted_golden(monkeypatch):

@@ -322,10 +322,29 @@ def test_model_build_deterministic():
     assert np.allclose(a.m_basis, b.m_basis, atol=0)
 
 
+def test_so18_model_builds_orthonormal_splitting():
+    # K1 = SO(9) and K2 = SO(9) in SO(18): the largest model, built past
+    # the cache
+    model = build_model.__wrapped__(find_record("so18-so9so9--k1-0so9"))
+    dims = (model.dim_g, model.dim_k1, model.dim_k2, model.dim_m1, model.dim_m)
+    assert dims == (153, 36, 36, 117, 81)
+    g = model.g
+    G = -g.killing_gram
+    E1 = g.coords(model.m1_basis)
+    np.testing.assert_allclose(E1 @ G @ E1.T, np.eye(117), rtol=0, atol=1e-9)
+    # the first 36 rows span k2: k2 loses nothing when projected onto them
+    C2 = g.coords(model.k2.basis)
+    lead = E1[:36]
+    assert np.abs(C2 - (C2 @ G @ lead.T) @ lead).max() < 1e-9
+    # m is kappa-orthogonal to k1 + k2
+    k = np.concatenate([g.coords(model.k1.basis), C2])
+    assert np.abs(k @ G @ g.coords(model.m_basis).T).max() < 1e-9
+
+
 def _model_arrays(model):
     """Every array the model holds, those of its algebras and its cached
     properties included."""
-    out = [model.m_basis, model.m1_basis, model.kappa, *model.center_elements]
+    out = [model.m_basis, model.m1_basis, *model.center_elements]
     out += [model._m1_dual, model.k1.frobenius_onb]
     for alg in (model.g, model.k1, model.k2):
         out += [alg.basis, alg._pinv, alg.killing_gram]
@@ -345,6 +364,90 @@ def test_shared_model_arrays_are_read_only(case_id):
 def test_validation_catches_noncommuting_factors(su3_model):
     broken = dataclasses.replace(su3_model, k2=su3_model.k1)
     with pytest.raises(ValueError, match="commute|orthogonal|centralizer"):
+        _validate_model(broken)
+
+
+# One test per `_validate_model` branch that a broken model reaches, each
+# with its own message.  "centralizer of k1 exceeds k2 + z(k1)" is not
+# reachable once the earlier checks pass on a compact g: k2 and z(k1) both
+# centralize k1 and meet only in 0 (they are kappa-orthogonal and kappa is
+# definite), so a centralizer of dimension dim k2 + dim z(k1) is their sum.
+
+
+def _unit(model, X):
+    """X scaled to -kappa norm 1."""
+    return X / np.sqrt(model.kappa_ip(X, X))
+
+
+def test_validation_rejects_unclosed_g(so6_model):
+    # two of so(3)'s three generators: each seeded pair (i, j) with i != j
+    # brackets out of the span
+    g = MatrixAlgebra(name="g-part", n=3, basis=algebra_so(3).basis[:2])
+    with pytest.raises(ValueError, match="^g basis not bracket-closed$"):
+        _validate_model(dataclasses.replace(so6_model, g=g))
+
+
+def test_validation_rejects_unclosed_k1(so6_model):
+    # K1 = SO(3) on rows 0-2, kept to two of its three generators
+    k1 = MatrixAlgebra(name="k1-part", n=6, basis=so6_model.k1.basis[:2])
+    with pytest.raises(ValueError, match=r"^k1-part not bracket-closed$"):
+        _validate_model(dataclasses.replace(so6_model, k1=k1))
+
+
+def test_validation_rejects_nonorthogonal_factors():
+    # K1 is the circle alone: K2 = K1 commutes with it but is not
+    # kappa-orthogonal to it
+    model = build_model(find_record("su3-su1u2--k1-t1"))
+    broken = dataclasses.replace(model, k2=model.k1)
+    with pytest.raises(ValueError, match="^k1 not kappa-orthogonal to k2$"):
+        _validate_model(broken)
+
+
+def test_validation_rejects_k1_direction_in_m1(su3_model):
+    m1 = su3_model.m1_basis.copy()
+    m1[-1] = _unit(su3_model, su3_model.k1.basis[0])
+    with pytest.raises(ValueError, match=r"^\[k1, m1\] escapes m1$"):
+        _validate_model(dataclasses.replace(su3_model, m1_basis=m1))
+
+
+def test_validation_rejects_short_m1_rows(su3_model):
+    # the k2 rows of m1 at half length.  k1 brackets them to 0, so
+    # [k1, m1] still lies in m1; halving every row would trip that check first
+    m1 = su3_model.m1_basis.copy()
+    m1[: su3_model.dim_k2] *= 0.5
+    with pytest.raises(ValueError, match="^-kappa not positive definite on m1$"):
+        _validate_model(dataclasses.replace(su3_model, m1_basis=m1))
+
+
+def test_validation_rejects_k2_missing_a_generator():
+    # K2 = SU(2) x circle loses its circle, which still centralizes K1
+    model = build_model(find_record("su4-su2u2--k1-0a1"))
+    k2 = MatrixAlgebra(name="k2-part", n=model.n, basis=model.k2.basis[:-1])
+    with pytest.raises(
+        ValueError, match=r"^centralizer dimension 4 != dim k2 \+ dim z\(k1\) = 3 \+ 0$"
+    ):
+        _validate_model(dataclasses.replace(model, k2=k2))
+
+
+def test_validation_rejects_fixed_vector_on_m(su3_model):
+    # the circle generator commutes with all of k = su(2) + circle
+    m = np.concatenate([su3_model.m_basis, [_unit(su3_model, su3_model.circle_mat)]])
+    with pytest.raises(ValueError, match=r"^ad\(k\) has a nonzero fixed vector on m$"):
+        _validate_model(dataclasses.replace(su3_model, m_basis=m))
+
+
+def test_validation_rejects_nonorthogonal_center_element(so6_model):
+    broken = dataclasses.replace(so6_model, center_elements=(2.0 * np.eye(6),))
+    with pytest.raises(ValueError, match="^center element not orthogonal$"):
+        _validate_model(broken)
+
+
+def test_validation_rejects_noncentral_center_element(so6_model):
+    # a reflection: orthogonal, but it does not commute with the rotation
+    # in the (0, 1) plane, the first basis element of so(6)
+    reflection = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    broken = dataclasses.replace(so6_model, center_elements=(np.eye(6), reflection))
+    with pytest.raises(ValueError, match="^center element does not commute with g$"):
         _validate_model(broken)
 
 
