@@ -47,12 +47,15 @@ to J^T J and J^T F in stacks of at most `_LM_SLICE` (problem, column)
 pairs; a problem stops at the latest once its residual is at most 1e-6
 times the tolerance of its solve.
 `riemannian_logs` solves the (pair, start) problems of any number of
-point pairs in one `_lm` call, starting each pair from the m1 part of one
-batched real log (`_orthogonal_log`) and seeded perturbations of it: a
-verify job passes it every log it needs (round trips, bound-ordering
-pairs and the base point of each of its two central displacement
-profiles), and `distance_lower_bound` the bound-ordering pairs and the
-sampled points of all four profiles.  `riemannian_log` and
+point pairs in one `_lm` call, starting each pair from its smart start
+(`smart_starts`: the m1 part of one batched real log, `_orthogonal_log`,
+of the chord-aligned difference) and seeded perturbations of it: a
+verify job passes it every log it needs (round trips and the base point
+of each of its two central displacement profiles).  A bound-ordering
+pair (x, y) needs no solve: the curve x exp(t xi0) K1 of its smart start
+xi0 has length ||xi0||, the upper bound, checked against the lower bound
+of its end x exp(xi0).  `distance_lower_bound` takes those ends and the
+sampled points of all four profiles in one call.  `riemannian_log` and
 `displacement_profile` (`sample_profile`, then `share_logs`,
 `distance_lower_bound` and `profile_report`) are compositions.
 Haar points come in batches (`haar_points`, over `haar_matrices`): one
@@ -713,6 +716,20 @@ def _log_maps(model: GroupModel, U: np.ndarray, V: np.ndarray):
     return residuals, jacobians
 
 
+def smart_starts(xs: list[CosetPoint], ys: list[CosetPoint]) -> np.ndarray:
+    """The (len(xs), dim m1) coordinates of the smart start xi0 of the log
+    from xs[i] to ys[i]: the m1 part of the principal real log
+    (`_orthogonal_log`) of the chord-aligned difference W = U^T V k*^T,
+    with U, V the representatives and k* the chord maximizer over K1.  The
+    curve x exp(t xi0) K1, 0 <= t <= 1, has length ||xi0|| (the metric
+    norm), so ||xi0|| bounds the distance from x K1 to x exp(xi0) K1 above
+    for every pair, whether or not that end is ys[i] K1."""
+    model = xs[0].model
+    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
+    K = _k_star_batch(model, U, V, model.k1_factors)
+    return model.m1_coords(_orthogonal_log(np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)))
+
+
 def riemannian_logs(
     xs: list[CosetPoint],
     ys: list[CosetPoint],
@@ -724,17 +741,16 @@ def riemannian_logs(
     of points of one model, pair i drawing its restarts from seeds[i].  The
     len(xs) x (1 + restarts) (pair, start) problems are solved in one
     lockstep `_lm` call, and each pair's result is, bit for bit, the one it
-    gets when solved alone.  restarts = 0 keeps the smart start alone; a
-    negative count raises ValueError."""
+    gets when solved alone.  Each pair starts from its `smart_starts` value
+    and restarts seeded perturbations of it; restarts = 0 keeps the smart
+    start alone, and a negative count raises ValueError."""
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
     model = xs[0].model
-    d, factors = model.dim_m1, model.k1_factors
+    d = model.dim_m1
     U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
-    # smart start: the m1 part of the log of the chord-aligned difference
-    W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(_k_star_batch(model, U, V, factors), 1, 2)
     starts = []
-    for c0, seed in zip(model.m1_coords(_orthogonal_log(W)), seeds):
+    for c0, seed in zip(smart_starts(xs, ys), seeds):
         rng = np.random.default_rng(seed)
         scale = max(float(np.linalg.norm(c0)), 0.5)
         starts.append(c0)

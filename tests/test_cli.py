@@ -396,10 +396,10 @@ def test_verify_huge_tol_coset_ends_with_a_verdict():
 
 def test_verify_job_makes_one_lm_call(monkeypatch):
     # every Riemannian log of a job shares one lockstep solve: 3 round
-    # trips, 4 bound-ordering pairs and the base point of each central
-    # profile, whose log the profile's other points share (the noncentral
-    # ones take their upper bound from a torus witness, and fixed fibers
-    # come in closed form)
+    # trips and the base point of each central profile, whose log the
+    # profile's other points share (the bound-ordering pairs take their
+    # upper bound from a smart start's curve, the noncentral profiles
+    # from a torus witness, and fixed fibers come in closed form)
     calls = []
     pairs = []
     real_lm, real_logs = homspace._lm, homspace.riemannian_logs
@@ -417,12 +417,12 @@ def test_verify_job_makes_one_lm_call(monkeypatch):
     code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     assert code == 0
     assert len(calls) == 1
-    assert pairs == [3 + 4 + 2]
+    assert pairs == [3 + 2]
 
 
 def test_verify_job_makes_one_lower_bound_call(monkeypatch):
-    # the lower bounds of the bound-ordering pairs and of every profile
-    # point come from one batched call, as the logs do
+    # the lower bounds of the bound-ordering curves' ends and of every
+    # profile point come from one batched call, as the logs do
     calls = []
     real = homspace.distance_lower_bound
 
@@ -437,7 +437,8 @@ def test_verify_job_makes_one_lower_bound_call(monkeypatch):
 
 
 def test_verify_job_makes_no_logm_call(monkeypatch):
-    # the smart starts of a job's logs come from one batched real log
+    # the smart starts of a job's logs and of its bound-ordering curves
+    # come from batched real logs
     import scipy.linalg
 
     calls = []
@@ -454,9 +455,9 @@ def test_verify_job_makes_no_logm_call(monkeypatch):
 
 
 def test_verify_so8_log_solve_stops_before_the_step_cap(monkeypatch):
-    # at this seed a restart of a bound-ordering pair crawled, and held the
-    # job's whole lockstep log solve to the _LM_MAX_ITER cap, under a
-    # finite-difference Jacobian; with the exact one it converges first
+    # the job's one lockstep log solve, of the round trips and the central
+    # base points, stops before the _LM_MAX_ITER cap; this seed is one where
+    # a crawling start once held the whole solve to the cap
     steps = []
     real_lm = homspace._lm
 

@@ -34,6 +34,7 @@ from isofib.homspace import (
     riemannian_log,
     sample_subgroup_element,
     share_logs,
+    smart_starts,
     _circle_angles,
     _complex_pairing,
     _k_star_batch,
@@ -946,6 +947,47 @@ def test_lower_bound_at_most_upper(su3, so6):
             log = riemannian_log(x, y, restarts=2, seed=25)
             if log.converged:
                 assert lower_bound(x, y) <= log.upper + 1e-9
+
+
+# the SO, SU and circle shapes of verify's bound-ordering check
+CURVE_CASES = ["so6-stiefel", "su3-hopf", "su3-su1u2--k1-t1"]
+
+
+def smart_curve_bounds(model, xs, ys):
+    """(lower, upper) of each pair's smart-start curve: the lower bound from
+    x to its end x exp(xi0), and the curve's length ||xi0||."""
+    starts = smart_starts(xs, ys)
+    ends = [geodesic(x, model.from_m1_coords(c), 1.0) for x, c in zip(xs, starts)]
+    return distance_lower_bound(xs, ends), np.linalg.norm(starts, axis=1)
+
+
+@pytest.mark.parametrize("case_id", CURVE_CASES)
+def test_smart_start_curve_bounds_its_end_on_haar_pairs(case_id):
+    # x exp(t xi0) K1, 0 <= t <= 1, has length ||xi0||, so no end lies
+    # farther from x than that, whatever pair the smart start came from
+    model = model_for(case_id)
+    rng = np.random.default_rng(41)
+    xs, ys = haar_points(model, rng, 12), haar_points(model, rng, 12)
+    lowers, uppers = smart_curve_bounds(model, xs, ys)
+    assert np.all(lowers > 0.0)
+    assert np.all(lowers <= uppers + 1e-9)
+
+
+@pytest.mark.parametrize("case_id", CURVE_CASES)
+def test_smart_start_curve_bound_on_geodesics_of_known_length(case_id):
+    # on y = x exp(xi) the smart start recovers |xi|, so the check runs
+    # where the lower bound is near tight, and both bounds stay below |xi|
+    model = model_for(case_id)
+    rng = np.random.default_rng(42)
+    for length in (0.05, 0.3, 1.0, 2.0, 3.0):
+        x = haar_points(model, rng, 1)[0]
+        xi = model.from_m1_coords(rng.normal(size=model.dim_m1))
+        xi *= length / model.m1_norm(xi)
+        y = geodesic(x, xi, 1.0)
+        [lower], [upper] = smart_curve_bounds(model, [x], [y])
+        assert upper == pytest.approx(length, rel=1e-4)
+        assert lower <= upper + 1e-9
+        assert lower_bound(x, y) <= length + 1e-9
 
 
 # --- displacement profiles -----------------------------------------------------------------

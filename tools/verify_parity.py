@@ -88,10 +88,10 @@ VERIFY_SET = tuple(
             (5100, 1803, 8206, 1, 2, 17, 333, 4242, 7777, 1988, 3609, 4166, 9292)
             + (9, 10, 11, 29, 9980, 6205, 9906, 9094),
         ),
-        # at 5100 one restart of a bound-ordering pair crawls at residual
-        # 1.28 for over a hundred steps: the request where a stop on the
-        # gradient's decay would first change the solver's iterates
-        ("su3-hopf", (1705, 6869, 6336, 11, 5100)),
+        # at 8688 one restart of central-1's base-point log runs to the
+        # step cap at residual 1.7e-5: the request where a change to the
+        # solver's stop would first change its iterates
+        ("su3-hopf", (1705, 6869, 6336, 11, 5100, 8688)),
         ("su3-su1u2--k1-t1", (3546, 1046, 2454, 4651, 4805, 7656, 77, 901)),
         ("so6-stiefel", (7991, 9215, 7294, 9042, 2298, 1177, 25, 3139, 3370, 8743)),
         ("su4-su2u2--k1-0a1-t1", (1,)),
