@@ -93,23 +93,14 @@ class ConfigError(Exception):
     pass
 
 
+# Upper caps of verify's sizes: a job's LM stack holds one problem per
+# (log, start), and its chord stack about 4 x samples points, each with a
+# grid of 256 angles per column on a circle model.
+MAX_SAMPLES = 1024
+MAX_RESTARTS = 64
+
+
 # --- checks ---------------------------------------------------------------------
-
-
-@dataclass
-class Check:
-    name: str
-    claim: str
-    passed: bool
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 # Solver outputs below this floor are roundoff: their digits vary between
@@ -144,15 +135,15 @@ def _noncentral_sample(
     raise RuntimeError("could not draw a sample away from the center")
 
 
-def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
+def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     import numpy as np
 
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
-    checks: list[Check] = []
+    checks: list[dict] = []
 
     def add(name: str, claim: str, passed: bool, detail: str) -> None:
-        checks.append(Check(name, claim, bool(passed), detail))
+        checks.append({"name": name, "claim": claim, "passed": bool(passed), "detail": detail})
 
     # structural package (build_model already validated; re-derive residual)
     nr = liealg.natural_reductivity_check(model)
@@ -256,7 +247,6 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[Check]:
             s,
             homspace.share_logs(s, [next(logs)], tol["coset"]),
             [next(lowers) for _ in s.points],
-            cfg.restarts,
             tol["constant"],
             tol["gap"],
         )
@@ -359,11 +349,11 @@ def _golden_diffs() -> tuple[int, list[str]]:
     return len(full.records), golden_diff(golden_projection(full), goldens)
 
 
-def _selfcheck_checks(cfg: RunConfig) -> list[Check]:
-    checks: list[Check] = []
+def _selfcheck_checks(cfg: RunConfig) -> list[dict]:
+    checks: list[dict] = []
 
     def add(name: str, claim: str, passed: bool, detail: str) -> None:
-        checks.append(Check(name, claim, bool(passed), detail))
+        checks.append({"name": name, "claim": claim, "passed": bool(passed), "detail": detail})
 
     # Weyl group sizes: literal orbit-stabilizer BFS against the closed form
     mismatches = []
@@ -511,34 +501,26 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
             f"no concrete model for {rec.slug} ({rec.base_label}): catalog-only case"
         )
     model = liealg.build_model(rec)
-    checks = _verify_checks(cfg, model)
-    failures = [c for c in checks if not c.passed]
-    payload = {
-        "schema_version": dynkin.SCHEMA_VERSION,
-        "command": "verify",
-        "config": cfg.echo(),
-        "case": rec.slug,
-        "base": rec.base_label,
-        "total_space": rec.mtilde_label,
-        "checks": [c.to_dict() for c in checks],
-        "failures": [
-            {"claim": c.claim, "detail": f"{c.name}: {c.detail}"} for c in failures
-        ],
-    }
-    return (1 if failures else 0), payload
+    head = {"case": rec.slug, "base": rec.base_label, "total_space": rec.mtilde_label}
+    return _checks_payload(cfg, head, _verify_checks(cfg, model))
 
 
 def cmd_selfcheck(cfg: RunConfig) -> tuple[int, dict]:
-    checks = _selfcheck_checks(cfg)
-    failures = [c for c in checks if not c.passed]
+    return _checks_payload(cfg, {}, _selfcheck_checks(cfg))
+
+
+def _checks_payload(cfg: RunConfig, head: dict, checks: list[dict]) -> tuple[int, dict]:
+    """(exit code, payload) of a check command: the envelope, the command's
+    own head keys, its checks and one failure per failed check."""
+    failed = [c for c in checks if not c["passed"]]
+    failures = [{"claim": c["claim"], "detail": f"{c['name']}: {c['detail']}"} for c in failed]
     payload = {
         "schema_version": dynkin.SCHEMA_VERSION,
-        "command": "selfcheck",
+        "command": cfg.command,
         "config": cfg.echo(),
-        "checks": [c.to_dict() for c in checks],
-        "failures": [
-            {"claim": c.claim, "detail": f"{c.name}: {c.detail}"} for c in failures
-        ],
+        **head,
+        "checks": checks,
+        "failures": failures,
     }
     return (1 if failures else 0), payload
 
@@ -769,10 +751,14 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"--seed must be at least 0, got {cfg.seed}")
     if cfg.samples < 2:
         raise ConfigError(f"--samples must be at least 2, got {cfg.samples}")
+    if cfg.samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be at most {MAX_SAMPLES}, got {cfg.samples}")
     if cfg.restarts < 1:
         # with no restart a central profile's log rests on its smart start,
         # which never moves when z = -1
         raise ConfigError(f"--restarts must be at least 1, got {cfg.restarts}")
+    if cfg.restarts > MAX_RESTARTS:
+        raise ConfigError(f"--restarts must be at most {MAX_RESTARTS}, got {cfg.restarts}")
     if cfg.rank_cap < 1:
         raise ConfigError(f"--rank-cap must be at least 1, got {cfg.rank_cap}")
     if cfg.command == "catalog":

@@ -61,6 +61,7 @@ sampled points of all four profiles in one call.  `riemannian_log` and
 Haar points come in batches (`haar_points`, over `haar_matrices`): one
 normal draw and one stacked QR per batch, laid out so that a batch reads
 the stream, and gets the points, that batches of one read in turn.
+A log is converged when it holds an explicit xi (`LogResult.converged`).
 `share_logs` offers a profile's shortest converged log to each of its
 points, which adopt it where it also reaches the image coset and is
 shorter than their own, if any.  Every per-problem operation, the matrix
@@ -688,10 +689,17 @@ def _orthogonal_log(W: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogResult:
+    """A Riemannian log: xi with upper bound ||xi||, or xi None and upper
+    inf when no start reached the image coset; converged means xi is
+    explicit."""
+
     xi: np.ndarray | None
     upper: float
     residual: float
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.xi is not None
 
 
 def _log_maps(model: GroupModel, U: np.ndarray, V: np.ndarray):
@@ -763,14 +771,14 @@ def riemannian_logs(
     for coords, rs in zip(X, R):
         conv = np.flatnonzero(rs < tol)
         if not conv.size:
-            out.append(LogResult(xi=None, upper=math.inf, residual=float(rs.min()), converged=False))
+            out.append(LogResult(xi=None, upper=math.inf, residual=float(rs.min())))
             continue
         # among converged starts keep the shortest: the bound can only
         # improve with more restarts
         norms = [float(np.linalg.norm(coords[j])) for j in conv]
         j = conv[int(np.argmin(norms))]
         xi = model.from_m1_coords(coords[j])
-        out.append(LogResult(xi=xi, upper=min(norms), residual=float(rs[j]), converged=True))
+        out.append(LogResult(xi=xi, upper=min(norms), residual=float(rs[j])))
     return out
 
 
@@ -816,32 +824,11 @@ def distance_lower_bound(xs: list[CosetPoint], ys: list[CosetPoint]) -> np.ndarr
 @dataclass(frozen=True)
 class DisplacementReport:
     label: str
-    n_samples: int
-    seed: int
     uppers: tuple[float, ...]
     lowers: tuple[float, ...]
     verdict: str  # constant-within-tol | certified-nonconstant | inconclusive
     rel_spread: float
     gap: float  # max lower - min upper
-    restarts: int
-    tol_constant: float
-    tol_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "rel_spread": self.rel_spread,
-            "gap": self.gap,
-            "min_upper": min(self.uppers),
-            "max_upper": max(self.uppers),
-            "max_lower": max(self.lowers),
-            "restarts": self.restarts,
-            "tol_constant": self.tol_constant,
-            "tol_gap": self.tol_gap,
-        }
 
 
 @dataclass(frozen=True)
@@ -850,7 +837,6 @@ class ProfileSample:
     plus seeded Haar points) and their images under the isometry."""
 
     gamma: Isometry
-    n_samples: int
     seed: int
     points: tuple[CosetPoint, ...]
     images: tuple[CosetPoint, ...]
@@ -865,9 +851,7 @@ def sample_profile(gamma: Isometry, n_samples: int = 200, seed: int = 42) -> Pro
     """The seeded sample of `displacement_profile`."""
     rng = np.random.default_rng(seed)
     points = [base_point(gamma.model), *haar_points(gamma.model, rng, max(n_samples - 1, 0))]
-    return ProfileSample(
-        gamma, n_samples, seed, tuple(points), tuple(gamma.apply(p) for p in points)
-    )
+    return ProfileSample(gamma, seed, tuple(points), tuple(gamma.apply(p) for p in points))
 
 
 def share_logs(
@@ -881,7 +865,7 @@ def share_logs(
     it as an explicit converged geodesic; a point with neither reads as
     non-converged.  A central gamma = z k2 maps x K1 to x (z k2) K1, the
     left translate of the base problem, so every point adopts xi."""
-    logs = logs + [LogResult(None, math.inf, math.inf, False)] * (len(sample.points) - len(logs))
+    logs = logs + [LogResult(None, math.inf, math.inf)] * (len(sample.points) - len(logs))
     converged = [log for log in logs if log.converged]
     if not converged:
         return logs
@@ -891,7 +875,7 @@ def share_logs(
     V = np.array([q.rep for q in sample.images])
     R = chord_to_coset(model, U, V, model.k1_factors).upper
     return [
-        LogResult(best.xi, best.upper, float(r), True)
+        LogResult(best.xi, best.upper, float(r))
         if r < tol and best.upper < log.upper
         else log
         for log, r in zip(logs, R)
@@ -902,7 +886,6 @@ def profile_report(
     sample: ProfileSample,
     logs: list[LogResult],
     lowers: list[float],
-    restarts: int,
     tol_constant: float = CONSTANT_SPREAD_TOL,
     tol_gap: float = GAP_TOL,
 ) -> DisplacementReport:
@@ -926,19 +909,7 @@ def profile_report(
             verdict = "constant-within-tol"
         else:
             verdict = "inconclusive"
-    return DisplacementReport(
-        label=sample.gamma.label,
-        n_samples=sample.n_samples,
-        seed=sample.seed,
-        uppers=tuple(uppers),
-        lowers=tuple(lowers),
-        verdict=verdict,
-        rel_spread=rel,
-        gap=gap,
-        restarts=restarts,
-        tol_constant=tol_constant,
-        tol_gap=tol_gap,
-    )
+    return DisplacementReport(sample.gamma.label, tuple(uppers), tuple(lowers), verdict, rel, gap)
 
 
 def displacement_profile(
@@ -957,7 +928,7 @@ def displacement_profile(
     logs = riemannian_logs(sample.points, sample.images, sample.log_seeds, restarts)
     logs = share_logs(sample, logs)
     lowers = distance_lower_bound(sample.points, sample.images).tolist()
-    return profile_report(sample, logs, lowers, restarts, tol_constant, tol_gap)
+    return profile_report(sample, logs, lowers, tol_constant, tol_gap)
 
 
 def witness_report(
@@ -974,19 +945,8 @@ def witness_report(
     never claims constancy (its rel_spread is inf) and solves no log."""
     upper = _torus_witness(sample.gamma, tol)[1].upper
     gap = max(lowers) - upper
-    return DisplacementReport(
-        label=sample.gamma.label,
-        n_samples=sample.n_samples,
-        seed=sample.seed,
-        uppers=(upper,),
-        lowers=tuple(lowers),
-        verdict="certified-nonconstant" if gap > tol_gap else "inconclusive",
-        rel_spread=math.inf,
-        gap=gap,
-        restarts=0,
-        tol_constant=CONSTANT_SPREAD_TOL,
-        tol_gap=tol_gap,
-    )
+    verdict = "certified-nonconstant" if gap > tol_gap else "inconclusive"
+    return DisplacementReport(sample.gamma.label, (upper,), tuple(lowers), verdict, math.inf, gap)
 
 
 # --- fixed fibers ---------------------------------------------------------------
@@ -1281,5 +1241,5 @@ def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[CosetPoint,
     end = (x @ matrix_exp(xi))[None]
     resid = float(chord_to_coset(model, end, k @ x, model.k1_factors).upper[0])
     if resid < tol:
-        return CosetPoint(model, x), LogResult(xi, float(np.linalg.norm(c)), resid, True)
-    return CosetPoint(model, x), LogResult(None, math.inf, resid, False)
+        return CosetPoint(model, x), LogResult(xi, float(np.linalg.norm(c)), resid)
+    return CosetPoint(model, x), LogResult(None, math.inf, resid)

@@ -566,6 +566,30 @@ def test_selfcheck_detects_corrupted_golden(monkeypatch):
     assert "enumeration-reproduces-checked-in-lists" in claims
 
 
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ["catalog", "--family", "G"],
+            {"schema_version", "command", "config", "cases", "records", "failures"},
+        ),
+        (
+            ["verify", "su3-hopf", *FAST_VERIFY],
+            {"schema_version", "command", "config", "case", "base", "total_space",
+             "checks", "failures"},
+        ),
+        (
+            ["selfcheck", "--rank-cap", "2"],
+            {"schema_version", "command", "config", "checks", "failures"},
+        ),
+    ],
+)
+def test_payload_top_level_keys(argv, keys):
+    _, payload = payload_for(argv)
+    assert set(payload) == keys
+    assert set(json.loads(cli.render(payload, "json"))) == keys
+
+
 def test_out_writes_file(tmp_path):
     out = tmp_path / "cat.json"
     code = run_main(
@@ -661,6 +685,11 @@ def test_failure_lines_name_claims():
         # a central profile's log with no restart rests on a smart start
         # that never moves when z = -1
         (["verify", "so6-stiefel", "--restarts", "0"], "--restarts must be at least 1"),
+        # caps from above: the LM stack grows with the restarts and the
+        # chord stack with the samples
+        (["verify", "su3-hopf", "--restarts", "65"], "--restarts must be at most 64"),
+        (["verify", "su3-hopf", "--restarts", "100000000000"], "--restarts must be at most 64"),
+        (["verify", "su3-hopf", "--samples", "1025"], "--samples must be at most 1024"),
     ],
 )
 def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):
