@@ -115,10 +115,6 @@ def _solver_value(x: float, spec: str = ".3e") -> str:
     return f"< {SOLVER_FLOOR:.0e}" if x < SOLVER_FLOOR else format(x, spec)
 
 
-def _spread(vals: list[float]) -> float:
-    return max(vals) - min(vals)
-
-
 def _noncentral_sample(
     model: liealg.GroupModel,
     factors: tuple[liealg.BlockFactor, ...],
@@ -155,8 +151,8 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
         f"k1={model.dim_k1} k2={model.dim_k2} m1={model.dim_m1} m={model.dim_m}",
     )
 
-    pts = [homspace.base_point(model)]
-    pts += homspace.haar_points(model, rng, max(cfg.samples, 4) - 1)
+    haar = homspace.haar_points(model, rng, max(cfg.samples, 4) - 1)
+    pts = homspace.concat([homspace.base_point(model), haar])
 
     # right-invariant fields have constant length
     spreads = []
@@ -164,7 +160,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
         c = rng.normal(size=model.dim_k2)
         eta = model.k2.from_coords(c)
         f = homspace.KillingField(model, "right", eta)
-        spreads.append(_spread([homspace.killing_length(f, p) for p in pts]))
+        spreads.append(np.ptp(homspace.killing_lengths(f, pts)))
     add(
         "right-length-constant",
         "right-translation-fields-constant-length",
@@ -178,7 +174,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     for _ in range(3):
         xi = model.g.from_coords(rng.normal(size=model.dim_g))
         f = homspace.KillingField(model, "left", xi)
-        spreads.append(_spread([homspace.killing_length(f, p) for p in pts]))
+        spreads.append(np.ptp(homspace.killing_lengths(f, pts)))
     add(
         "left-length-nonconstant",
         "generic-left-fields-nonconstant-length",
@@ -189,9 +185,9 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     # geodesics along k2 directions stay in the base coset (the fiber)
     eta = model.k2.from_coords(rng.normal(size=model.dim_k2))
     eta = eta / max(model.m1_norm(eta), 1e-12)
-    x0 = homspace.haar_points(model, rng, 1)[0]
-    ys = np.array([homspace.geodesic(x0, eta, t).rep for t in (0.2, 0.9, 2.3)])
-    U = np.broadcast_to(x0.rep, ys.shape)
+    x0 = homspace.haar_points(model, rng, 1)
+    ys = homspace.geodesic(x0, np.array([t * eta for t in (0.2, 0.9, 2.3)]), 1.0).reps
+    U = np.broadcast_to(x0.reps, ys.shape)
     chords = homspace.chord_to_coset(model, U, ys, model.k1_factors + model.k2_factors)
     worst = float(chords.upper.max())
     add(
@@ -209,14 +205,12 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     # the lower bound of that curve's end.  The lower bounds of those ends
     # and of every profile point come from one batched call; each
     # noncentral profile takes its one upper bound from its torus witness
-    roundtrip = []
+    roundtrip, xis = [], []
     for _ in range(3):
-        x = homspace.haar_points(model, rng, 1)[0]
+        roundtrip.append(homspace.haar_points(model, rng, 1))
         c = rng.normal(size=model.dim_m1)
-        xi = model.from_m1_coords(0.4 * c / np.linalg.norm(c))
-        roundtrip.append((x, homspace.geodesic(x, xi, 1.0)))
+        xis.append(model.from_m1_coords(0.4 * c / np.linalg.norm(c)))
     ends = homspace.haar_points(model, rng, 8)
-    ordered = list(zip(ends[0::2], ends[1::2]))
     gammas = []
     for i in range(2):
         # central x right translations, predicted constant
@@ -229,36 +223,33 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
         gammas.append(homspace.Isometry(model, left=k, label=label))
     samples = [homspace.sample_profile(g, cfg.samples, cfg.seed) for g in gammas]
     central, noncentral = samples[:2], samples[2:]
-    pairs = roundtrip + [(s.points[0], s.images[0]) for s in central]
+    shot = homspace.geodesic(homspace.concat(roundtrip), np.array(xis), 1.0)
+    xs = homspace.concat([*roundtrip, *(s.points[:1] for s in central)])
+    ys = homspace.concat([shot, *(s.images[:1] for s in central)])
     seeds = [cfg.seed] * len(roundtrip) + [s.log_seeds[0] for s in central]
-    xs, ys = zip(*pairs)
-    logs = iter(homspace.riemannian_logs(xs, ys, seeds, cfg.restarts, tol["coset"]))
-    starts = homspace.smart_starts(*zip(*ordered))
-    curves = [
-        (x, homspace.geodesic(x, model.from_m1_coords(c), 1.0))
-        for (x, _), c in zip(ordered, starts)
-    ]
-    bounded = curves + [pq for s in samples for pq in zip(s.points, s.images)]
-    lowers = iter(homspace.distance_lower_bound(*zip(*bounded)).tolist())
-    roundtrip_logs = [next(logs) for _ in roundtrip]
-    ordered_lowers = [next(lowers) for _ in ordered]
+    logs = homspace.riemannian_logs(xs, ys, seeds, cfg.restarts, tol["coset"])
+    firsts = ends[0::2]
+    starts = homspace.smart_starts(firsts, ends[1::2])
+    curve_ends = homspace.geodesic(firsts, model.from_m1_coords(starts), 1.0)
+    lowers = homspace.distance_lower_bound(
+        homspace.concat([firsts, *(s.points for s in samples)]),
+        homspace.concat([curve_ends, *(s.images for s in samples)]),
+    )
+    splits = np.cumsum([len(starts)] + [len(s.points) for s in samples])[:-1]
+    ordered_lowers, *sample_lowers = (b.tolist() for b in np.split(lowers, splits))
     central_reports = [
         homspace.profile_report(
-            s,
-            homspace.share_logs(s, [next(logs)], tol["coset"]),
-            [next(lowers) for _ in s.points],
-            tol["constant"],
-            tol["gap"],
+            s, homspace.share_logs(s, [log], tol["coset"]), low, tol["constant"], tol["gap"]
         )
-        for s in central
+        for s, log, low in zip(central, logs[len(roundtrip) :], sample_lowers)
     ]
     noncentral_reports = [
-        homspace.witness_report(s, [next(lowers) for _ in s.points], tol["coset"], tol["gap"])
-        for s in noncentral
+        homspace.witness_report(s, low, tol["coset"], tol["gap"])
+        for s, low in zip(noncentral, sample_lowers[len(central) :])
     ]
 
     # log inverts the exponential at moderate range
-    errs = [abs(log.upper - 0.4) if log.converged else float("inf") for log in roundtrip_logs]
+    errs = [abs(log.upper - 0.4) if log.converged else float("inf") for log in logs[:3]]
     add(
         "log-roundtrip",
         "riemannian-log-inverts-geodesics",
@@ -310,7 +301,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     ok = resid < tol["coset"]
     if model.record.equal_rank:
         # equal rank: every element fixes some base coset
-        g = homspace.haar_points(model, rng, 1)[0].rep
+        g = homspace.haar_points(model, rng, 1).reps[0]
         found2, resid2 = homspace.fixed_fiber(homspace.Isometry(model, left=g), tol["coset"])
         ok = ok and found2 is not None
         detail += f"; generic sample residual {_solver_value(resid2)}"

@@ -1,15 +1,16 @@
 """Geometry of M~ = G/K1 with the normal metric (-Killing form on m1).
 
-Points are group representatives of cosets; all coset comparisons go
-through chord values: chord(x, y) = min over k in K1 of the ambient
-Frobenius norm ||x k - y||.  `chord_to_coset` returns a certified pair
-(lower, upper) per row of a stack: the upper value comes from an explicit
-feasible k, the lower value from the exact maximum or, with a circle, a
-group relaxation (full torus / full unitary group), so distance
-certificates built on the lower value do not rest on the circle's grid
-polish.  The factors of K1 and K2 are SO blocks, SU blocks of two or more
-columns, and a circle.  Every block has an exact maximizer, so without a circle both
-sides agree to roundoff; with a circle they agree to grid-polish accuracy.
+Points travel as stacks (`Cosets`: (B, n, n) representatives of cosets,
+checked orthogonal in one product); coset comparisons go through chord
+values: chord(x, y) = min over k in K1 of the ambient Frobenius norm
+||x k - y||.  `chord_to_coset` returns a certified pair (lower, upper)
+per row: the upper value comes from an explicit feasible k, the lower
+value from the exact maximum or, with a circle, a group relaxation (full
+torus / full unitary group), so distance certificates built on the lower
+value do not rest on the circle's grid polish.  The factors of K1 and K2
+are SO blocks, SU blocks of two or more columns, and a circle.  Every
+block has an exact maximizer, so without a circle both sides agree to
+roundoff; with a circle they agree to grid-polish accuracy.
 
 Displacement verdicts compare upper bounds against per-point lower bounds
 (`distance_lower_bound`: the arc length sqrt(lambda_min N) 2 asin(c / (2
@@ -58,8 +59,8 @@ of its end x exp(xi0).  `distance_lower_bound` takes those ends and the
 sampled points of all four profiles in one call.  `riemannian_log` and
 `displacement_profile` (`sample_profile`, then `share_logs`,
 `distance_lower_bound` and `profile_report`) are compositions.
-Haar points come in batches (`haar_points`, over `haar_matrices`): one
-normal draw and one stacked QR per batch, laid out so that a batch reads
+Each batch of Haar points is one stack (`haar_points`, over `haar_matrices`)
+from one normal draw and one stacked QR, laid out so that a batch reads
 the stream, and gets the points, that batches of one read in turn.
 A log is converged when it holds an explicit xi (`LogResult.converged`).
 `share_logs` offers a profile's shortest converged log to each of its
@@ -90,34 +91,47 @@ TRACE_SLACK = 1e-11  # absorbs roundoff in the max traces behind lower bounds
 
 
 @dataclass(frozen=True)
-class CosetPoint:
-    """A coset x K1 (or x K for base-space points), held by a representative."""
+class Cosets:
+    """A stack of cosets x K1 (or x K for base-space points), held by (B, n,
+    n) representatives; all rows are checked orthogonal in one product."""
 
     model: GroupModel
-    rep: np.ndarray
+    reps: np.ndarray
 
     def __post_init__(self):
-        r = self.rep
-        if np.linalg.norm(r @ r.T - np.eye(r.shape[0])) > 1e-9:
+        r = self.reps
+        err = np.linalg.norm(r @ np.swapaxes(r, 1, 2) - np.eye(r.shape[-1]), axis=(1, 2))
+        if err.max(initial=0.0) > 1e-9:
             raise ValueError("coset representative is not orthogonal")
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, rows) -> Cosets:  # a slice or an index array
+        return Cosets(self.model, self.reps[rows])
+
+
+def concat(stacks: list[Cosets]) -> Cosets:
+    """One stack of the rows of `stacks` (of one model), in order."""
+    return Cosets(stacks[0].model, np.concatenate([x.reps for x in stacks]))
 
 
 @dataclass(frozen=True)
 class Isometry:
-    """x K1 -> left . x . right^{-1} K1; right must lie in r(K2)."""
+    """x K1 -> left . x . right^{-1} K1 on every row x; right must lie in r(K2)."""
 
     model: GroupModel
     left: np.ndarray | None = None
     right: np.ndarray | None = None
     label: str = ""
 
-    def apply(self, x: CosetPoint) -> CosetPoint:
-        rep = x.rep
+    def apply(self, x: Cosets) -> Cosets:
+        reps = x.reps
         if self.left is not None:
-            rep = self.left @ rep
+            reps = self.left @ reps
         if self.right is not None:
-            rep = rep @ self.right.T
-        return CosetPoint(self.model, rep)
+            reps = reps @ self.right.T
+        return Cosets(self.model, reps)
 
 
 @dataclass(frozen=True)
@@ -136,8 +150,8 @@ class KillingField:
             raise ValueError(f"field generator outside {alg.name}")
 
 
-def base_point(model: GroupModel) -> CosetPoint:
-    return CosetPoint(model, np.eye(model.n))
+def base_point(model: GroupModel) -> Cosets:
+    return Cosets(model, np.eye(model.n)[None])
 
 
 # --- Haar-like sampling -------------------------------------------------------
@@ -165,14 +179,12 @@ def haar_matrices(group: str, size: int, rng: np.random.Generator, count: int) -
     return Q
 
 
-def haar_points(model: GroupModel, rng: np.random.Generator, count: int) -> list[CosetPoint]:
-    """count Haar points of the model's group, from one `haar_matrices`
-    batch."""
+def haar_points(model: GroupModel, rng: np.random.Generator, count: int) -> Cosets:
+    """A stack of count Haar points of the model's group, from one
+    `haar_matrices` batch."""
     if model.complex_size:
-        reps = realify(haar_matrices("su", model.complex_size, rng, count))
-    else:
-        reps = haar_matrices("so", model.n, rng, count)
-    return [CosetPoint(model, rep) for rep in reps]
+        return Cosets(model, realify(haar_matrices("su", model.complex_size, rng, count)))
+    return Cosets(model, haar_matrices("so", model.n, rng, count))
 
 
 def embed_factor_element(
@@ -505,8 +517,8 @@ def chord_to_coset(
 # --- Killing fields and geodesics ---------------------------------------------
 
 
-def killing_length(f: KillingField, x: CosetPoint) -> float:
-    """Metric norm of the Killing field at the point.
+def killing_lengths(f: KillingField, xs: Cosets) -> np.ndarray:
+    """Metric norm of the Killing field at every point of the stack.
 
     Left field xi in g: the value at gK1 is the m1-norm of Ad(g^{-1}) xi.
     Right field eta in k2: the m1-norm of eta, the same at every point by
@@ -514,20 +526,19 @@ def killing_length(f: KillingField, x: CosetPoint) -> float:
     """
     model = f.model
     if f.kind == "right":
-        return model.m1_norm(f.xi)
-    g = x.rep
-    return model.m1_norm(g.T @ f.xi @ g)
+        return np.full(len(xs), model.m1_norm(f.xi))
+    c = model.m1_coords(np.swapaxes(xs.reps, 1, 2) @ f.xi @ xs.reps)
+    return np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])  # one dot per row
 
 
-def geodesic(x: CosetPoint, xi: np.ndarray, t: float) -> CosetPoint:
-    """exp(t Ad(g) xi) . x: the geodesic through x = gK1 with initial
-    velocity xi given in the m1 frame at x."""
+def geodesic(x: Cosets, xi: np.ndarray, t: float) -> Cosets:
+    """exp(t Ad(g) xi) . x for every point x = gK1 of the stack: geodesics
+    with initial velocity xi (one, or one per point) in the m1 frame at x."""
     model = x.model
     resid = np.linalg.norm(xi - model.project_m1(xi))
     if resid > 1e-8:
         raise ValueError(f"geodesic direction outside m1 (residual {resid:.2e})")
-    g = x.rep
-    return CosetPoint(model, g @ matrix_exp(t * xi))
+    return Cosets(model, x.reps @ matrix_exp(t * xi))
 
 
 _LM_TOL = 1e-15  # step and cost-reduction floors: stop only at roundoff
@@ -724,7 +735,7 @@ def _log_maps(model: GroupModel, U: np.ndarray, V: np.ndarray):
     return residuals, jacobians
 
 
-def smart_starts(xs: list[CosetPoint], ys: list[CosetPoint]) -> np.ndarray:
+def smart_starts(xs: Cosets, ys: Cosets) -> np.ndarray:
     """The (len(xs), dim m1) coordinates of the smart start xi0 of the log
     from xs[i] to ys[i]: the m1 part of the principal real log
     (`_orthogonal_log`) of the chord-aligned difference W = U^T V k*^T,
@@ -732,17 +743,16 @@ def smart_starts(xs: list[CosetPoint], ys: list[CosetPoint]) -> np.ndarray:
     curve x exp(t xi0) K1, 0 <= t <= 1, has length ||xi0|| (the metric
     norm), so ||xi0|| bounds the distance from x K1 to x exp(xi0) K1 above
     for every pair, whether or not that end is ys[i] K1."""
-    model = xs[0].model
-    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
+    model, U, V = xs.model, xs.reps, ys.reps
     K = _k_star_batch(model, U, V, model.k1_factors)
     return model.m1_coords(_orthogonal_log(np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)))
 
 
 def riemannian_logs(
-    xs: list[CosetPoint],
-    ys: list[CosetPoint],
+    xs: Cosets,
+    ys: Cosets,
     seeds: list[int],
-    restarts: int = 4,
+    restarts: int,
     tol: float = COSET_TOL,
 ) -> list[LogResult]:
     """The multistart log of `riemannian_log` for every pair (xs[i], ys[i])
@@ -754,9 +764,8 @@ def riemannian_logs(
     start alone, and a negative count raises ValueError."""
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
-    model = xs[0].model
+    model, U, V = xs.model, xs.reps, ys.reps
     d = model.dim_m1
-    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
     starts = []
     for c0, seed in zip(smart_starts(xs, ys), seeds):
         rng = np.random.default_rng(seed)
@@ -783,21 +792,21 @@ def riemannian_logs(
 
 
 def riemannian_log(
-    x: CosetPoint,
-    y: CosetPoint,
-    restarts: int = 4,
-    seed: int = 0,
+    x: Cosets,
+    y: Cosets,
+    restarts: int,
+    seed: int,
     tol: float = COSET_TOL,
 ) -> LogResult:
     """Multistart minimization of the coset residual chord(x exp(xi), y)
-    over xi in m1.  Returns the best xi with upper bound ||xi|| (the metric
-    norm); converged only when the residual drops below tol.  All restarts
-    always run; the best result is kept, so the bound is monotone
-    nonincreasing in the restart budget for a fixed seed."""
-    return riemannian_logs([x], [y], [seed], restarts, tol)[0]
+    over xi in m1, x and y stacks of one point: the best xi, with upper
+    bound ||xi|| (the metric norm), converged only when the residual drops
+    below tol.  All restarts always run and the best result is kept, so
+    the bound is monotone nonincreasing in the restart budget for a seed."""
+    return riemannian_logs(x, y, [seed], restarts, tol)[0]
 
 
-def distance_lower_bound(xs: list[CosetPoint], ys: list[CosetPoint]) -> np.ndarray:
+def distance_lower_bound(xs: Cosets, ys: Cosets) -> np.ndarray:
     """sqrt(lambda_min N) 2 asin(c / (2 sqrt N)) for every pair (xs[i],
     ys[i]) of points of one model, with c the pair's certified chord lower
     value (all pairs in one `chord_to_coset` call) and N = model.n: a true
@@ -810,10 +819,9 @@ def distance_lower_bound(xs: list[CosetPoint], ys: list[CosetPoint]) -> np.ndarr
     chord satisfies c^2 <= ||exp(xi) - 1||_F^2 = sum 4 sin^2(theta_j / 2),
     and theta^2 is convex and increasing in s = 4 sin^2(theta / 2), so
     Jensen's inequality gives sum theta_j^2 >= N (2 asin(c / (2 sqrt N)))^2."""
-    model = xs[0].model
+    model = xs.model
     root_n = math.sqrt(model.n)
-    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
-    chord = chord_to_coset(model, U, V, model.k1_factors).lower
+    chord = chord_to_coset(model, xs.reps, ys.reps, model.k1_factors).lower
     arc = 2 * np.arcsin(np.minimum(1.0, chord / (2 * root_n)))
     return math.sqrt(model.frobenius_lambda_min) * root_n * arc
 
@@ -838,8 +846,8 @@ class ProfileSample:
 
     gamma: Isometry
     seed: int
-    points: tuple[CosetPoint, ...]
-    images: tuple[CosetPoint, ...]
+    points: Cosets
+    images: Cosets
 
     @property
     def log_seeds(self) -> list[int]:
@@ -847,11 +855,12 @@ class ProfileSample:
         return [self.seed + 1000 + i for i in range(len(self.points))]
 
 
-def sample_profile(gamma: Isometry, n_samples: int = 200, seed: int = 42) -> ProfileSample:
+def sample_profile(gamma: Isometry, n_samples: int, seed: int) -> ProfileSample:
     """The seeded sample of `displacement_profile`."""
     rng = np.random.default_rng(seed)
-    points = [base_point(gamma.model), *haar_points(gamma.model, rng, max(n_samples - 1, 0))]
-    return ProfileSample(gamma, seed, tuple(points), tuple(gamma.apply(p) for p in points))
+    haar = haar_points(gamma.model, rng, max(n_samples - 1, 0)).reps
+    points = Cosets(gamma.model, np.concatenate([np.eye(gamma.model.n)[None], haar]))
+    return ProfileSample(gamma, seed, points, gamma.apply(points))
 
 
 def share_logs(
@@ -871,9 +880,8 @@ def share_logs(
         return logs
     best = min(converged, key=lambda log: log.upper)
     model = sample.gamma.model
-    U = np.array([p.rep for p in sample.points]) @ matrix_exp(best.xi)
-    V = np.array([q.rep for q in sample.images])
-    R = chord_to_coset(model, U, V, model.k1_factors).upper
+    U = sample.points.reps @ matrix_exp(best.xi)
+    R = chord_to_coset(model, U, sample.images.reps, model.k1_factors).upper
     return [
         LogResult(best.xi, best.upper, float(r))
         if r < tol and best.upper < log.upper
@@ -914,9 +922,9 @@ def profile_report(
 
 def displacement_profile(
     gamma: Isometry,
-    n_samples: int = 200,
-    seed: int = 42,
-    restarts: int = 4,
+    n_samples: int,
+    seed: int,
+    restarts: int,
     tol_constant: float = CONSTANT_SPREAD_TOL,
     tol_gap: float = GAP_TOL,
 ) -> DisplacementReport:
@@ -952,14 +960,15 @@ def witness_report(
 # --- fixed fibers ---------------------------------------------------------------
 
 
-def fixed_fiber(gamma: Isometry, tol: float = COSET_TOL) -> tuple[CosetPoint | None, float]:
+def fixed_fiber(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets | None, float]:
     """A base coset x K (K = K1 K2) that the left translation gamma by g
     fixes, in closed form: on a unitary model x is the eigenvector frame
     of g (`_su_frame`) scaled to det 1, so x^-1 g x is diagonal; on a real
     model x is the invariant-plane frame of g (`_so_frame`) with the planes
-    of K's torus filled first.  Returns (x K, residual), the residual being
-    the chord upper value between x and g x over K, when it is below tol,
-    and (None, residual) otherwise; nothing else is searched.
+    of K's torus filled first.  Returns (x K, residual), x K a stack of
+    one and the residual the chord upper value between x and g x over K,
+    when it is below tol, and (None, residual) otherwise; nothing else is
+    searched.
 
     Why an equal-rank model always succeeds: there K contains a maximal
     torus T of G, the diagonal one on a unitary model (K's blocks are
@@ -979,7 +988,7 @@ def fixed_fiber(gamma: Isometry, tol: float = COSET_TOL) -> tuple[CosetPoint | N
     else:
         x = _so_frame(model, k, factors)[0]
     resid = float(chord_to_coset(model, x[None], k @ x, factors).upper[0])
-    return (CosetPoint(model, x) if resid < tol else None), resid
+    return (Cosets(model, x[None]) if resid < tol else None), resid
 
 
 # --- fixed-point certificates ----------------------------------------------------
@@ -1218,10 +1227,10 @@ def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndar
     return realify(x), realify(np.diag(1j * (T[best] @ W)))
 
 
-def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[CosetPoint, LogResult]:
-    """A point x K1 where the left translation gamma by k moves little, with
-    an explicit log to its image: xi, the m1 part of the torus log L of
-    `_so_torus_log` or `_su_torus_log`, and upper bound ||xi||.
+def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets, LogResult]:
+    """A point x K1 (a stack of one) where the left translation gamma by k
+    moves little, with an explicit log to its image: xi, the m1 part of the
+    torus log L of `_so_torus_log` or `_su_torus_log`, and upper bound ||xi||.
 
     Why it is an upper bound: x^-1 k x k1 = exp(L) for some k1 in K1, with
     L in a Cartan subalgebra t that contains K1's t1.  L's k1 part lies in
@@ -1241,5 +1250,5 @@ def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[CosetPoint,
     end = (x @ matrix_exp(xi))[None]
     resid = float(chord_to_coset(model, end, k @ x, model.k1_factors).upper[0])
     if resid < tol:
-        return CosetPoint(model, x), LogResult(xi, float(np.linalg.norm(c)), resid)
-    return CosetPoint(model, x), LogResult(None, math.inf, resid)
+        return Cosets(model, x[None]), LogResult(xi, float(np.linalg.norm(c)), resid)
+    return Cosets(model, x[None]), LogResult(None, math.inf, resid)

@@ -420,6 +420,24 @@ def test_verify_job_makes_one_lm_call(monkeypatch):
     assert pairs == [3 + 2]
 
 
+def test_verify_job_checks_orthogonality_once_per_stack(monkeypatch):
+    # points travel as stacks, each checked orthogonal in one batched
+    # product, so the number of checks does not grow with --samples
+    counts = []
+    real = homspace.Cosets.__post_init__
+
+    def counting(self):
+        counts[-1] += 1
+        real(self)
+
+    monkeypatch.setattr(homspace.Cosets, "__post_init__", counting)
+    for samples in ("4", "16"):
+        counts.append(0)
+        code, _ = payload_for(["verify", "su3-hopf", "--samples", samples, "--restarts", "1"])
+        assert code == 0
+    assert counts[0] == counts[1] > 0
+
+
 def test_verify_job_makes_one_lower_bound_call(monkeypatch):
     # the lower bounds of the bound-ordering curves' ends and of every
     # profile point come from one batched call, as the logs do

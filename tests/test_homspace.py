@@ -18,10 +18,11 @@ import scipy.optimize
 from isofib import homspace
 from isofib.homspace import (
     CERT_RESIDUAL_TOL,
-    CosetPoint,
+    Cosets,
     Isometry,
     KillingField,
     base_point,
+    concat,
     chord_to_coset,
     displacement_profile,
     distance_lower_bound,
@@ -30,7 +31,7 @@ from isofib.homspace import (
     geodesic,
     haar_matrices,
     haar_points,
-    killing_length,
+    killing_lengths,
     riemannian_log,
     sample_subgroup_element,
     share_logs,
@@ -56,16 +57,22 @@ def model_for(case_id):
 
 
 def chord(model, x, y, factors=None):
-    """(lower, upper) of the certified chord of the one pair (x, y), a
-    stack of one row; the factors default to K1."""
+    """(lower, upper) of the certified chord of the one pair (x, y), stacks
+    of one point; the factors default to K1."""
     factors = model.k1_factors if factors is None else factors
-    ch = chord_to_coset(model, x.rep[None], y.rep, factors)
+    ch = chord_to_coset(model, x.reps, y.reps, factors)
     return float(ch.lower[0]), float(ch.upper[0])
 
 
 def lower_bound(x, y):
-    """`distance_lower_bound` of the one pair (x, y)."""
-    return float(distance_lower_bound([x], [y])[0])
+    """`distance_lower_bound` of the one pair (x, y), stacks of one point."""
+    return float(distance_lower_bound(x, y)[0])
+
+
+def two_points(model, rng):
+    """Two Haar points, each a stack of one, from one batch of two."""
+    xy = haar_points(model, rng, 2)
+    return xy[:1], xy[1:]
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +103,8 @@ def test_haar_orthogonal_special():
 
 
 def test_haar_point_deterministic(su3):
-    a = haar_points(su3, np.random.default_rng(5), 1)[0].rep
-    b = haar_points(su3, np.random.default_rng(5), 1)[0].rep
+    a = haar_points(su3, np.random.default_rng(5), 1).reps
+    b = haar_points(su3, np.random.default_rng(5), 1).reps
     assert np.array_equal(a, b)
 
 
@@ -108,16 +115,46 @@ def test_haar_batch_reads_the_stream_of_batches_of_one(case_id):
     model = model_for(case_id)
     batch = haar_points(model, np.random.default_rng(11), 7)
     rng = np.random.default_rng(11)
-    for p in batch:
-        assert np.allclose(p.rep, haar_points(model, rng, 1)[0].rep, rtol=0, atol=1e-14)
-    assert haar_points(model, rng, 0) == []
+    for rep in batch.reps:
+        assert np.allclose(rep, haar_points(model, rng, 1).reps[0], rtol=0, atol=1e-14)
+    # an empty batch is an empty stack, which the orthogonality check passes
+    empty = haar_points(model, rng, 0)
+    assert len(empty) == 0 and empty.reps.shape == (0, model.n, model.n)
+    # a sample of one holds the base point alone: it draws no Haar point
     sample = homspace.sample_profile(Isometry(model, label="identity"), n_samples=1, seed=3)
-    assert len(sample.points) == 1 and np.array_equal(sample.points[0].rep, np.eye(model.n))
+    assert np.array_equal(sample.points.reps, np.eye(model.n)[None])
+    assert np.array_equal(sample.images.reps, sample.points.reps)
 
 
 def test_coset_point_validates(su3):
     with pytest.raises(ValueError, match="orthogonal"):
-        CosetPoint(su3, np.ones((6, 6)))
+        Cosets(su3, np.ones((1, 6, 6)))
+    # one bad row among Haar matrices fails the whole stack, with the same
+    # message
+    reps = haar_points(su3, np.random.default_rng(3), 5).reps.copy()
+    reps[2] = np.ones((6, 6))
+    with pytest.raises(ValueError, match="^coset representative is not orthogonal$"):
+        Cosets(su3, reps)
+
+
+@pytest.mark.parametrize("case_id", ["so6-stiefel", "su3-hopf"])
+def test_isometry_maps_a_stack_as_its_rows(case_id):
+    # one product over the stack gives each row's own product bit for bit,
+    # which keeps verify's output independent of how points are stacked
+    model = model_for(case_id)
+    rng = np.random.default_rng(4)
+    left = haar_points(model, rng, 1).reps[0]
+    right = sample_subgroup_element(model, model.k2_factors, rng)
+    xs = haar_points(model, rng, 7)
+    for iso, maps in (
+        (Isometry(model, left=left, right=right), lambda rep: left @ rep @ right.T),
+        (Isometry(model, left=left), lambda rep: left @ rep),
+        (Isometry(model, right=right), lambda rep: rep @ right.T),
+    ):
+        images = iso.apply(xs)
+        assert len(images) == len(xs)
+        for rep, image in zip(xs.reps, images.reps):
+            assert np.array_equal(image, maps(rep))
 
 
 def test_subgroup_samples_stay_in_subgroup(su3, so6):
@@ -276,16 +313,16 @@ def test_so_procrustes_exact():
 def test_chord_zero_on_same_coset(su3, so6):
     rng = np.random.default_rng(6)
     for model in (su3, so6):
-        x = haar_points(model, rng, 1)[0]
+        x = haar_points(model, rng, 1)
         k = sample_subgroup_element(model, model.k1_factors, rng)
-        y = CosetPoint(model, x.rep @ k)
+        y = Cosets(model, x.reps @ k)
         assert chord(model, x, y)[1] < 1e-12
 
 
 def test_chord_symmetric(su3, so6):
     rng = np.random.default_rng(7)
     for model in (su3, so6):
-        x, y = haar_points(model, rng, 2)
+        x, y = two_points(model, rng)
         assert chord(model, x, y)[1] == pytest.approx(chord(model, y, x)[1], abs=1e-9)
 
 
@@ -293,7 +330,7 @@ def test_chord_lower_at_most_upper(su3, so6):
     rng = np.random.default_rng(8)
     for model in (su3, so6):
         for _ in range(10):
-            x, y = haar_points(model, rng, 2)
+            x, y = two_points(model, rng)
             lower, upper = chord(model, x, y)
             assert lower <= upper + 1e-12
             # the shipped models have exact block maximizers
@@ -307,7 +344,7 @@ def test_chord_bounds_meet_on_su_blocks(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(40)
     for _ in range(5):
-        x, y = haar_points(model, rng, 2)
+        x, y = two_points(model, rng)
         lower, upper = chord(model, x, y)
         assert 0.0 <= upper - lower < 1e-9
 
@@ -315,14 +352,14 @@ def test_chord_bounds_meet_on_su_blocks(case_id):
 def test_chord_k_includes_more_group(su3):
     # minimizing over the bigger subgroup K can only shrink the chord
     rng = np.random.default_rng(9)
-    x, y = haar_points(su3, rng, 2)
+    x, y = two_points(su3, rng)
     k_factors = su3.k1_factors + su3.k2_factors
     assert chord(su3, x, y, k_factors)[1] <= chord(su3, x, y)[1] + 1e-9
 
 
 def test_fiber_closes_at_pi(su3):
     e = base_point(su3)
-    far = CosetPoint(su3, matrix_exp(np.pi * su3.circle_mat))
+    far = Cosets(su3, matrix_exp(np.pi * su3.circle_mat)[None])
     assert chord(su3, e, far)[1] < 1e-10
 
 
@@ -351,8 +388,8 @@ def test_k_star_batch_matches_per_row_chords(case_id, group, grid, monkeypatch):
     model = model_for(case_id)
     factors = model.k1_factors + (model.k2_factors if group == "k" else ())
     rng = np.random.default_rng(30)
-    U = np.array([p.rep for p in haar_points(model, rng, 3)])
-    V = haar_points(model, rng, 1)[0].rep
+    U = haar_points(model, rng, 3).reps
+    V = haar_points(model, rng, 1).reps[0]
     K = _k_star_batch(model, U, V, factors)
     # a stack of targets, as the fixed-fiber residual passes, gives the same
     assert np.array_equal(K, _k_star_batch(model, U, np.array([V] * 3), factors))
@@ -382,12 +419,12 @@ def test_stacked_chords_equal_one_row_calls(case_id, group):
     rng = np.random.default_rng(31)
     xs = haar_points(model, rng, 6)
     ys = haar_points(model, rng, 6)
-    U, V = np.array([x.rep for x in xs]), np.array([y.rep for y in ys])
-    ch = chord_to_coset(model, U, V, factors)
+    ch = chord_to_coset(model, xs.reps, ys.reps, factors)
     assert ch.lower.shape == ch.upper.shape == (6,)
     assert np.all(ch.lower <= ch.upper)
     lowers = distance_lower_bound(xs, ys)
-    for i, (x, y) in enumerate(zip(xs, ys)):
+    for i in range(6):
+        x, y = xs[i : i + 1], ys[i : i + 1]
         assert chord(model, x, y, factors) == (ch.lower[i], ch.upper[i])
         if group == "k1":
             assert lower_bound(x, y) == lowers[i]
@@ -445,8 +482,8 @@ def test_polished_circle_angles_match_brentq(case_id, group, grid, rows, monkeyp
     model = model_for(case_id)
     factors = model.k1_factors + (model.k2_factors if group == "k" else ())
     rng = np.random.default_rng(40)
-    U = np.array([p.rep for p in haar_points(model, rng, rows)])
-    P = _complex_pairing(np.swapaxes(U, 1, 2) @ haar_points(model, rng, 1)[0].rep)
+    U = haar_points(model, rng, rows).reps
+    P = _complex_pairing(np.swapaxes(U, 1, 2) @ haar_points(model, rng, 1).reps[0])
     diff = _circle_angles(model, P, factors) - _brentq_circle_angles(model, P, factors)
     if group == "k" and case_id == "su3-hopf":
         # exp(pi z) lies in the SU(2) block, so the maximized trace has
@@ -509,7 +546,7 @@ def test_coset_jacobian_is_exact_at_a_zero_residual(case_id):
     rng = np.random.default_rng(31)
     c = rng.normal(size=model.dim_m1)
     c *= 0.7 / np.linalg.norm(c)
-    U = haar_points(model, rng, 1)[0].rep[None]
+    U = haar_points(model, rng, 1).reps
     residuals, jacobians = _log_maps(model, U, U @ matrix_exp(model.from_m1_coords(c)))
     assert np.linalg.norm(residuals(c[None], np.arange(1))) < 1e-13
     J = jacobians(np.arange(1))[0]
@@ -523,7 +560,7 @@ def test_coset_jacobian_gives_the_gradient_at_haar_pairs(case_id):
     # K-orbit at the maximizer)
     model = model_for(case_id)
     rng = np.random.default_rng(32)
-    U, V = (np.array([p.rep]) for p in haar_points(model, rng, 2))
+    U, V = (x.reps for x in two_points(model, rng))
     residuals, jacobians = _log_maps(model, U, V)
     c = rng.normal(scale=0.5, size=model.dim_m1)
     F = residuals(c[None], np.arange(1))[0]
@@ -545,11 +582,11 @@ def test_lower_bound_metric_is_per_model_not_per_name(su3):
     # a model whose m1 basis is halved keeps su3's name but has lambda_min
     # 12, so the chord (which does not see m1) gives twice the lower bound
     rng = np.random.default_rng(30)
-    x, y = haar_points(su3, rng, 2)
+    x, y = two_points(su3, rng)
     lower = lower_bound(x, y)
     half = dataclasses.replace(su3, m1_basis=su3.m1_basis / 2)
     assert half.name == su3.name
-    lower_half = lower_bound(CosetPoint(half, x.rep), CosetPoint(half, y.rep))
+    lower_half = lower_bound(Cosets(half, x.reps), Cosets(half, y.reps))
     assert lower_half == pytest.approx(2 * lower, rel=1e-12)
     assert half.frobenius_lambda_min == pytest.approx(12.0, abs=1e-9)
 
@@ -563,7 +600,7 @@ def test_lower_bound_at_most_geodesic_length(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(38)
     for length in (0.05, 0.3, 1.0, 2.5):
-        x = haar_points(model, rng, 1)[0]
+        x = haar_points(model, rng, 1)
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(c)
         xi *= length / model.m1_norm(xi)
@@ -575,7 +612,7 @@ def test_lower_bound_on_the_fiber_circle(su3):
     # exp((t / 6) z) K1 lies at distance t from the base point for small t
     e = base_point(su3)
     for t in (0.05, 0.3, 1.0):
-        y = CosetPoint(su3, matrix_exp((t / 6.0) * su3.circle_mat))
+        y = Cosets(su3, matrix_exp((t / 6.0) * su3.circle_mat)[None])
         assert 0.0 < lower_bound(e, y) <= t + 1e-12
 
 
@@ -585,9 +622,9 @@ def test_arc_lower_bound_never_below_chord_bound(case_id):
     rng = np.random.default_rng(39)
     scale = math.sqrt(model.frobenius_lambda_min)
     for _ in range(10):
-        x, y = haar_points(model, rng, 2)
+        x, y = two_points(model, rng)
         assert lower_bound(x, y) >= scale * chord(model, x, y)[0]
-    x = haar_points(model, rng, 1)[0]
+    x = haar_points(model, rng, 1)
     assert lower_bound(x, x) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -597,8 +634,8 @@ def test_arc_lower_bound_never_below_chord_bound(case_id):
 def test_right_field_constant_length(su3):
     eta = KillingField(su3, "right", su3.circle_mat)
     rng = np.random.default_rng(10)
-    vals = [killing_length(eta, p) for p in haar_points(su3, rng, 50)]
-    assert max(vals) - min(vals) < 1e-10
+    vals = killing_lengths(eta, haar_points(su3, rng, 50))
+    assert np.ptp(vals) < 1e-10
     assert vals[0] == pytest.approx(6.0, abs=1e-9)
 
 
@@ -606,16 +643,16 @@ def test_left_field_generic_not_constant(su3):
     rng = np.random.default_rng(11)
     xi = su3.g.from_coords(rng.normal(size=su3.dim_g))
     f = KillingField(su3, "left", xi)
-    vals = [killing_length(f, p) for p in haar_points(su3, rng, 50)]
-    assert max(vals) - min(vals) > 1e-3
+    vals = killing_lengths(f, haar_points(su3, rng, 50))
+    assert np.ptp(vals) > 1e-3
 
 
 def test_left_version_of_fiber_direction_not_constant(su3):
     # the same generator, acting from the left, fails to have constant length
     f = KillingField(su3, "left", su3.circle_mat)
     rng = np.random.default_rng(12)
-    vals = [killing_length(f, p) for p in haar_points(su3, rng, 50)]
-    assert max(vals) - min(vals) > 1e-3
+    vals = killing_lengths(f, haar_points(su3, rng, 50))
+    assert np.ptp(vals) > 1e-3
 
 
 def test_killing_field_rejects_bad_generator(su3):
@@ -635,37 +672,37 @@ def test_geodesic_rejects_directions_outside_m1(su3):
 
 def test_geodesic_at_zero_time(su3):
     rng = np.random.default_rng(13)
-    x = haar_points(su3, rng, 1)[0]
+    x = haar_points(su3, rng, 1)
     xi = su3.from_m1_coords(rng.normal(size=su3.dim_m1))
-    assert np.allclose(geodesic(x, xi, 0.0).rep, x.rep, atol=1e-12)
+    assert np.allclose(geodesic(x, xi, 0.0).reps, x.reps, atol=1e-12)
 
 
 def test_geodesic_concatenation(su3):
     rng = np.random.default_rng(14)
-    x = haar_points(su3, rng, 1)[0]
+    x = haar_points(su3, rng, 1)
     xi = su3.from_m1_coords(rng.normal(size=su3.dim_m1))
     a = geodesic(x, xi, 0.9)
     b = geodesic(geodesic(x, xi, 0.4), xi, 0.5)
-    assert np.allclose(a.rep, b.rep, atol=1e-10)
+    assert np.allclose(a.reps, b.reps, atol=1e-10)
 
 
 def test_geodesic_speed_constant(su3, so6):
     # the generating left field has constant length along its own curve
     rng = np.random.default_rng(15)
     for model in (su3, so6):
-        x = haar_points(model, rng, 1)[0]
+        x = haar_points(model, rng, 1)
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(0.7 * c / np.linalg.norm(c))
-        zeta = x.rep @ xi @ x.rep.T  # the field generating this geodesic
+        zeta = x.reps[0] @ xi @ x.reps[0].T  # the field generating this geodesic
         f = KillingField(model, "left", zeta)
-        vals = [killing_length(f, geodesic(x, xi, t)) for t in (0.0, 0.3, 1.1, 2.7)]
-        assert max(vals) - min(vals) < 1e-8
+        curve = concat([geodesic(x, xi, t) for t in (0.0, 0.3, 1.1, 2.7)])
+        assert np.ptp(killing_lengths(f, curve)) < 1e-8
 
 
 def test_log_roundtrip(su3, so6):
     rng = np.random.default_rng(16)
     for model in (su3, so6):
-        x = haar_points(model, rng, 1)[0]
+        x = haar_points(model, rng, 1)
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(0.4 * c / np.linalg.norm(c))
         y = geodesic(x, xi, 1.0)
@@ -686,7 +723,7 @@ def test_log_matches_recorded_upper(case_id, seed, upper):
     # recorded from the solver with scipy's per-point 2-point Jacobian
     model = model_for(case_id)
     rng = np.random.default_rng(seed)
-    x, y = haar_points(model, rng, 2)
+    x, y = two_points(model, rng)
     log = riemannian_log(x, y, restarts=2, seed=7)
     assert log.converged
     assert log.upper == pytest.approx(upper, rel=0, abs=1e-12)
@@ -704,12 +741,13 @@ def test_profile_uppers_do_not_depend_on_the_batch(case_id):
     seed, n, restarts = 9, 6, 2
     report = displacement_profile(gam, n_samples=n, seed=seed, restarts=restarts)
     prng = np.random.default_rng(seed)
-    points = [base_point(model), *haar_points(model, prng, n - 1)]
-    uppers = tuple(
-        riemannian_log(p, gam.apply(p), restarts=restarts, seed=seed + 1000 + i).upper
-        for i, p in enumerate(points)
-    )
-    assert report.uppers == uppers
+    points = concat([base_point(model), haar_points(model, prng, n - 1)])
+
+    def solo(i):
+        p = points[i : i + 1]
+        return riemannian_log(p, gam.apply(p), restarts=restarts, seed=seed + 1000 + i).upper
+
+    assert report.uppers == tuple(solo(i) for i in range(n))
 
 
 @pytest.mark.parametrize(
@@ -724,16 +762,17 @@ def test_joint_logs_match_solo_logs(case_id):
     for factors in (model.k1_factors, model.k2_factors):
         gam = Isometry(model, left=sample_subgroup_element(model, factors, rng))
         sample = homspace.sample_profile(gam, n_samples=3, seed=11)
-        xs += sample.points
-        ys += sample.images
+        xs.append(sample.points)
+        ys.append(sample.images)
         seeds += sample.log_seeds
     for seed in (5, 6):
-        xs.append(haar_points(model, rng, 1)[0])
-        ys.append(haar_points(model, rng, 1)[0])
+        xs.append(haar_points(model, rng, 1))
+        ys.append(haar_points(model, rng, 1))
         seeds.append(seed)
+    xs, ys = concat(xs), concat(ys)
     joint = homspace.riemannian_logs(xs, ys, seeds, restarts=2)
-    for x, y, seed, log in zip(xs, ys, seeds, joint):
-        solo = riemannian_log(x, y, restarts=2, seed=seed)
+    for i, (seed, log) in enumerate(zip(seeds, joint)):
+        solo = riemannian_log(xs[i : i + 1], ys[i : i + 1], restarts=2, seed=seed)
         assert (log.upper, log.residual, log.converged) == (
             solo.upper,
             solo.residual,
@@ -747,8 +786,8 @@ def test_lm_jacobian_chunks_are_exact(so6, monkeypatch):
     # not change a single iterate
     rng = np.random.default_rng(37)
     d = so6.dim_m1
-    U = np.array([p.rep for p in haar_points(so6, rng, 5)])
-    V = np.array([p.rep for p in haar_points(so6, rng, 5)])
+    U = haar_points(so6, rng, 5).reps
+    V = haar_points(so6, rng, 5).reps
     C0 = rng.normal(size=(5, d))
     residuals, jacobians = _log_maps(so6, U, V)
     sizes = []
@@ -774,8 +813,8 @@ def test_orthogonal_log_matches_scipy_logm(case_id):
     # the smart start of a log: W = U^T V k*^T for Haar points U, V
     model = model_for(case_id)
     rng = np.random.default_rng(39)
-    U = np.array([p.rep for p in haar_points(model, rng, 12)])
-    V = np.array([p.rep for p in haar_points(model, rng, 12)])
+    U = haar_points(model, rng, 12).reps
+    V = haar_points(model, rng, 12).reps
     K = _k_star_batch(model, U, V, model.k1_factors)
     W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)
     L = _orthogonal_log(W)
@@ -808,7 +847,7 @@ def test_lm_stops_at_converged_starts(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(38)
     d = model.dim_m1
-    U = np.array([p.rep for p in haar_points(model, rng, 3)])
+    U = haar_points(model, rng, 3).reps
     C = rng.normal(size=(3, d))
     C *= 0.5 / np.linalg.norm(C, axis=1, keepdims=True)
     V = U @ matrix_exp(model.from_m1_coords(C))
@@ -845,11 +884,12 @@ def test_shared_logs_only_lower_uppers_by_converged_geodesics(case_id):
     adopted = []
     for sample in samples:
         logs = homspace.riemannian_logs(
-            list(sample.points), list(sample.images), sample.log_seeds, restarts=1
+            sample.points, sample.images, sample.log_seeds, restarts=1
         )
         shared = share_logs(sample, logs)
         adopted.append(sum(log is not own for own, log in zip(logs, shared)))
-        for p, q, own, log in zip(sample.points, sample.images, logs, shared):
+        for i, (own, log) in enumerate(zip(logs, shared)):
+            p, q = sample.points[i : i + 1], sample.images[i : i + 1]
             assert log.upper <= own.upper
             if log is not own:
                 # an adopted log is a converged geodesic from p to q's coset
@@ -878,7 +918,7 @@ def test_base_point_log_reaches_every_point_only_for_a_central_isometry(case_id)
     for gamma in (central, noncentral):
         sample = homspace.sample_profile(gamma, n_samples=8, seed=13)
         base = homspace.riemannian_logs(
-            [sample.points[0]], [sample.images[0]], sample.log_seeds[:1], restarts=2
+            sample.points[:1], sample.images[:1], sample.log_seeds[:1], restarts=2
         )
         assert base[0].converged
         shared = share_logs(sample, base)
@@ -886,7 +926,8 @@ def test_base_point_log_reaches_every_point_only_for_a_central_isometry(case_id)
         lowers = distance_lower_bound(sample.points, sample.images).tolist()
         report = homspace.profile_report(sample, shared, lowers)
         if gamma is central:
-            for p, q, log in zip(sample.points, sample.images, shared):
+            for i, log in enumerate(shared):
+                p, q = sample.points[i : i + 1], sample.images[i : i + 1]
                 assert log.converged and log.xi is base[0].xi
                 assert log.upper == pytest.approx(model.m1_norm(log.xi), rel=1e-12)
                 assert chord(model, geodesic(p, log.xi, 1.0), q)[1] < homspace.COSET_TOL
@@ -898,7 +939,7 @@ def test_base_point_log_reaches_every_point_only_for_a_central_isometry(case_id)
 
 
 def test_log_of_same_point_is_zero(su3):
-    x = haar_points(su3, np.random.default_rng(18), 1)[0]
+    x = haar_points(su3, np.random.default_rng(18), 1)
     log = riemannian_log(x, x, restarts=1, seed=0)
     assert log.converged and log.upper < 1e-9
 
@@ -906,23 +947,23 @@ def test_log_of_same_point_is_zero(su3):
 def test_log_fiber_arc_small(su3):
     # distance along the fiber: t = 0.3 of unit speed
     e = base_point(su3)
-    y = CosetPoint(su3, matrix_exp((0.3 / 6.0) * su3.circle_mat))
+    y = Cosets(su3, matrix_exp((0.3 / 6.0) * su3.circle_mat)[None])
     log = riemannian_log(e, y, restarts=2, seed=19)
     assert log.converged
     assert log.upper == pytest.approx(0.3, abs=1e-6)
 
 
 def test_riemannian_logs_rejects_negative_restarts(su3):
-    x, y = haar_points(su3, np.random.default_rng(33), 2)
+    x, y = two_points(su3, np.random.default_rng(33))
     with pytest.raises(ValueError, match="restarts"):
-        homspace.riemannian_logs([x], [y], [0], restarts=-1)
+        homspace.riemannian_logs(x, y, [0], restarts=-1)
     # zero restarts keeps the smart start alone
-    assert homspace.riemannian_logs([x], [x], [0], restarts=0)[0].converged
+    assert homspace.riemannian_logs(x, x, [0], restarts=0)[0].converged
 
 
 def test_log_monotone_in_restarts(su3):
     rng = np.random.default_rng(20)
-    x, y = haar_points(su3, rng, 2)
+    x, y = two_points(su3, rng)
     u_small = riemannian_log(x, y, restarts=0, seed=21).upper
     u_big = riemannian_log(x, y, restarts=4, seed=21).upper
     assert u_big <= u_small + 1e-12
@@ -932,7 +973,7 @@ def test_log_never_reports_below_true_distance(su3):
     # the log bound stays above the chord-based lower bound
     rng = np.random.default_rng(22)
     for _ in range(5):
-        x, y = haar_points(su3, rng, 2)
+        x, y = two_points(su3, rng)
         log = riemannian_log(x, y, restarts=2, seed=23)
         if log.converged:
             assert lower_bound(x, y) <= log.upper + 1e-9
@@ -943,7 +984,7 @@ def test_lower_bound_at_most_upper(su3, so6):
     # su4-su1u3--k1-0a2: K1 = SU(3), whose lower bound is the exact block maximum
     for model in (su3, so6, model_for("su4-su1u3--k1-0a2")):
         for _ in range(5):
-            x, y = haar_points(model, rng, 2)
+            x, y = two_points(model, rng)
             log = riemannian_log(x, y, restarts=2, seed=25)
             if log.converged:
                 assert lower_bound(x, y) <= log.upper + 1e-9
@@ -957,7 +998,7 @@ def smart_curve_bounds(model, xs, ys):
     """(lower, upper) of each pair's smart-start curve: the lower bound from
     x to its end x exp(xi0), and the curve's length ||xi0||."""
     starts = smart_starts(xs, ys)
-    ends = [geodesic(x, model.from_m1_coords(c), 1.0) for x, c in zip(xs, starts)]
+    ends = geodesic(xs, model.from_m1_coords(starts), 1.0)
     return distance_lower_bound(xs, ends), np.linalg.norm(starts, axis=1)
 
 
@@ -980,11 +1021,11 @@ def test_smart_start_curve_bound_on_geodesics_of_known_length(case_id):
     model = model_for(case_id)
     rng = np.random.default_rng(42)
     for length in (0.05, 0.3, 1.0, 2.0, 3.0):
-        x = haar_points(model, rng, 1)[0]
+        x = haar_points(model, rng, 1)
         xi = model.from_m1_coords(rng.normal(size=model.dim_m1))
         xi *= length / model.m1_norm(xi)
         y = geodesic(x, xi, 1.0)
-        [lower], [upper] = smart_curve_bounds(model, [x], [y])
+        [lower], [upper] = smart_curve_bounds(model, x, y)
         assert upper == pytest.approx(length, rel=1e-4)
         assert lower <= upper + 1e-9
         assert lower_bound(x, y) <= length + 1e-9
@@ -1067,7 +1108,7 @@ def test_torus_witness_is_a_log_to_the_image(case_id, upper):
     model = model_for(case_id)
     rng = np.random.default_rng(1)
     ks = [sample_subgroup_element(model, f, rng) for f in (model.k1_factors, model.k2_factors)]
-    ks.append(haar_points(model, rng, 1)[0].rep)
+    ks.append(haar_points(model, rng, 1).reps[0])
     logs = []
     for k in ks:
         gam = Isometry(model, left=k)
@@ -1078,7 +1119,7 @@ def test_torus_witness_is_a_log_to_the_image(case_id, upper):
         if model.complex_size:
             assert abs(np.trace(complexify(log.xi))) < 1e-12
         assert log.upper == pytest.approx(math.sqrt(model.kappa_ip(log.xi, log.xi)), abs=1e-12)
-        end = CosetPoint(model, x.rep @ matrix_exp(log.xi))
+        end = Cosets(model, x.reps @ matrix_exp(log.xi))
         assert chord(model, end, gam.apply(x))[1] < 1e-12
         assert lower_bound(x, gam.apply(x)) <= log.upper + 1e-9
         logs.append(log)
@@ -1121,11 +1162,11 @@ def test_witness_report_never_claims_constancy(su3):
 def test_fixed_fiber_found_generic_su3(case_id, seed):
     model = model_for(case_id)
     assert model.record.equal_rank
-    g = haar_points(model, np.random.default_rng(seed), 1)[0].rep
+    g = haar_points(model, np.random.default_rng(seed), 1).reps[0]
     pt, resid = fixed_fiber(Isometry(model, left=g))
     assert pt is not None and resid < 1e-12
     factors = model.k1_factors + model.k2_factors
-    assert chord(model, CosetPoint(model, g @ pt.rep), pt, factors)[1] < 1e-12
+    assert chord(model, Cosets(model, g @ pt.reps), pt, factors)[1] < 1e-12
 
 
 def test_fixed_fiber_trivial_for_isotropy_element(su3):
@@ -1139,7 +1180,7 @@ def test_fixed_fiber_trivial_for_isotropy_element(su3):
     k = sample_subgroup_element(so8, factors, np.random.default_rng(5))
     pt, resid = fixed_fiber(Isometry(so8, left=k))
     assert pt is not None and resid < 1e-12
-    assert chord(so8, CosetPoint(so8, k @ pt.rep), pt, factors)[1] < 1e-12
+    assert chord(so8, Cosets(so8, k @ pt.reps), pt, factors)[1] < 1e-12
 
 
 def test_fixed_fiber_honest_negative(so6):

@@ -1,17 +1,19 @@
-"""Byte parity of `catalog`, `selfcheck` and `verify --format json` output
-between the working tree and a git ref.
+"""Byte parity of `catalog`, `selfcheck` and `verify --format json` output,
+and of the demos' output, between the working tree and a git ref.
 
 Usage: python tools/verify_parity.py REF
 
-Exports REF with `git archive` into a temporary directory (so no worktree
-is registered in the repository), runs every request of the parity set in
-a fresh `python -m isofib.cli` process against the working tree's `src/`
-and against the export's `src/`, and prints SAME or DIFF per request with
-both exit codes.  A request is SAME when stdout and exit code match.  The
-last line counts the failing requests (exit code not 0) of each side, so
-the direction of any pass/fail change shows at a glance.  Exits 1 on any
-DIFF, 2 when REF cannot be exported.  SIGTERM or SIGINT stops both
-running requests and removes the export before the tool exits.
+Exports REF's `src/` and `demos/` with `git archive` into a temporary
+directory (so no worktree is registered in the repository), runs every
+request of the parity set in a fresh `python -m isofib.cli` process
+against the working tree's `src/` and against the export's `src/`, then
+each tree's demos (those of the working tree, by name) against its own
+`src/`, and prints SAME or DIFF per request and per demo with both exit
+codes.  A run is SAME when stdout and exit code match.  The last line
+counts the failing runs (exit code not 0) of each side, so the direction
+of any pass/fail change shows at a glance.  Exits 1 on any DIFF, 2 when
+REF cannot be exported.  SIGTERM or SIGINT stops both running processes
+and removes the export before the tool exits.
 """
 from __future__ import annotations
 
@@ -115,12 +117,30 @@ VERIFY_SET = tuple(
 PARITY_SET = CATALOG_SET + VERIFY_SET
 
 
-def start(src: Path, request: tuple[str, ...]) -> subprocess.Popen:
-    argv = [sys.executable, "-m", "isofib.cli", *request]
+def start(tree: Path, args: list[str]) -> subprocess.Popen:
+    """`python args` against the tree's `src/`."""
     # one BLAS thread, as in the benchmark: the two processes share the cores
     threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = dict(os.environ, PYTHONPATH=str(src), **threads)
-    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **threads)
+    return subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+    )
+
+
+def compare(runs: list[tuple[Path, list[str]]]) -> tuple[bool, int, int]:
+    """(same, working exit code, REF exit code) of the working tree's run
+    and REF's run, each a (tree, args) pair of `start`, side by side."""
+    procs: list[subprocess.Popen] = []
+    try:
+        for tree, args in runs:
+            procs.append(start(tree, args))
+        (work, work_code), (ref, ref_code) = [(p.communicate()[0], p.returncode) for p in procs]
+    finally:
+        for p in procs:
+            if p.returncode is None:
+                p.terminate()
+                p.wait()
+    return work == ref and work_code == ref_code, work_code, ref_code
 
 
 def exit_on_signal(signum: int, frame) -> None:
@@ -137,36 +157,34 @@ def main(argv: list[str]) -> int:
         signal.signal(sig, exit_on_signal)
     with tempfile.TemporaryDirectory(prefix="verify-parity-") as ref_dir:
         archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", argv[0], "src"], capture_output=True
+            ["git", "-C", str(ROOT), "archive", argv[0], "src", "demos"], capture_output=True
         )
         if archive.returncode:
             print(archive.stderr.decode().strip(), file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", ref_dir], input=archive.stdout, check=True)
-        diffs, failing = 0, [0, 0]
-        for request in PARITY_SET:
-            # the two trees run side by side, one process each
-            procs: list[subprocess.Popen] = []
-            try:
-                for src in (ROOT / "src", Path(ref_dir) / "src"):
-                    procs.append(start(src, request))
-                (work, work_code), (ref, ref_code) = [
-                    (p.communicate()[0], p.returncode) for p in procs
-                ]
-            finally:
-                for p in procs:
-                    if p.returncode is None:
-                        p.terminate()
-                        p.wait()
-            same = work == ref and work_code == ref_code
-            diffs += not same
+        ref = Path(ref_dir)
+        jobs = [
+            (" ".join(r), [(tree, ["-m", "isofib.cli", *r]) for tree in (ROOT, ref)])
+            for r in PARITY_SET
+        ]
+        demos = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+        jobs += [
+            (f"demos/{d}", [(tree, [str(tree / "demos" / d)]) for tree in (ROOT, ref)])
+            for d in demos
+        ]
+        diffs, failing = [0, 0], [0, 0]
+        for i, (label, runs) in enumerate(jobs):
+            same, work_code, ref_code = compare(runs)
+            diffs[i >= len(PARITY_SET)] += not same
             failing[0] += work_code != 0
             failing[1] += ref_code != 0
             status = "SAME" if same else "DIFF"
-            print(f"{status} {' '.join(request)} (exit {work_code} vs {ref_code})", flush=True)
-    print(f"{len(PARITY_SET) - diffs} of {len(PARITY_SET)} requests byte-identical")
+            print(f"{status} {label} (exit {work_code} vs {ref_code})", flush=True)
+    print(f"{len(PARITY_SET) - diffs[0]} of {len(PARITY_SET)} requests byte-identical")
+    print(f"{len(demos) - diffs[1]} of {len(demos)} demos byte-identical")
     print(f"failing: {argv[0]} {failing[1]}, tree {failing[0]}")
-    return 1 if diffs else 0
+    return 1 if any(diffs) else 0
 
 
 if __name__ == "__main__":
