@@ -34,13 +34,13 @@ V, each evaluation needing the chord maximizer k*.  Its Jacobians (`_coset_jacob
 eigendecomposition of xi per problem and the k* of the residual: the
 columns hold k* fixed, less their projection onto the K1-orbit's tangent,
 which leaves J^T F the exact gradient and J exact at a zero residual.
-`_k_star_batch` computes k* for a whole stack of points in one numpy
-pass (batched SO Procrustes;
-`_su_procrustes` for SU blocks, closed form for SU(2) and one bisection
-on the whole stack for larger blocks; under a circle, one SVD per row
-makes each SU block's maximum an exact curve in the angle, `_su_curve`,
-evaluated on one theta grid for every row, then one safeguarded Newton
-polish, `_polish_roots`, of every row's angle with exact T' and T'').
+`_k_star_batch` computes k* and the chord's bound for a whole stack of
+points in one numpy pass (batched SO Procrustes; `_su_procrustes` for SU
+blocks, closed form for SU(2), one SVD and a Newton solve of the phase for
+larger blocks; under a circle, one SVD per block makes its maximum an exact
+curve in the angle, `_su_curve`, evaluated on one theta grid for every row,
+then one safeguarded Newton polish of every row's angle with exact T' and
+T'', and gives the block of k*).  `_polish_roots` is the one root finder.
 `_lm` advances a stack of problems in lockstep, each with its own damping
 and stop, sends the trial points of all of them through stacked residual
 calls of at most `_LM_SLICE` points, and takes and reduces the Jacobians
@@ -273,8 +273,9 @@ def _su_root(sig: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     sin psi gives e^{i psi} = (sigma_2 + sigma_1 e^{i tau}) / |sigma_1 +
     sigma_2 e^{i tau}|, whose real part is >= 0 on a tie; where the modulus
     is 0 (a tie at tau = pi, value 0) psi = pi / 2, the limit from below.
-    For larger c, {g < tau} is the part of [-pi, pi] below the root (less
-    -pi itself when tau = -pi), so a bisection finds it."""
+    For larger c, T' = tau - g is > 0 on [-pi, pi] below the root (less -pi
+    itself when tau = -pi) and <= 0 above it, so `_polish_roots` finds the
+    root from tau / g'(0), with T'' = -g'."""
     r = sig[..., -1:] / np.where(sig[..., :-1] > 0, sig[..., :-1], 1.0)
     if sig.shape[-1] == 2:
         u = det.conj() / np.abs(det)  # e^{i tau}
@@ -282,19 +283,32 @@ def _su_root(sig: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         n = np.abs(s1 + s2 * u)
         e = np.divide(s2 + s1 * u, n, out=np.full(n.shape, 1j), where=n > 0)
         return e.real, e.imag, r
-    tau = -np.angle(det)
-    lo, hi = np.full(tau.shape, -np.pi), np.full(tau.shape, np.pi)
-    for _ in range(64):  # 2 pi / 2^64 is far below the roundoff of g
-        mid = (lo + hi) / 2
-        below = mid + np.arcsin(r * np.sin(mid)[..., None]).sum(axis=-1) < tau
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.cos(hi), np.sin(hi), r
+    tau = -np.angle(det).ravel()  # rows x angles under a circle, flat for the solve
+    rs = np.broadcast_to(r, det.shape + r.shape[-1:]).reshape(len(tau), -1)
+
+    def derivs(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = x + np.arcsin(rs[rows] * np.sin(x)[:, None]).sum(axis=-1)
+        return tau[rows] - g, -_su_slope(rs[rows], np.cos(x))[1]
+
+    pi = np.full(len(tau), np.pi)
+    psi = _polish_roots(derivs, tau / (1 + rs.sum(axis=-1)), -pi, pi).reshape(det.shape)
+    return np.cos(psi), np.sin(psi), r
+
+
+def _su_slope(r: np.ndarray, cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos phi_j, g' = 1 + sum_j r_j cos psi / cos phi_j) of `_su_root` at
+    cos psi.  cos phi_j stays accurate on a tie r_j = 1; it is 0 only on a
+    tie with cos psi = 0, where its term of g' is 0."""
+    rc = r * cos[..., None]
+    cos_phi = np.sqrt((1 - r) * (1 + r) + rc * rc)
+    ratio = np.divide(rc, cos_phi, out=np.zeros(rc.shape), where=cos_phi > 0)
+    return cos_phi, 1 + ratio.sum(axis=-1)
 
 
 def _su_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max, maximizer) of Re tr(k^H P) over SU(c), c >= 2; leading axes
     are a batch, and each block's result is the one it gets alone.  SU(2)
-    takes the closed form, a larger block the exact maximum below.
+    takes the closed form, a larger block one SVD and `_su_polar`.
 
     With P = U diag(sigma) V^h, sigma descending, W = U^h k V has det W =
     det(U^h V) and value Re tr(W^h diag(sigma)).  At a maximizer,
@@ -307,7 +321,14 @@ def _su_procrustes(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if P.shape[-1] == 2:
         return _su2_procrustes(P)
     U, sig, Vh = np.linalg.svd(P)
-    det = np.linalg.det(U @ Vh)
+    return _su_polar(U, sig, Vh, np.linalg.det(U @ Vh))
+
+
+def _su_polar(U: np.ndarray, sig: np.ndarray, Vh: np.ndarray, det: np.ndarray):
+    """(sum sigma_j cos phi_j, U diag(e^{i phi}) V^h) at the phases phi of
+    `_su_root(sig, det)`: `_su_procrustes` of U diag(sig) V^h at det = det(U
+    V^h); at e^{-i c alpha} det(U V^h), that of e^{-i alpha} U diag(sig) V^h,
+    its maximizer times e^{i alpha} (k*'s block under a circle)."""
     sin, r = _su_root(sig, det)[1:]
     phis = np.arcsin(r * sin[..., None])
     phis = np.concatenate([phis, (-np.angle(det) - phis.sum(axis=-1))[..., None]], axis=-1)
@@ -318,16 +339,12 @@ def _su_curve(sig: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """(F, F', F'') at tau = -arg det of the SU(c) maximum F(tau) of a block
     with singular values sig (..., c), at the phases of `_su_root`: as
     dF/dpsi = -sigma_c sin psi g'(psi) = F' dtau/dpsi, F' = -sigma_c sin psi
-    and F'' = -sigma_c cos psi / g'(psi).  cos phi_j = sqrt((1 - r_j^2) +
-    (r_j cos psi)^2) stays accurate on a tie r_j = 1; it is 0 only on a tie
-    with cos psi = 0, where its term r_j cos psi / cos phi_j of g' is 0."""
+    and F'' = -sigma_c cos psi / g'(psi) (`_su_slope`)."""
     cos, sin, r = _su_root(sig, det)
-    rc = r * cos[..., None]
-    cos_phi = np.sqrt((1 - r) * (1 + r) + rc * rc)
+    cos_phi, slope = _su_slope(r, cos)
     low = sig[..., -1]
     value = low * cos + np.sum(sig[..., :-1] * cos_phi, axis=-1)
-    ratio = np.divide(rc, cos_phi, out=np.zeros(rc.shape), where=cos_phi > 0)
-    return value, -low * sin, -low * cos / (1 + ratio.sum(axis=-1))
+    return value, -low * sin, -low * cos / slope
 
 
 def _so_procrustes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,10 +368,10 @@ def _split_columns(
     return [j for j in range(model.complex_size) if j not in in_blocks], blocks
 
 
-# the circle-angle polish stops a row once its step is at most this (the
-# xtol its brentq predecessor used); bisection alone gets there from a
-# grid bracket in 42 steps, so the cap only stops a derivative that never
-# settles
+# `_polish_roots` stops a row once its step is at most this (the xtol of
+# the circle polish's brentq predecessor); bisection alone gets there from
+# a grid bracket in 42 steps and from [-pi, pi] in 50, so the cap only
+# stops a derivative that never settles
 _ANGLE_XTOL = 1e-14
 _ANGLE_MAX_ITER = 100
 
@@ -389,31 +406,32 @@ def _polish_roots(derivs, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
 
 def _circle_angles(
     model: GroupModel, P: np.ndarray, factors: tuple[BlockFactor, ...]
-) -> np.ndarray:
-    """Per row of the pairing stack P, the circle angle maximizing the
-    trace with every SU block maximized exactly at that angle: a grid over
-    the period for all rows at once, then one `_polish_roots` call for the
-    zero crossings of the derivative next to the best grid angles, and per
-    row the better of the polished and the grid angle.  The rotation
-    e^{-i a theta} of an SU block of c columns keeps its singular values
-    and multiplies det(U V^h) by e^{-i c a theta}: one SVD per row gives
-    the block's maximum at every angle, the curve `_su_curve`."""
+) -> tuple[np.ndarray, list[int], list[tuple]]:
+    """(angles, single columns, SU blocks): per row of the pairing stack P,
+    the circle angle maximizing the trace with every SU block maximized
+    exactly at that angle: a grid over the period for all rows at once,
+    then one `_polish_roots` call for the zero crossings of the derivative
+    next to the best grid angles, and per row the better of the polished
+    and the grid angle.  The rotation e^{-i a theta} of an SU block of c
+    columns keeps its singular values and multiplies det(U V^h) by e^{-i c
+    a theta}: one SVD per block (columns, c a, U, sigma, V^h, det(U V^h))
+    gives its maximum at every angle, the curve `_su_curve`."""
     speeds = model.circle_phases
     period = next(f.period for f in factors if f.kind == "circle")
     singles, blocks = _split_columns(model, factors)
     rows = np.arange(len(P))
     diag = P[:, singles, singles]
     fs = speeds[singles]
-    curves = []  # (c a, singular values, det(U V^h)) per SU block
+    curves = []
     for cols in blocks:
         U, sig, Vh = np.linalg.svd(P[np.ix_(rows, cols, cols)])
-        curves.append((len(cols) * speeds[cols[0]], sig, np.linalg.det(U @ Vh)))
+        curves.append((cols, len(cols) * speeds[cols[0]], U, sig, Vh, np.linalg.det(U @ Vh)))
 
     def trace_at(thetas: np.ndarray) -> np.ndarray:
         # thetas (1 or B, T) -> maximized traces (B, T)
         rot = np.exp(-1j * (thetas[..., None] * fs)) * diag[:, None, :]
         vals = rot.real.sum(axis=-1)
-        for ca, sig, det in curves:
+        for _, ca, _, sig, _, det in curves:
             vals += _su_curve(sig[:, None], det[:, None] * np.exp(-1j * ca * thetas))[0]
         return vals
 
@@ -421,7 +439,7 @@ def _circle_angles(
         # (T', T'') at angles x (len(r),) of rows r
         rot = np.exp(-1j * (x[:, None] * fs)) * diag[r]
         der, curv = (fs * rot.imag).sum(axis=-1), -((fs * fs) * rot.real).sum(axis=-1)
-        for ca, sig, det in curves:
+        for _, ca, _, sig, _, det in curves:
             _, F1, F2 = _su_curve(sig[r], det[r] * np.exp(-1j * ca * x))
             der += ca * F1
             curv += ca * ca * F2
@@ -437,7 +455,7 @@ def _circle_angles(
     if br.size:
         best[br] = _polish_roots(lambda x, r: derivs(x, br[r]), best[br], lo[br], hi[br])
     cand = np.stack([best, grid[i0]], axis=1)
-    return cand[rows, np.argmax(trace_at(cand), axis=1)]
+    return cand[rows, np.argmax(trace_at(cand), axis=1)], singles, curves
 
 
 def _k_star_batch(
@@ -445,39 +463,33 @@ def _k_star_batch(
     U_stack: np.ndarray,
     V: np.ndarray,
     factors: tuple[BlockFactor, ...],
-) -> np.ndarray:
-    """The feasible maximizer k* of tr(k^T U^T V) over the factor subgroup
-    (the one behind `chord_to_coset`'s upper value) for every U of a
-    (B, n, n) stack; V is one matrix or a matching stack.  SO blocks take
-    a batched Procrustes and SU blocks the batched exact maximizer of
-    `_su_procrustes`; a circle takes the angle of `_circle_angles`, and
-    the SU blocks are maximized at it."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k*, b) per U of a (B, n, n) stack, V one matrix or a matching stack:
+    the maximizer k* of tr(k^T U^T V) over the factor subgroup and a bound
+    b >= that maximum, behind `chord_to_coset`.  SO blocks take a batched
+    Procrustes and SU blocks `_su_procrustes`, so b is the trace at k*.  A
+    circle takes the angle of `_circle_angles` and each SU block the
+    `_su_polar` of the SVD that found it (the circle's phase e^{i a theta}
+    cancels the block's turn); b relaxes the single columns to the torus and
+    each SU block to U(c): sum |P_jj| plus each block's sum of sigma."""
     M = np.swapaxes(U_stack, -1, -2) @ V  # maximize tr(k^T M) per row
     rows = np.arange(len(M))
-    if {f.kind for f in factors} == {"so"}:
-        K = np.tile(np.eye(model.n), (len(M), 1, 1))
-        for f in factors:
+    real = {f.kind for f in factors} == {"so"}
+    P = M if real else _complex_pairing(M)
+    K = np.tile(np.eye(P.shape[-1], dtype=P.dtype), (len(M), 1, 1))
+    if all(f.kind != "circle" for f in factors):
+        for f in factors:  # the blocks are disjoint
             ix = np.ix_(rows, f.cols, f.cols)
-            K[ix] = _so_procrustes(M[ix])[1]
-        return K
-    # unitary models
-    P = _complex_pairing(M)
-    m = model.complex_size
-    Kc = np.tile(np.eye(m, dtype=complex), (len(M), 1, 1))
-    theta = None
-    if any(f.kind == "circle" for f in factors):
-        speeds = model.circle_phases
-        theta = _circle_angles(model, P, factors)
-        Kc[:, np.arange(m), np.arange(m)] = np.exp(1j * speeds * theta[:, None])
-    for f in factors:
-        if f.kind != "su":
-            continue
-        ix = np.ix_(rows, f.cols, f.cols)
-        sub = P[ix]
-        if theta is not None:
-            sub = np.exp(-1j * speeds[f.cols[0]] * theta)[:, None, None] * sub
-        Kc[ix] = Kc[ix] @ _su_procrustes(sub)[1]  # the blocks are disjoint
-    return realify(Kc)
+            K[ix] = (_so_procrustes if real else _su_procrustes)(P[ix])[1]
+        K = K if real else realify(K)
+        return K, np.sum(K * M, axis=(1, 2))
+    theta, singles, curves = _circle_angles(model, P, factors)
+    K[:, singles, singles] = np.exp(1j * model.circle_phases[singles] * theta[:, None])
+    bound = np.sum(np.abs(P[:, singles, singles]), axis=1)
+    for cols, ca, U, sig, Vh, det in curves:
+        K[np.ix_(rows, cols, cols)] = _su_polar(U, sig, Vh, det * np.exp(-1j * ca * theta))[1]
+        bound += np.sum(sig, axis=1)
+    return realify(K), bound
 
 
 def chord_to_coset(
@@ -490,26 +502,13 @@ def chord_to_coset(
     ||U k - V||_F (the subgroup acts on the right of U), one per U of a
     (B, n, n) stack; V is one matrix or a matching stack.
 
-    The upper value is the directly evaluated norm ||U k* - V|| at the
-    feasible maximizer of `_k_star_batch`, which stays accurate near zero
+    Both come from the one pass of `_k_star_batch`.  The upper value is the
+    directly evaluated norm ||U k* - V||, which stays accurate near zero
     where the trace form 2N - 2 tr would cancel catastrophically.  The lower
-    value is sqrt(2N - 2 b) for an upper bound b on the max of tr(k^T U^T V)
-    over the subgroup, less a small slack so that roundoff cannot push it
-    above the true chord.  Without a circle every block maximizer is exact,
-    so b is the trace at k*; with one, b relaxes the single columns to the
-    full torus and each SU block to the full unitary group."""
-    K = _k_star_batch(model, U, V, factors)
+    value is sqrt(2N - 2 b) for its bound b on the max of tr(k^T U^T V),
+    less a small slack so that roundoff cannot push it above the chord."""
+    K, bound = _k_star_batch(model, U, V, factors)
     upper = np.linalg.norm((U @ K - V).reshape(len(K), -1), axis=1)
-    M = np.swapaxes(U, -1, -2) @ V
-    if any(f.kind == "circle" for f in factors):
-        singles, blocks = _split_columns(model, factors)
-        P = _complex_pairing(M)
-        bound = np.sum(np.abs(P[:, singles, singles]), axis=1)
-        for cols in blocks:
-            block = P[np.ix_(np.arange(len(P)), cols, cols)]
-            bound += np.sum(np.linalg.svd(block, compute_uv=False), axis=1)
-    else:
-        bound = np.sum(K * M, axis=(1, 2))
     lower = np.sqrt(np.maximum(2 * model.n - 2 * bound - TRACE_SLACK, 0.0))
     return ChordResult(lower=np.minimum(lower, upper), upper=upper)
 
@@ -725,7 +724,7 @@ def _log_maps(model: GroupModel, U: np.ndarray, V: np.ndarray):
     def residuals(C: np.ndarray, rows: np.ndarray) -> np.ndarray:
         x = model.from_m1_coords(C)
         Pr = U[rows] @ matrix_exp(x)
-        Kr = _k_star_batch(model, Pr, V[rows], factors)
+        Kr = _k_star_batch(model, Pr, V[rows], factors)[0]
         xi[rows], P[rows], K[rows] = x, Pr, Kr
         return (Pr @ Kr - V[rows]).reshape(len(C), -1)
 
@@ -744,7 +743,7 @@ def smart_starts(xs: Cosets, ys: Cosets) -> np.ndarray:
     norm), so ||xi0|| bounds the distance from x K1 to x exp(xi0) K1 above
     for every pair, whether or not that end is ys[i] K1."""
     model, U, V = xs.model, xs.reps, ys.reps
-    K = _k_star_batch(model, U, V, model.k1_factors)
+    K = _k_star_batch(model, U, V, model.k1_factors)[0]
     return model.m1_coords(_orthogonal_log(np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)))
 
 

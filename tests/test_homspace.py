@@ -232,7 +232,7 @@ def test_su_procrustes_three_by_three():
     ids=["c2", "c3", "c4", "rows-angles-c3"],
 )
 def test_su_procrustes_stack_matches_single_blocks(shape):
-    # every block of a stack gets its own bisection steps and maximizer, bit
+    # every block of a stack gets its own phase iterates and maximizer, bit
     # for bit; the last shape has two batch axes
     rng = np.random.default_rng(32)
     P = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -245,6 +245,62 @@ def test_su_procrustes_stack_matches_single_blocks(shape):
     c = shape[-1]
     assert np.allclose(K @ np.swapaxes(K, -1, -2).conj(), np.eye(c), atol=1e-12)
     assert np.allclose(np.linalg.det(K), 1.0, atol=1e-12)
+
+
+def _bisected_su_root(sig, det):
+    """(cos psi, sin psi) of `_su_root` for c >= 3 by 64 bisection steps on
+    g(psi) = tau over [-pi, pi]: {g < tau} is the part below the root."""
+    r = sig[..., -1:] / np.where(sig[..., :-1] > 0, sig[..., :-1], 1.0)
+    tau = -np.angle(det)
+    lo, hi = np.full(tau.shape, -np.pi), np.full(tau.shape, np.pi)
+    for _ in range(64):  # 2 pi / 2^64 is far below the roundoff of g
+        mid = (lo + hi) / 2
+        below = mid + np.arcsin(r * np.sin(mid)[..., None]).sum(axis=-1) < tau
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.cos(hi), np.sin(hi)
+
+
+def _su_root_cases():
+    # (sig, det): c = 3..6 at random, ties r_j = 1, a zero smallest sigma,
+    # tau = -pi and +pi exactly (det = -1 + 0j and -1 - 0j), and sig (4, 1,
+    # c) against det (4, 9), two batch axes as the circle grid passes them
+    rng = np.random.default_rng(35)
+
+    def phases(shape):
+        return np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+
+    cases = []
+    for c in (3, 4, 5, 6):
+        sig = -np.sort(-np.abs(rng.normal(size=(200, c))), axis=1)
+        cases.append(pytest.param(sig, phases(200), id=f"random-c{c}"))
+    for name, row in (
+        ("tie-all-c3", [1.0, 1.0, 1.0]),
+        ("tie-low-c4", [1.7, 0.6, 0.6, 0.6]),
+        ("tie-top-c5", [2.0, 2.0, 1.0, 0.5, 0.2]),
+        ("zero-c3", [2.0, 1.1, 0.0]),
+        ("zero-c4", [1.5, 1.5, 0.7, 0.0]),
+    ):
+        cases.append(pytest.param(np.array([row] * 100), phases(100), id=name))
+    sig = -np.sort(-np.abs(rng.normal(size=(60, 4))), axis=1)
+    sig = np.concatenate([sig, [[1.0, 1.0, 1.0, 1.0], [1.7, 0.6, 0.6, 0.6], [2.0, 1.1, 0.5, 0.0]]])
+    for name, d in (("tau-minus-pi", complex(-1.0, 0.0)), ("tau-plus-pi", complex(-1.0, -0.0))):
+        cases.append(pytest.param(sig, np.full(len(sig), d), id=name))
+    sig = -np.sort(-np.abs(rng.normal(size=(4, 1, 3))), axis=-1)
+    cases.append(pytest.param(sig, phases((4, 9)), id="rows-angles-c3"))
+    return cases
+
+
+@pytest.mark.parametrize("sig, det", _su_root_cases())
+def test_su_root_matches_bisection(sig, det):
+    # the Newton solve of g(psi) = tau lands on the root the bisection
+    # brackets, on ties, a zero sigma and tau = +-pi too, with no warning
+    with np.errstate(all="raise"):
+        cos, sin, r = homspace._su_root(sig, det)
+        ref_cos, ref_sin = _bisected_su_root(sig, det)
+    assert cos.shape == sin.shape == np.broadcast_shapes(sig.shape[:-1], det.shape)
+    np.testing.assert_allclose(cos, ref_cos, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(sin, ref_sin, rtol=0, atol=1e-13)
+    assert np.array_equal(r, sig[..., -1:] / np.where(sig[..., :-1] > 0, sig[..., :-1], 1.0))
 
 
 def _su_curve_cases():
@@ -390,16 +446,63 @@ def test_k_star_batch_matches_per_row_chords(case_id, group, grid, monkeypatch):
     rng = np.random.default_rng(30)
     U = haar_points(model, rng, 3).reps
     V = haar_points(model, rng, 1).reps[0]
-    K = _k_star_batch(model, U, V, factors)
+    K, bound = _k_star_batch(model, U, V, factors)
     # a stack of targets, as the fixed-fiber residual passes, gives the same
-    assert np.array_equal(K, _k_star_batch(model, U, np.array([V] * 3), factors))
+    K2, bound2 = _k_star_batch(model, U, np.array([V] * 3), factors)
+    assert np.array_equal(K, K2) and np.array_equal(bound, bound2)
     uppers = chord_to_coset(model, U, V, factors).upper
-    for u, k, upper in zip(U, K, uppers):
-        alone = _k_star_batch(model, u[None], V, factors)[0]
-        np.testing.assert_allclose(k, alone, rtol=0, atol=1e-14)
+    for u, k, b, upper in zip(U, K, bound, uppers):
+        alone, b_alone = _k_star_batch(model, u[None], V, factors)
+        np.testing.assert_allclose(k, alone[0], rtol=0, atol=1e-14)
+        assert b == pytest.approx(b_alone[0], rel=0, abs=1e-13)
         for _ in range(20):
             s = sample_subgroup_element(model, factors, rng)
             assert upper <= np.linalg.norm(u @ s - V) + 1e-9
+
+
+# a circle with an SU(3) block (K1 of su5-su2u3--k1-1a2-t1) and with an
+# SU(2) block (K of su3-hopf)
+ONE_PASS_CASES = [("su5-su2u3--k1-1a2-t1", "k1"), ("su3-hopf", "k")]
+
+
+@pytest.mark.parametrize("case_id, group", ONE_PASS_CASES)
+def test_circle_chord_decomposes_each_block_once(case_id, group, monkeypatch):
+    # one SVD per SU block gives the circle angle, the block of k* and the
+    # lower value's relaxation
+    model = model_for(case_id)
+    factors = model.k1_factors + (model.k2_factors if group == "k" else ())
+    blocks = [f.cols for f in factors if f.kind == "su"]
+    rng = np.random.default_rng(42)
+    U = haar_points(model, rng, 5).reps
+    V = haar_points(model, rng, 1).reps[0]
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    ch = chord_to_coset(model, U, V, factors)
+    assert len(calls) == len(blocks) == 1
+    monkeypatch.undo()
+    # the relaxation recomputed: |P_jj| on the single columns, and each
+    # block's nuclear norm
+    P = _complex_pairing(np.swapaxes(U, 1, 2) @ V)
+    singles, _ = homspace._split_columns(model, factors)
+    bound = np.sum(np.abs(P[:, singles, singles]), axis=1)
+    for cols in blocks:
+        bound += np.linalg.svd(P[:, cols][:, :, cols], compute_uv=False).sum(axis=1)
+    lower = np.sqrt(np.maximum(2 * model.n - 2 * bound - homspace.TRACE_SLACK, 0.0))
+    np.testing.assert_allclose(ch.lower, np.minimum(lower, ch.upper), rtol=0, atol=1e-14)
+    # each block of k* is the circle's phase times the SU maximizer of the
+    # block turned back by it
+    theta = _circle_angles(model, P, factors)[0]
+    K, m = _k_star_batch(model, U, V, factors)[0], model.complex_size
+    Kc = K[:, :m, :m] + 1j * K[:, m:, :m]  # complexify, per row
+    for cols in blocks:
+        turn = np.exp(1j * model.circle_phases[cols[0]] * theta)[:, None, None]
+        k = turn * _su_procrustes(P[:, cols][:, :, cols] / turn)[1]
+        np.testing.assert_allclose(Kc[:, cols][:, :, cols], k, rtol=0, atol=1e-13)
 
 
 # a circle alone, an SU(2) block, SO blocks, and K = K1 K2 with a circle
@@ -484,7 +587,7 @@ def test_polished_circle_angles_match_brentq(case_id, group, grid, rows, monkeyp
     rng = np.random.default_rng(40)
     U = haar_points(model, rng, rows).reps
     P = _complex_pairing(np.swapaxes(U, 1, 2) @ haar_points(model, rng, 1).reps[0])
-    diff = _circle_angles(model, P, factors) - _brentq_circle_angles(model, P, factors)
+    diff = _circle_angles(model, P, factors)[0] - _brentq_circle_angles(model, P, factors)
     if group == "k" and case_id == "su3-hopf":
         # exp(pi z) lies in the SU(2) block, so the maximized trace has
         # period pi and the grid maximum ties between theta and theta + pi
@@ -496,7 +599,7 @@ def test_circle_angle_with_zero_derivative_stays_on_the_grid():
     # at the identity pairing the derivative at theta = 0 is exactly 0
     model = model_for("su3-su1u2--k1-t1")
     P = _complex_pairing(np.tile(np.eye(model.n), (3, 1, 1)))
-    assert np.array_equal(_circle_angles(model, P, model.k1_factors), np.zeros(3))
+    assert np.array_equal(_circle_angles(model, P, model.k1_factors)[0], np.zeros(3))
 
 
 def test_polish_keeps_a_point_with_zero_derivative():
@@ -815,7 +918,7 @@ def test_orthogonal_log_matches_scipy_logm(case_id):
     rng = np.random.default_rng(39)
     U = haar_points(model, rng, 12).reps
     V = haar_points(model, rng, 12).reps
-    K = _k_star_batch(model, U, V, model.k1_factors)
+    K = _k_star_batch(model, U, V, model.k1_factors)[0]
     W = np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)
     L = _orthogonal_log(W)
     away = [w for w in range(len(W)) if np.abs(np.linalg.eigvals(W[w]) + 1).min() > 1e-3]

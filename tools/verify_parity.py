@@ -106,6 +106,11 @@ VERIFY_SET = tuple(
         ("su6-su1u5--k1-t1", (1,)),
         ("su6-su2u4--k1-t1", (1,)),
         ("su6-su2u4--k1-1a3", (1,)),
+        # K1 = circle x SU(4): a circle with a block past SU(3), where the
+        # block's phase takes the Newton solve of `homspace._su_root` at
+        # c = 4 and its k* comes from the SVD that found the circle angle
+        ("su6-su2u4--k1-1a3-t1", (1, 2)),
+        ("su8-su4u4--k1-0a3-t1", (1,)),
         # K1 = SU(3): k2-left fails at seed 7 (also 11, 15, 16 and 27), gap -0.03
         ("su4-su1u3--k1-0a2", (7,)),
         ("so10-so3so7--k1-0so3", (1, 2, 3)),
