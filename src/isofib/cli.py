@@ -197,14 +197,14 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
         f"max base-coset residual {_solver_value(worst)} along the vertical geodesic",
     )
 
-    # the pairs of every Riemannian log of the job are drawn first and
-    # solved in one lockstep call: the log round trips and each central
-    # profile's base point, whose log `share_logs` carries to the other
-    # points.  Each bound-ordering pair (x, y) takes its smart start xi0 as
-    # the upper bound ||xi0||, the length of the curve x exp(t xi0) K1, and
-    # the lower bound of that curve's end.  The lower bounds of those ends
-    # and of every profile point come from one batched call; each
-    # noncentral profile takes its one upper bound from its torus witness
+    # the log round trips are drawn first and solved in one lockstep call.
+    # Each central profile takes its base point's log in closed form,
+    # which `share_logs` carries to the other points.  Each bound-ordering
+    # pair (x, y) takes its smart start xi0 as the upper bound ||xi0||, the
+    # length of the curve x exp(t xi0) K1, and the lower bound of that
+    # curve's end.  The lower bounds of those ends and of every profile
+    # point come from one batched call; each noncentral profile takes its
+    # one upper bound from its torus witness
     roundtrip, xis = [], []
     for _ in range(3):
         roundtrip.append(homspace.haar_points(model, rng, 1))
@@ -223,11 +223,9 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
         gammas.append(homspace.Isometry(model, left=k, label=label))
     samples = [homspace.sample_profile(g, cfg.samples, cfg.seed) for g in gammas]
     central, noncentral = samples[:2], samples[2:]
-    shot = homspace.geodesic(homspace.concat(roundtrip), np.array(xis), 1.0)
-    xs = homspace.concat([*roundtrip, *(s.points[:1] for s in central)])
-    ys = homspace.concat([shot, *(s.images[:1] for s in central)])
-    seeds = [cfg.seed] * len(roundtrip) + [s.log_seeds[0] for s in central]
-    logs = homspace.riemannian_logs(xs, ys, seeds, cfg.restarts, tol["coset"])
+    xs = homspace.concat(roundtrip)
+    ys = homspace.geodesic(xs, np.array(xis), 1.0)
+    logs = homspace.riemannian_logs(xs, ys, [cfg.seed] * len(xs), cfg.restarts, tol["coset"])
     firsts = ends[0::2]
     starts = homspace.smart_starts(firsts, ends[1::2])
     curve_ends = homspace.geodesic(firsts, model.from_m1_coords(starts), 1.0)
@@ -237,11 +235,12 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     )
     splits = np.cumsum([len(starts)] + [len(s.points) for s in samples])[:-1]
     ordered_lowers, *sample_lowers = (b.tolist() for b in np.split(lowers, splits))
+    central_logs = [homspace.central_log(s.gamma, tol["coset"]) for s in central]
     central_reports = [
         homspace.profile_report(
             s, homspace.share_logs(s, [log], tol["coset"]), low, tol["constant"], tol["gap"]
         )
-        for s, log, low in zip(central, logs[len(roundtrip) :], sample_lowers)
+        for s, log, low in zip(central, central_logs, sample_lowers)
     ]
     noncentral_reports = [
         homspace.witness_report(s, low, tol["coset"], tol["gap"])
@@ -249,7 +248,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     ]
 
     # log inverts the exponential at moderate range
-    errs = [abs(log.upper - 0.4) if log.converged else float("inf") for log in logs[:3]]
+    errs = [abs(log.upper - 0.4) if log.converged else float("inf") for log in logs]
     add(
         "log-roundtrip",
         "riemannian-log-inverts-geodesics",
@@ -662,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=RunConfig.seed)
         sp.add_argument("--samples", type=int, default=RunConfig.samples)
         sp.add_argument("--restarts", type=int, default=RunConfig.restarts,
-                        help="extra seeded starts of each Riemannian log verify solves: "
-                             "the log round trips and the central profiles' base points")
+                        help="extra seeded starts of each of verify's three log round "
+                             "trips (the central profiles' logs come in closed form)")
         sp.add_argument(
             "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
         )
@@ -745,8 +744,9 @@ def check_config(cfg: RunConfig) -> None:
     if cfg.samples > MAX_SAMPLES:
         raise ConfigError(f"--samples must be at most {MAX_SAMPLES}, got {cfg.samples}")
     if cfg.restarts < 1:
-        # with no restart a central profile's log rests on its smart start,
-        # which never moves when z = -1
+        # only the log round trips take restarts; the floor of 1 keeps the
+        # meaning every accepted request has had until what the restarts
+        # are for is settled
         raise ConfigError(f"--restarts must be at least 1, got {cfg.restarts}")
     if cfg.restarts > MAX_RESTARTS:
         raise ConfigError(f"--restarts must be at most {MAX_RESTARTS}, got {cfg.restarts}")

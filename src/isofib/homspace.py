@@ -20,7 +20,8 @@ the ambient Frobenius form), batched over point pairs.  A profile is
 reported constant-within-tol, certified-nonconstant (some point's upper
 bound lies below another point's lower bound), or inconclusive.  A
 profile that may turn out constant (`profile_report`) takes an upper bound
-at every sampled point from a multistart Riemannian log.  A left
+at every sampled point from a Riemannian log: a multistart one, or the
+shared closed-form `central_log` of a central isometry.  A left
 translation predicted nonconstant (`witness_report`) takes one upper
 bound, at a closed-form torus witness point (`_torus_witness`): there x^-1
 k x lies in a maximal torus that contains one of K1, and what K1's torus
@@ -51,8 +52,10 @@ times the tolerance of its solve.
 point pairs in one `_lm` call, starting each pair from its smart start
 (`smart_starts`: the m1 part of one batched real log, `_orthogonal_log`,
 of the chord-aligned difference) and seeded perturbations of it: a
-verify job passes it every log it needs (round trips and the base point
-of each of its two central displacement profiles).  A bound-ordering
+verify job passes it its three log round trips.  A central isometry
+z . k2 poses the base point's problem at every point, and `central_log`
+solves that one in closed form, from a frame of z k2^T taken block by
+block of K and the torus log of the witnesses.  A bound-ordering
 pair (x, y) needs no solve: the curve x exp(t xi0) K1 of its smart start
 xi0 has length ||xi0||, the upper bound, checked against the lower bound
 of its end x exp(xi0).  `distance_lower_bound` takes those ends and the
@@ -63,8 +66,9 @@ Each batch of Haar points is one stack (`haar_points`, over `haar_matrices`)
 from one normal draw and one stacked QR, laid out so that a batch reads
 the stream, and gets the points, that batches of one read in turn.
 A log is converged when it holds an explicit xi (`LogResult.converged`).
-`share_logs` offers a profile's shortest converged log to each of its
-points, which adopt it where it also reaches the image coset and is
+`share_logs` offers a profile's shortest converged log (on a verify
+job's central profiles, the `central_log` of the base point) to each of
+its points, which adopt it where it also reaches the image coset and is
 shorter than their own, if any.  Every per-problem operation, the matrix
 exponential included, acts on that problem's rows alone, so a pair's
 result does not depend on the problems it is solved with.  The module
@@ -760,7 +764,9 @@ def riemannian_logs(
     lockstep `_lm` call, and each pair's result is, bit for bit, the one it
     gets when solved alone.  Each pair starts from its `smart_starts` value
     and restarts seeded perturbations of it; restarts = 0 keeps the smart
-    start alone, and a negative count raises ValueError."""
+    start alone, and a negative count raises ValueError.  A verify job
+    solves its log round trips here; a central profile's base point takes
+    `central_log` instead."""
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
     model, U, V = xs.model, xs.reps, ys.reps
@@ -867,12 +873,12 @@ def share_logs(
 ) -> list[LogResult]:
     """The logs of a sampled profile after sharing its shortest converged
     log xi.  `logs` holds those of the first len(logs) points (verify
-    solves the base point's alone).  Every point p where xi also joins p to
-    gamma(p) (chord upper value below tol, all points in one
-    `chord_to_coset` call) and is shorter than p's own log, if any, adopts
-    it as an explicit converged geodesic; a point with neither reads as
-    non-converged.  A central gamma = z k2 maps x K1 to x (z k2) K1, the
-    left translate of the base problem, so every point adopts xi."""
+    passes the base point's alone, its `central_log`).  Every point p where
+    xi also joins p to gamma(p) (chord upper value below tol, all points in
+    one `chord_to_coset` call) and is shorter than p's own log, if any,
+    adopts it as an explicit converged geodesic; a point with neither reads
+    as non-converged.  A central gamma = z k2 maps x K1 to x (z k2^T) K1,
+    the left translate of the base problem, so every point adopts xi."""
     logs = logs + [LogResult(None, math.inf, math.inf)] * (len(sample.points) - len(logs))
     converged = [log for log in logs if log.converged]
     if not converged:
@@ -1118,16 +1124,22 @@ def _so_frame(
     return x, slots
 
 
+def _slot_log(R: np.ndarray, slots: list[tuple[int, ...]]) -> np.ndarray:
+    """The log L of the rotations of R within the row pairs `slots`, each
+    angle in [-pi, pi]: R = exp(L) wherever R rotates within each slot and
+    fixes every other row."""
+    L = np.zeros_like(R)
+    for a, b in slots:
+        L[b, a] = math.atan2(R[b, a] - R[a, b], R[a, a] + R[b, b])
+        L[a, b] = -L[b, a]
+    return L
+
+
 def _so_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, L) for a real model: x the frame of `_so_frame` that fills K1's
     torus planes first, and L the log of x^T k x on x's column planes."""
     x, slots = _so_frame(model, k, model.k1_factors)
-    R = x.T @ k @ x
-    L = np.zeros((model.n, model.n))
-    for a, b in slots:
-        L[b, a] = math.atan2(R[b, a] - R[a, b], R[a, a] + R[b, b])
-        L[a, b] = -L[b, a]
-    return x, L
+    return x, _slot_log(x.T @ k @ x, slots)
 
 
 def _assignments(classes: list[tuple[int, ...]], free: tuple[int, ...]) -> list[dict[int, int]]:
@@ -1153,17 +1165,34 @@ def _su_frame(kc: np.ndarray) -> np.ndarray:
 
 def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, L) for a unitary model, both realified: x in SU(m) with
-    eigenvectors of k as columns, and L = i diag(phi), traceless, with
-    exp(L) = x^H k x k1 for some k1 in K1's torus, chosen for the shortest
-    m1 part found.
+    eigenvectors of k as columns, the eigenvectors of `_su_frame` in the
+    order `_su_phase_log` chooses, and its L = i diag(phi), with exp(L) =
+    x^H k x k1 for some k1 in K1's torus."""
+    kc = complexify(k)
+    vecs = _su_frame(kc)
+    alpha = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), kc, vecs))
+    perm, phi = _su_phase_log(model, alpha, reorder=True)
+    x = vecs[:, perm]
+    x[:, 0] /= np.linalg.det(x)
+    return realify(x), realify(np.diag(1j * phi))
 
-    The columns are the eigenvectors of `_su_frame`.  The m1 part
-    of L depends on phi only through the phase sum of each SU block of K1
-    (the traceless rest lies in the block) and only up to multiples of the
-    circle's speeds a; so each single column and each block is one unit u
-    with a phase sum, and the search runs over
-    - the assignments of eigenphases to columns, up to reordering within a
-      block or within the single columns of one speed;
+
+def _su_phase_log(
+    model: GroupModel, alpha: np.ndarray, reorder: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phi) for the eigenphases alpha of a unitary, in the order of
+    its eigenvector columns: phi the column phases of L = i diag(phi),
+    traceless, with exp(L) = D k1 for D = diag(e^{i alpha[perm]}) (the
+    unitary in the frame of its columns reordered by perm) and some k1 in
+    K1's torus, chosen for the shortest m1 part found; with reorder False,
+    perm keeps the given order.
+
+    The m1 part of L depends on phi only through the phase sum of each SU
+    block of K1 (the traceless rest lies in the block) and only up to
+    multiples of the circle's speeds a; so each single column and each
+    block is one unit u with a phase sum, and the search runs over
+    - the assignments of eigenphases to columns (reorder only), up to
+      reordering within a block or within the single columns of one speed;
     - the circle angle t: one per interval on which every unit's sum
       alpha_u + s_u t (s_u = a on a single column, c a on a block of c
       columns) keeps one principal value in [-pi, pi];
@@ -1172,9 +1201,6 @@ def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndar
       increase of the m1 norm.
     A block's sum is spread evenly over its columns."""
     m = model.complex_size
-    kc = complexify(k)
-    vecs = _su_frame(kc)
-    alpha = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), kc, vecs))
     singles, blocks = _split_columns(model, model.k1_factors)
     circle = next((f for f in model.k1_factors if f.kind == "circle"), None)
     speeds = model.circle_phases if circle else np.zeros(m)
@@ -1187,10 +1213,16 @@ def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndar
     E[np.arange(m), np.arange(m), np.arange(m)] = 1j
     M = W @ model.m1_coords(realify(E))  # unit sums -> m1 coordinates
     Q = M @ M.T  # the squared m1 norm on unit sums that add up to 0
-    classes = blocks + [
-        tuple(j for j in singles if speeds[j] == a) for a in sorted({speeds[j] for j in singles})
-    ]
-    perms = np.array([[a[j] for j in range(m)] for a in _assignments(classes, tuple(range(m)))])
+    if reorder:
+        classes = blocks + [
+            tuple(j for j in singles if speeds[j] == a)
+            for a in sorted({speeds[j] for j in singles})
+        ]
+        perms = np.array(
+            [[a[j] for j in range(m)] for a in _assignments(classes, tuple(range(m)))]
+        )
+    else:
+        perms = np.arange(m)[None]
     sums = alpha[perms] @ S.T  # (assignments, units)
     s = S @ speeds
     if circle is None:
@@ -1221,9 +1253,7 @@ def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndar
         cost[rows] += rise[np.arange(len(rows)), u]
         excess[rows] += np.sign(d[:, 0])
     best = int(np.argmin(cost))
-    x = vecs[:, perms[best // C]]
-    x[:, 0] /= np.linalg.det(x)
-    return realify(x), realify(np.diag(1j * (T[best] @ W)))
+    return perms[best // C], T[best] @ W
 
 
 def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets, LogResult]:
@@ -1251,3 +1281,102 @@ def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets, Log
     if resid < tol:
         return Cosets(model, x[None]), LogResult(xi, float(np.linalg.norm(c)), resid)
     return Cosets(model, x[None]), LogResult(None, math.inf, resid)
+
+
+# --- central logs ------------------------------------------------------------------
+
+
+def central_log(gamma: Isometry, tol: float = COSET_TOL) -> LogResult:
+    """The log at the base coset of a central isometry gamma = z . k2 (z
+    central, k2 in K2), in closed form: xi in m1 with exp(xi) in g K1, g =
+    z k2^T, so that x exp(xi) K1 = x g K1 = gamma(x K1) at every point x
+    (`share_logs` checks that point by point).  A frame x0 of g taken
+    block by block of K (`_su_central_log`, `_so_central_log`) makes R =
+    x0^-1 g x0 a torus element, L its torus log modulo K1, and xi =
+    Ad(x0) (m1 part of L), with upper bound ||xi||; converged only when
+    exp(xi) reaches g K1 with a chord upper value below tol.  It draws no
+    random numbers.
+
+    Why exp(xi) lies in g K1:
+    - x0 normalizes K1.  g is block-diagonal in K's blocks (z is scalar
+      and k2 is in K2), so x0 is too, with det 1 on each block: x0 lies
+      in K's SU or SO blocks, so in K = K1 K2, whose factors commute; so
+      x0 K1 x0^-1 = K1, Ad(x0) keeps k1 and, as it keeps the Killing form,
+      m1 = k1-perp.
+    - L's k1 part commutes with its m1 part and exponentiates into K1.
+      On a unitary model L is diagonal.  k1 is a sum of weight spaces of
+      the diagonal torus t (its blocks lie on coordinate columns and its
+      circle is diagonal), and those of nonzero weight are Killing-
+      orthogonal to t, so L's k1 part lies in t1 = k1 n t: diagonal, so
+      it commutes with L, and exp(t1) lies in K1.  On a real model L is a
+      sum of rotations in disjoint coordinate planes, which are Killing-
+      orthogonal, so its k1 part is the sum of those within K1's rows:
+      they commute with the rest and exponentiate into K1's SO block.
+      So exp(m1 part) = exp(L) exp(-k1 part) lies in exp(L) K1 = R K1,
+      and exp(xi) = x0 exp(m1 part) x0^-1 lies in x0 R K1 x0^-1 = g K1.
+    - The half-turn pairing is valid on real models.  A real model's K is
+      SO(p) x SO(q) on the rows, and z = -1 is not in K when p and q are
+      odd: on each odd block, g has det -1 and an odd number of -1 lines,
+      so one is left over after pairing within the block.  The leftover
+      lines of distinct blocks are paired into half-turn planes: such a
+      plane spans one row of each of two blocks, so its generator is
+      Killing-orthogonal to k and lies in m, inside m1.  As det g = 1,
+      the leftover lines are even in number and all are paired, so R
+      rotates within the slots and exp(L) = R."""
+    model = gamma.model
+    g = gamma.apply(base_point(model)).reps[0]
+    x0, L = (_su_central_log if model.complex_size else _so_central_log)(model, g)
+    c = model.m1_coords(x0 @ model.project_m1(L) @ x0.T)
+    xi = model.from_m1_coords(c)
+    end = matrix_exp(xi)
+    k = _k_star_batch(model, end[None], g, model.k1_factors)[0][0]
+    resid = float(np.linalg.norm(end @ k - g))  # the chord upper value
+    if resid < tol:
+        return LogResult(xi, float(np.linalg.norm(c)), resid)
+    return LogResult(None, math.inf, resid)
+
+
+def _su_central_log(model: GroupModel, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, L) of `central_log` on a unitary model, both realified: x0 the
+    eigenvectors of `_su_frame` on each SU block of K (scaled to det 1) and
+    the identity on the single columns, and L the `_su_phase_log` of x0^H g
+    x0 in the frame's order.  Reordering the eigenvectors within a block
+    of K leaves the m1 part unchanged (on a block of K1 only the phase sum
+    enters; a block of K2 holds single columns of one circle speed, since
+    the circle commutes with the block), so no order is searched."""
+    gc = complexify(g)
+    x0 = np.eye(model.complex_size, dtype=complex)
+    for f in model.k1_factors + model.k2_factors:
+        if f.kind == "su":
+            ix = np.ix_(f.cols, f.cols)
+            v = _su_frame(gc[ix])
+            v[:, 0] /= np.linalg.det(v)
+            x0[ix] = v
+    alpha = np.angle(np.einsum("ij,ik,kj->j", x0.conj(), gc, x0))
+    phi = _su_phase_log(model, alpha, reorder=False)[1]
+    return realify(x0), realify(np.diag(1j * phi))
+
+
+def _so_central_log(model: GroupModel, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, L) of `central_log` on a real model: on each SO block of K, x0
+    holds the invariant pieces of g's block (`_invariant_pieces`: paired
+    -1 lines, rotation planes, paired fixed lines, then any fixed line and
+    any -1 line left over), in slots of consecutive rows, with its last
+    column reversed if the block's det is -1.  The leftover -1 lines of
+    the blocks are paired into half-turn slots across blocks, and L is the
+    `_slot_log` of x0^T g x0."""
+    x0 = np.zeros((model.n, model.n))
+    slots, halves = [], []
+    for f in model.k1_factors + model.k2_factors:
+        rows = f.cols
+        planes, plus, minus = _invariant_pieces(g[np.ix_(rows, rows)])
+        pm, pp = len(minus) // 2 * 2, len(plus) // 2 * 2
+        cols = [*minus[:pm], *(v for _, P in planes for v in P.T), *plus]
+        x = np.column_stack(cols + minus[pm:])
+        if np.linalg.det(x) < 0:
+            x[:, -1] = -x[:, -1]  # reverses one plane's angle, or a line
+        x0[np.ix_(rows, rows)] = x
+        slots += [rows[i : i + 2] for i in range(0, pm + 2 * len(planes) + pp, 2)]
+        halves += [rows[-1]] * (pm < len(minus))
+    slots += [tuple(halves[i : i + 2]) for i in range(0, len(halves) - 1, 2)]
+    return x0, _slot_log(x0.T @ g @ x0, slots)

@@ -395,18 +395,18 @@ def test_verify_huge_tol_coset_ends_with_a_verdict():
 
 
 def test_verify_job_makes_one_lm_call(monkeypatch):
-    # every Riemannian log of a job shares one lockstep solve: 3 round
-    # trips and the base point of each central profile, whose log the
-    # profile's other points share (the bound-ordering pairs take their
-    # upper bound from a smart start's curve, the noncentral profiles
-    # from a torus witness, and fixed fibers come in closed form)
-    calls = []
+    # the one lockstep solve of a job holds its 3 log round trips alone,
+    # each with 1 + restarts starts: the central profiles take their base
+    # point's log in closed form and share it, the bound-ordering pairs
+    # take their upper bound from a smart start's curve, the noncentral
+    # profiles from a torus witness, and fixed fibers come in closed form
+    problems = []
     pairs = []
     real_lm, real_logs = homspace._lm, homspace.riemannian_logs
 
-    def counting_lm(*args, **kwargs):
-        calls.append(1)
-        return real_lm(*args, **kwargs)
+    def counting_lm(residuals, jacobians, C0, *args, **kwargs):
+        problems.append(len(C0))
+        return real_lm(residuals, jacobians, C0, *args, **kwargs)
 
     def counting_logs(xs, ys, *args, **kwargs):
         pairs.append(len(xs))
@@ -416,8 +416,8 @@ def test_verify_job_makes_one_lm_call(monkeypatch):
     monkeypatch.setattr(homspace, "riemannian_logs", counting_logs)
     code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     assert code == 0
-    assert len(calls) == 1
-    assert pairs == [3 + 2]
+    assert pairs == [3]
+    assert problems == [3 * (1 + 1)]
 
 
 def test_verify_job_checks_orthogonality_once_per_stack(monkeypatch):
@@ -472,10 +472,19 @@ def test_verify_job_makes_no_logm_call(monkeypatch):
     assert calls == []
 
 
-def test_verify_so8_log_solve_stops_before_the_step_cap(monkeypatch):
-    # the job's one lockstep log solve, of the round trips and the central
-    # base points, stops before the _LM_MAX_ITER cap; this seed is one where
-    # a crawling start once held the whole solve to the cap
+@pytest.mark.parametrize(
+    "case, seed",
+    [
+        # a crawling start once held the whole solve to the cap
+        ("so8-so3so5--k1-0so3", 2),
+        # a restart of central-1's base-point log ran to the cap at
+        # residual 1.7e-5 while that log came from the solver
+        ("su3-hopf", 8688),
+    ],
+)
+def test_verify_log_solve_stops_before_the_step_cap(monkeypatch, case, seed):
+    # the job's one lockstep log solve, of the round trips, stops before
+    # the _LM_MAX_ITER cap
     steps = []
     real_lm = homspace._lm
 
@@ -492,7 +501,7 @@ def test_verify_so8_log_solve_stops_before_the_step_cap(monkeypatch):
 
     monkeypatch.setattr(homspace, "_lm", counting_lm)
     monkeypatch.setattr(homspace, "_LM_SLICE", 10**6)  # no step splits its calls
-    code, _ = payload_for(["verify", "so8-so3so5--k1-0so3", "--seed", "2"])
+    code, _ = payload_for(["verify", case, "--seed", str(seed)])
     assert code == 0
     # the one solve of many problems is the job's riemannian_logs call
     [log_steps] = [n for p, n in steps if p > 1]
@@ -700,8 +709,8 @@ def test_failure_lines_name_claims():
         (["verify", "su3-hopf", "--seed", "-1"], "--seed must be at least 0"),
         (["catalog", "--rank-cap", "25"], "--rank-cap"),
         (["catalog", "--rank-cap", "1000000000"], "--rank-cap"),
-        # a central profile's log with no restart rests on a smart start
-        # that never moves when z = -1
+        # the floor of 1 stays, though only the log round trips take
+        # restarts now
         (["verify", "so6-stiefel", "--restarts", "0"], "--restarts must be at least 1"),
         # caps from above: the LM stack grows with the restarts and the
         # chord stack with the samples

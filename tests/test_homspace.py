@@ -48,6 +48,7 @@ from isofib.homspace import (
     _su2_procrustes,
     _torus_witness,
 )
+from isofib.dynkin import CatalogConfig, catalog
 from isofib.liealg import build_model, complexify, find_record, matrix_exp, realify
 
 
@@ -1243,6 +1244,67 @@ def test_witness_report_never_claims_constancy(su3):
     # a witness that cannot meet the coset tolerance gives no upper bound
     rep = homspace.witness_report(sample, lowers, tol=1e-300)
     assert (rep.verdict, rep.gap) == ("inconclusive", -math.inf)
+
+
+# --- central logs ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case_id",
+    [
+        "so8-so3so5--k1-0so3",  # z = -1 and K1 = SO(3): a half turn across the blocks
+        "su3-su1u2--k1-t1",  # K1 = a circle
+        "su3-hopf",  # K1 = SU(2)
+    ],
+)
+def test_central_log_reaches_the_image_in_closed_form(case_id, monkeypatch):
+    # the base point's log of gamma = z k2 lies in m1 and reaches g K1, g
+    # = z k2^T, so that every sampled point adopts it; it draws no random
+    # numbers
+    model = model_for(case_id)
+    rng = np.random.default_rng(43)
+    z = model.center_elements[1]
+    gamma = Isometry(model, left=z, right=sample_subgroup_element(model, model.k2_factors, rng))
+    sample = homspace.sample_profile(gamma, n_samples=8, seed=14)
+    state = np.random.get_state()[1].copy()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random numbers drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    log = homspace.central_log(gamma)
+    monkeypatch.undo()
+    assert np.array_equal(np.random.get_state()[1], state)
+    assert log.converged and log.residual < 1e-10
+    assert np.linalg.norm(log.xi - model.project_m1(log.xi)) < 1e-12
+    assert log.upper == pytest.approx(math.sqrt(model.kappa_ip(log.xi, log.xi)), rel=1e-12)
+    g = gamma.apply(base_point(model))
+    assert chord(model, Cosets(model, matrix_exp(log.xi)[None]), g)[1] < 1e-10
+    shared = share_logs(sample, [log])
+    assert shared[0] is log
+    for i, own in enumerate(shared):
+        p, q = sample.points[i : i + 1], sample.images[i : i + 1]
+        assert own.converged and own.xi is log.xi and own.upper == log.upper
+        assert chord(model, geodesic(p, log.xi, 1.0), q)[1] < 1e-10
+    lowers = distance_lower_bound(sample.points, sample.images).tolist()
+    assert homspace.profile_report(sample, shared, lowers).verdict == "constant-within-tol"
+
+
+def test_central_log_reaches_every_point_up_to_su5_and_so10():
+    # every model record of rank at most 4 (SU(3) to SU(5), SO(6) to
+    # SO(10)) and every center element: the shared log reaches the image
+    # coset at every sampled point
+    records = [r for r in catalog(CatalogConfig(rank_cap=4)).records if r.model_available]
+    assert len(records) == 26
+    rng = np.random.default_rng(44)
+    for rec in records:
+        model = build_model(rec)
+        for i, z in enumerate(model.center_elements):
+            k2 = sample_subgroup_element(model, model.k2_factors, rng)
+            gamma = Isometry(model, left=z, right=k2)
+            sample = homspace.sample_profile(gamma, n_samples=6, seed=15)
+            shared = share_logs(sample, [homspace.central_log(gamma)])
+            assert all(log.converged for log in shared), (rec.slug, i)
 
 
 # --- fixed fibers -----------------------------------------------------------------------

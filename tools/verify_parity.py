@@ -66,8 +66,9 @@ CATALOG_SET = (
 # its upper bounds came from multistart logs at Haar points), and at 1, 4242
 # and 5100, as su3-hopf at 6336 and 11, under the chord lower bound.
 # so8-so3so5--k1-0so3 at 1988, 3609, 4166 and 9292 and the last two
-# so6-stiefel seeds are restart-luck seeds, where a change of solver
-# iterates is most likely to flip a displacement verdict.  The next three
+# so6-stiefel seeds are where restart luck once decided the central
+# verdict: the closed-form central log must keep it there, and the round
+# trips, which still take restarts, must keep theirs.  The next three
 # cases cover the block shapes of `liealg.build_model` that the others leave
 # out: two SU blocks, an SU(3) block, and K1 as the second block.  The next
 # two have K1 with an SU(3) block and no circle: their k2-left profiles
@@ -90,9 +91,8 @@ VERIFY_SET = tuple(
             (5100, 1803, 8206, 1, 2, 17, 333, 4242, 7777, 1988, 3609, 4166, 9292)
             + (9, 10, 11, 29, 9980, 6205, 9906, 9094),
         ),
-        # at 8688 one restart of central-1's base-point log runs to the
-        # step cap at residual 1.7e-5: the request where a change to the
-        # solver's stop would first change its iterates
+        # at 8688 a solved central-1 base-point log once crawled to the
+        # step cap: the closed-form central log must pass there
         ("su3-hopf", (1705, 6869, 6336, 11, 5100, 8688)),
         ("su3-su1u2--k1-t1", (3546, 1046, 2454, 4651, 4805, 7656, 77, 901)),
         ("so6-stiefel", (7991, 9215, 7294, 9042, 2298, 1177, 25, 3139, 3370, 8743)),
@@ -116,6 +116,13 @@ VERIFY_SET = tuple(
         ("so10-so3so7--k1-0so3", (1, 2, 3)),
         ("so12-so3so9--k1-0so3", (1, 2, 3)),
         ("so18-so9so9--k1-0so9", (1,)),
+        # central shapes the others leave out, for the closed-form central
+        # log: K1 = SO(5) (z = -1 pairs two SO(5) blocks' -1 lines), K1 =
+        # SU(2) x SU(2) with K2 the circle, and K1 the circle with K2 =
+        # SU(2) x SU(2)
+        ("so10-so5so5--k1-0so5", (1,)),
+        ("su4-su2u2--k1-0a1-1a1", (1,)),
+        ("su4-su2u2--k1-t1", (1,)),
     )
     for seed in seeds
 )
