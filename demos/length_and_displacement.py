@@ -43,7 +43,7 @@ center = model.center_elements[1]
 vertical = sample_subgroup_element(model, model.k2_factors, rng)
 
 iso = Isometry(model, left=center, right=vertical, label="central x vertical")
-report = displacement_profile(iso, n_samples=12, seed=1, restarts=4)
+report = displacement_profile(iso, n_samples=12, seed=1)
 print(f"\n{iso.label}: verdict {report.verdict}")
 print(f"  relative spread of upper bounds: {report.rel_spread:.2e}")
 
@@ -52,7 +52,7 @@ print(f"  relative spread of upper bounds: {report.rel_spread:.2e}")
 # point's lower bound and another's upper bound
 k1_elem = sample_subgroup_element(model, model.k1_factors, rng)
 iso = Isometry(model, left=k1_elem, label="left isotropy rotation")
-report = displacement_profile(iso, n_samples=12, seed=1, restarts=4)
+report = displacement_profile(iso, n_samples=12, seed=1)
 print(f"\n{iso.label}: verdict {report.verdict}")
 print(f"  min upper {min(report.uppers):.3f}, max lower {max(report.lowers):.3f}")
 print(f"  certified gap: {report.gap:.3f}")

@@ -78,7 +78,6 @@ class RunConfig:
     case_id: str = ""
     seed: int = 42
     samples: int = 16
-    restarts: int = 2
     fmt: str = "text"
     out: str = ""
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
@@ -93,11 +92,10 @@ class ConfigError(Exception):
     pass
 
 
-# Upper caps of verify's sizes: a job's LM stack holds one problem per
-# (log, start), and its chord stack about 4 x samples points, each with a
-# grid of 256 angles per column on a circle model.
+# The upper cap of verify's samples: a job's chord stack holds about 4 x
+# samples points, each with a grid of 256 angles per column on a circle
+# model.
 MAX_SAMPLES = 1024
-MAX_RESTARTS = 64
 
 
 # --- checks ---------------------------------------------------------------------
@@ -141,8 +139,9 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     def add(name: str, claim: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "claim": claim, "passed": bool(passed), "detail": detail})
 
-    # structural package (build_model already validated; re-derive residual)
-    nr = liealg.natural_reductivity_check(model)
+    # structural package (build_model already validated; the residual is
+    # computed once per model)
+    nr = model.natural_reductivity_residual
     add(
         "natural-reductivity",
         "normal-metric-naturally-reductive",
@@ -197,9 +196,10 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
         f"max base-coset residual {_solver_value(worst)} along the vertical geodesic",
     )
 
-    # the log round trips are drawn first and solved in one lockstep call.
-    # Each central profile takes its base point's log in closed form,
-    # which `share_logs` carries to the other points.  Each bound-ordering
+    # the log round trips are drawn first and solved in one lockstep call,
+    # one problem each from its smart start.  Each central profile takes
+    # its base point's log in closed form, which `share_logs` carries to
+    # the other points.  Each bound-ordering
     # pair (x, y) takes its smart start xi0 as the upper bound ||xi0||, the
     # length of the curve x exp(t xi0) K1, and the lower bound of that
     # curve's end.  The lower bounds of those ends and of every profile
@@ -225,7 +225,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     central, noncentral = samples[:2], samples[2:]
     xs = homspace.concat(roundtrip)
     ys = homspace.geodesic(xs, np.array(xis), 1.0)
-    logs = homspace.riemannian_logs(xs, ys, [cfg.seed] * len(xs), cfg.restarts, tol["coset"])
+    logs = homspace.riemannian_logs(xs, ys, tol["coset"])
     firsts = ends[0::2]
     starts = homspace.smart_starts(firsts, ends[1::2])
     curve_ends = homspace.geodesic(firsts, model.from_m1_coords(starts), 1.0)
@@ -238,7 +238,7 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     central_logs = [homspace.central_log(s.gamma, tol["coset"]) for s in central]
     central_reports = [
         homspace.profile_report(
-            s, homspace.share_logs(s, [log], tol["coset"]), low, tol["constant"], tol["gap"]
+            s, homspace.share_logs(s, log, tol["coset"]), low, tol["constant"], tol["gap"]
         )
         for s, log, low in zip(central, central_logs, sample_lowers)
     ]
@@ -412,10 +412,7 @@ def _selfcheck_checks(cfg: RunConfig) -> list[dict]:
     try:
         su3 = liealg.build_model(liealg.find_record("su3-hopf"))
         so6 = liealg.build_model(liealg.find_record("so6-stiefel"))
-        nr = max(
-            liealg.natural_reductivity_check(su3),
-            liealg.natural_reductivity_check(so6),
-        )
+        nr = max(su3.natural_reductivity_residual, so6.natural_reductivity_residual)
         add(
             "model-validation",
             "concrete-models-satisfy-structural-invariants",
@@ -660,9 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=RunConfig.seed)
         sp.add_argument("--samples", type=int, default=RunConfig.samples)
-        sp.add_argument("--restarts", type=int, default=RunConfig.restarts,
-                        help="extra seeded starts of each of verify's three log round "
-                             "trips (the central profiles' logs come in closed form)")
         sp.add_argument(
             "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
         )
@@ -712,7 +706,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         case_id=getattr(args, "case_id", ""),
         seed=args.seed,
         samples=args.samples,
-        restarts=args.restarts,
         fmt=args.fmt,
         out=args.out,
         tolerances=tolerances,
@@ -743,13 +736,6 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"--samples must be at least 2, got {cfg.samples}")
     if cfg.samples > MAX_SAMPLES:
         raise ConfigError(f"--samples must be at most {MAX_SAMPLES}, got {cfg.samples}")
-    if cfg.restarts < 1:
-        # only the log round trips take restarts; the floor of 1 keeps the
-        # meaning every accepted request has had until what the restarts
-        # are for is settled
-        raise ConfigError(f"--restarts must be at least 1, got {cfg.restarts}")
-    if cfg.restarts > MAX_RESTARTS:
-        raise ConfigError(f"--restarts must be at most {MAX_RESTARTS}, got {cfg.restarts}")
     if cfg.rank_cap < 1:
         raise ConfigError(f"--rank-cap must be at least 1, got {cfg.rank_cap}")
     if cfg.command == "catalog":

@@ -20,8 +20,9 @@ the ambient Frobenius form), batched over point pairs.  A profile is
 reported constant-within-tol, certified-nonconstant (some point's upper
 bound lies below another point's lower bound), or inconclusive.  A
 profile that may turn out constant (`profile_report`) takes an upper bound
-at every sampled point from a Riemannian log: a multistart one, or the
-shared closed-form `central_log` of a central isometry.  A left
+at every sampled point from a Riemannian log: the closed-form
+`central_log` of a central isometry, carried to every point, or one
+solved per point from its smart start.  A left
 translation predicted nonconstant (`witness_report`) takes one upper
 bound, at a closed-form torus witness point (`_torus_witness`): there x^-1
 k x lies in a maximal torus that contains one of K1, and what K1's torus
@@ -48,11 +49,11 @@ calls of at most `_LM_SLICE` points, and takes and reduces the Jacobians
 to J^T J and J^T F in stacks of at most `_LM_SLICE` (problem, column)
 pairs; a problem stops at the latest once its residual is at most 1e-6
 times the tolerance of its solve.
-`riemannian_logs` solves the (pair, start) problems of any number of
-point pairs in one `_lm` call, starting each pair from its smart start
-(`smart_starts`: the m1 part of one batched real log, `_orthogonal_log`,
-of the chord-aligned difference) and seeded perturbations of it: a
-verify job passes it its three log round trips.  A central isometry
+`riemannian_logs` solves one problem per point pair, any number of pairs
+in one `_lm` call, each from its smart start (`smart_starts`: the m1
+part of one batched real log, `_orthogonal_log`, of the chord-aligned
+difference); it draws no random numbers.  A verify job passes it its
+three log round trips.  A central isometry
 z . k2 poses the base point's problem at every point, and `central_log`
 solves that one in closed form, from a frame of z k2^T taken block by
 block of K and the torus log of the witnesses.  A bound-ordering
@@ -66,10 +67,9 @@ Each batch of Haar points is one stack (`haar_points`, over `haar_matrices`)
 from one normal draw and one stacked QR, laid out so that a batch reads
 the stream, and gets the points, that batches of one read in turn.
 A log is converged when it holds an explicit xi (`LogResult.converged`).
-`share_logs` offers a profile's shortest converged log (on a verify
-job's central profiles, the `central_log` of the base point) to each of
-its points, which adopt it where it also reaches the image coset and is
-shorter than their own, if any.  Every per-problem operation, the matrix
+`share_logs` carries a profile's base-point log (on a central profile,
+its `central_log`) to each of its points, which take it where it also
+reaches the image coset.  Every per-problem operation, the matrix
 exponential included, acts on that problem's rows alone, so a pair's
 result does not depend on the problems it is solved with.  The module
 needs numpy alone: the reversal certificates and the SO torus witnesses
@@ -704,7 +704,7 @@ def _orthogonal_log(W: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LogResult:
     """A Riemannian log: xi with upper bound ||xi||, or xi None and upper
-    inf when no start reached the image coset; converged means xi is
+    inf when it did not reach the image coset; converged means xi is
     explicit."""
 
     xi: np.ndarray | None
@@ -751,64 +751,30 @@ def smart_starts(xs: Cosets, ys: Cosets) -> np.ndarray:
     return model.m1_coords(_orthogonal_log(np.swapaxes(U, 1, 2) @ V @ np.swapaxes(K, 1, 2)))
 
 
-def riemannian_logs(
-    xs: Cosets,
-    ys: Cosets,
-    seeds: list[int],
-    restarts: int,
-    tol: float = COSET_TOL,
-) -> list[LogResult]:
-    """The multistart log of `riemannian_log` for every pair (xs[i], ys[i])
-    of points of one model, pair i drawing its restarts from seeds[i].  The
-    len(xs) x (1 + restarts) (pair, start) problems are solved in one
-    lockstep `_lm` call, and each pair's result is, bit for bit, the one it
-    gets when solved alone.  Each pair starts from its `smart_starts` value
-    and restarts seeded perturbations of it; restarts = 0 keeps the smart
-    start alone, and a negative count raises ValueError.  A verify job
-    solves its log round trips here; a central profile's base point takes
-    `central_log` instead."""
-    if restarts < 0:
-        raise ValueError(f"restarts must be at least 0, got {restarts}")
-    model, U, V = xs.model, xs.reps, ys.reps
-    d = model.dim_m1
-    starts = []
-    for c0, seed in zip(smart_starts(xs, ys), seeds):
-        rng = np.random.default_rng(seed)
-        scale = max(float(np.linalg.norm(c0)), 0.5)
-        starts.append(c0)
-        starts += [c0 + rng.normal(scale=0.35 * scale, size=d) for _ in range(restarts)]
-    pair = np.repeat(np.arange(len(U)), 1 + restarts)
-    X, F = _lm(*_log_maps(model, U[pair], V[pair]), np.array(starts), tol)
-    X = X.reshape(len(U), 1 + restarts, d)
-    R = np.linalg.norm(F, axis=-1).reshape(len(U), 1 + restarts)
+def riemannian_logs(xs: Cosets, ys: Cosets, tol: float = COSET_TOL) -> list[LogResult]:
+    """The log of `riemannian_log` for every pair (xs[i], ys[i]) of points
+    of one model: one problem per pair, from its `smart_starts` value, all
+    solved in one lockstep `_lm` call, and each pair's result is, bit for
+    bit, the one it gets when solved alone.  A verify job solves its log
+    round trips here."""
+    model = xs.model
+    X, F = _lm(*_log_maps(model, xs.reps, ys.reps), smart_starts(xs, ys), tol)
     out = []
-    for coords, rs in zip(X, R):
-        conv = np.flatnonzero(rs < tol)
-        if not conv.size:
-            out.append(LogResult(xi=None, upper=math.inf, residual=float(rs.min())))
-            continue
-        # among converged starts keep the shortest: the bound can only
-        # improve with more restarts
-        norms = [float(np.linalg.norm(coords[j])) for j in conv]
-        j = conv[int(np.argmin(norms))]
-        xi = model.from_m1_coords(coords[j])
-        out.append(LogResult(xi=xi, upper=min(norms), residual=float(rs[j])))
+    for coords, r in zip(X, np.linalg.norm(F, axis=1)):
+        if r < tol:
+            xi = model.from_m1_coords(coords)
+            out.append(LogResult(xi, float(np.linalg.norm(coords)), float(r)))
+        else:
+            out.append(LogResult(None, math.inf, float(r)))
     return out
 
 
-def riemannian_log(
-    x: Cosets,
-    y: Cosets,
-    restarts: int,
-    seed: int,
-    tol: float = COSET_TOL,
-) -> LogResult:
-    """Multistart minimization of the coset residual chord(x exp(xi), y)
-    over xi in m1, x and y stacks of one point: the best xi, with upper
+def riemannian_log(x: Cosets, y: Cosets, tol: float = COSET_TOL) -> LogResult:
+    """Minimization of the coset residual chord(x exp(xi), y) over xi in
+    m1 from the smart start, x and y stacks of one point: xi with upper
     bound ||xi|| (the metric norm), converged only when the residual drops
-    below tol.  All restarts always run and the best result is kept, so
-    the bound is monotone nonincreasing in the restart budget for a seed."""
-    return riemannian_logs(x, y, [seed], restarts, tol)[0]
+    below tol."""
+    return riemannian_logs(x, y, tol)[0]
 
 
 def distance_lower_bound(xs: Cosets, ys: Cosets) -> np.ndarray:
@@ -850,14 +816,8 @@ class ProfileSample:
     plus seeded Haar points) and their images under the isometry."""
 
     gamma: Isometry
-    seed: int
     points: Cosets
     images: Cosets
-
-    @property
-    def log_seeds(self) -> list[int]:
-        """The restart seed of each point's log."""
-        return [self.seed + 1000 + i for i in range(len(self.points))]
 
 
 def sample_profile(gamma: Isometry, n_samples: int, seed: int) -> ProfileSample:
@@ -865,33 +825,25 @@ def sample_profile(gamma: Isometry, n_samples: int, seed: int) -> ProfileSample:
     rng = np.random.default_rng(seed)
     haar = haar_points(gamma.model, rng, max(n_samples - 1, 0)).reps
     points = Cosets(gamma.model, np.concatenate([np.eye(gamma.model.n)[None], haar]))
-    return ProfileSample(gamma, seed, points, gamma.apply(points))
+    return ProfileSample(gamma, points, gamma.apply(points))
 
 
-def share_logs(
-    sample: ProfileSample, logs: list[LogResult], tol: float = COSET_TOL
-) -> list[LogResult]:
-    """The logs of a sampled profile after sharing its shortest converged
-    log xi.  `logs` holds those of the first len(logs) points (verify
-    passes the base point's alone, its `central_log`).  Every point p where
-    xi also joins p to gamma(p) (chord upper value below tol, all points in
-    one `chord_to_coset` call) and is shorter than p's own log, if any,
-    adopts it as an explicit converged geodesic; a point with neither reads
-    as non-converged.  A central gamma = z k2 maps x K1 to x (z k2^T) K1,
-    the left translate of the base problem, so every point adopts xi."""
-    logs = logs + [LogResult(None, math.inf, math.inf)] * (len(sample.points) - len(logs))
-    converged = [log for log in logs if log.converged]
-    if not converged:
-        return logs
-    best = min(converged, key=lambda log: log.upper)
+def share_logs(sample: ProfileSample, log: LogResult, tol: float = COSET_TOL) -> list[LogResult]:
+    """The logs of a sampled profile carried from `log`, its base point's
+    log (the `central_log` of a central gamma): the base point keeps it,
+    and every other point p where its xi also joins p to gamma(p) (chord
+    upper value below tol, all points in one `chord_to_coset` call) takes
+    it as an explicit converged geodesic; the others read as
+    non-converged.  A central gamma = z k2 maps x K1 to x (z k2^T) K1, the
+    left translate of the base problem, so every point takes xi."""
+    if not log.converged:
+        return [log] + [LogResult(None, math.inf, math.inf)] * (len(sample.points) - 1)
     model = sample.gamma.model
-    U = sample.points.reps @ matrix_exp(best.xi)
+    U = sample.points.reps @ matrix_exp(log.xi)
     R = chord_to_coset(model, U, sample.images.reps, model.k1_factors).upper
-    return [
-        LogResult(best.xi, best.upper, float(r))
-        if r < tol and best.upper < log.upper
-        else log
-        for log, r in zip(logs, R)
+    return [log] + [
+        LogResult(log.xi, log.upper, float(r)) if r < tol else LogResult(None, math.inf, float(r))
+        for r in R[1:]
     ]
 
 
@@ -929,17 +881,22 @@ def displacement_profile(
     gamma: Isometry,
     n_samples: int,
     seed: int,
-    restarts: int,
     tol_constant: float = CONSTANT_SPREAD_TOL,
     tol_gap: float = GAP_TOL,
 ) -> DisplacementReport:
     """Per-point displacement bounds of the isometry over a seeded sample
-    (the identity coset plus Haar points), with the three-way verdict: the
-    logs of `riemannian_logs` after `share_logs` and the lower bounds of
-    `distance_lower_bound`, then `profile_report`."""
+    (the identity coset plus Haar points), with the three-way verdict.  A
+    central isometry (left factor None or one of the model's center
+    elements) takes its base point's `central_log`, which `share_logs`
+    carries to every point; any other takes the per-point logs of
+    `riemannian_logs`.  The lower bounds come from `distance_lower_bound`,
+    then `profile_report` gives the verdict."""
     sample = sample_profile(gamma, n_samples, seed)
-    logs = riemannian_logs(sample.points, sample.images, sample.log_seeds, restarts)
-    logs = share_logs(sample, logs)
+    left, centers = gamma.left, gamma.model.center_elements
+    if left is None or any(np.array_equal(left, z) for z in centers):
+        logs = share_logs(sample, central_log(gamma))
+    else:
+        logs = riemannian_logs(sample.points, sample.images)
     lowers = distance_lower_bound(sample.points, sample.images).tolist()
     return profile_report(sample, logs, lowers, tol_constant, tol_gap)
 

@@ -312,6 +312,12 @@ class GroupModel:
         return 1.0 / float(np.linalg.eigvalsh(E @ E.T)[-1])
 
     @cached_property
+    def natural_reductivity_residual(self) -> float:
+        """`natural_reductivity_check` of the model, computed once: a model
+        is read-only, and a process serves it request after request."""
+        return natural_reductivity_check(self)
+
+    @cached_property
     def circle_phases(self) -> np.ndarray:
         """Diagonal speeds a_j with exp(theta z) = diag(e^{i a_j theta}) for
         the circle generator z."""

@@ -229,11 +229,11 @@ def test_displacement_dichotomy(models):
                     made += 1
 
         for iso in central:
-            report = displacement_profile(iso, n_samples=16, seed=42, restarts=4)
+            report = displacement_profile(iso, n_samples=16, seed=42)
             assert report.verdict == "constant-within-tol", (model.name, iso.label)
             n_constant += 1
         for iso in noncentral:
-            report = displacement_profile(iso, n_samples=16, seed=42, restarts=4)
+            report = displacement_profile(iso, n_samples=16, seed=42)
             assert report.verdict == "certified-nonconstant", model.name
             n_certified += 1
     assert n_constant >= 20 and n_certified >= 20

@@ -27,7 +27,7 @@ def payload_for(argv):
     return cli.cmd_selfcheck(cfg)
 
 
-FAST_VERIFY = ["--samples", "10", "--restarts", "1"]
+FAST_VERIFY = ["--samples", "10"]
 
 
 # --- catalog ---------------------------------------------------------------------
@@ -382,7 +382,7 @@ def test_verify_displacement_honours_tol_coset():
 
 def test_verify_huge_tol_coset_ends_with_a_verdict():
     # a stopping floor of (1e-6 tol)^2 overflows a float above tol ~1e160
-    argv = ["verify", "su3-hopf", "--samples", "2", "--restarts", "1", "--tol-coset", "1e300"]
+    argv = ["verify", "su3-hopf", "--samples", "2", "--tol-coset", "1e300"]
     out = subprocess.run(
         [sys.executable, "-m", "isofib.cli", *argv],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -396,10 +396,10 @@ def test_verify_huge_tol_coset_ends_with_a_verdict():
 
 def test_verify_job_makes_one_lm_call(monkeypatch):
     # the one lockstep solve of a job holds its 3 log round trips alone,
-    # each with 1 + restarts starts: the central profiles take their base
-    # point's log in closed form and share it, the bound-ordering pairs
-    # take their upper bound from a smart start's curve, the noncentral
-    # profiles from a torus witness, and fixed fibers come in closed form
+    # one problem each: the central profiles take their base point's log
+    # in closed form and carry it, the bound-ordering pairs take their
+    # upper bound from a smart start's curve, the noncentral profiles from
+    # a torus witness, and fixed fibers come in closed form
     problems = []
     pairs = []
     real_lm, real_logs = homspace._lm, homspace.riemannian_logs
@@ -417,7 +417,7 @@ def test_verify_job_makes_one_lm_call(monkeypatch):
     code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
     assert code == 0
     assert pairs == [3]
-    assert problems == [3 * (1 + 1)]
+    assert problems == [3]
 
 
 def test_verify_job_checks_orthogonality_once_per_stack(monkeypatch):
@@ -433,9 +433,34 @@ def test_verify_job_checks_orthogonality_once_per_stack(monkeypatch):
     monkeypatch.setattr(homspace.Cosets, "__post_init__", counting)
     for samples in ("4", "16"):
         counts.append(0)
-        code, _ = payload_for(["verify", "su3-hopf", "--samples", samples, "--restarts", "1"])
+        code, _ = payload_for(["verify", "su3-hopf", "--samples", samples])
         assert code == 0
     assert counts[0] == counts[1] > 0
+
+
+def test_verify_computes_the_reductivity_residual_once_per_model(monkeypatch):
+    # a built model is cached and read-only, so two verifies of one record
+    # compute its natural-reductivity residual once, with one detail
+    from isofib import liealg
+
+    model = liealg.build_model(liealg.find_record("su3-hopf"))
+    model.__dict__.pop("natural_reductivity_residual", None)  # forget a cached value
+    calls = []
+    real = liealg.natural_reductivity_check
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(liealg, "natural_reductivity_check", counting)
+    details = []
+    for seed in ("1", "2"):
+        code, payload = payload_for(["verify", "su3-hopf", "--seed", seed, *FAST_VERIFY])
+        assert code == 0
+        [check] = [c for c in payload["checks"] if c["name"] == "natural-reductivity"]
+        details.append(check["detail"])
+    assert len(calls) == 1 and calls[0] is model
+    assert details[0] == details[1]
 
 
 def test_verify_job_makes_one_lower_bound_call(monkeypatch):
@@ -477,7 +502,7 @@ def test_verify_job_makes_no_logm_call(monkeypatch):
     [
         # a crawling start once held the whole solve to the cap
         ("so8-so3so5--k1-0so3", 2),
-        # a restart of central-1's base-point log ran to the cap at
+        # a random start of central-1's base-point log ran to the cap at
         # residual 1.7e-5 while that log came from the solver
         ("su3-hopf", 8688),
     ],
@@ -510,9 +535,9 @@ def test_verify_log_solve_stops_before_the_step_cap(monkeypatch, case, seed):
 
 @pytest.mark.parametrize("seed", [2, 1803])
 def test_verify_so8_central_constant_without_restart_luck(seed):
-    # at these seeds a restart converges at some points of central-0 to a
-    # shorter log than at the others; shared logs give every point the
-    # shortest one
+    # at these seeds, while central-0's logs came from the solver with
+    # random starts, some points reached a shorter log than others; the
+    # closed-form central log is one log, carried to every point
     _, payload = payload_for(["verify", "so8-so3so5--k1-0so3", "--seed", str(seed)])
     checks = {c["name"]: c for c in payload["checks"]}
     central = checks["displacement-central-constant"]
@@ -698,7 +723,8 @@ def test_failure_lines_name_claims():
         (["verify", "su3-hopf", "--tol-constant", "-0.5"], "--tol-constant"),
         (["verify", "su3-hopf", "--samples", "1"], "--samples"),
         (["verify", "su3-hopf", "--samples", "-3"], "--samples"),
-        (["verify", "su3-hopf", "--restarts", "-1"], "--restarts"),
+        # the option is gone: the parser itself rejects it
+        (["verify", "su3-hopf", "--restarts", "2"], "--restarts"),
         (["selfcheck", "--rank-cap", "0"], "--rank-cap"),
         # one rank-cap check for both commands that take the option
         (["catalog", "--family", "A", "--rank-cap", "0"], "--rank-cap"),
@@ -709,13 +735,7 @@ def test_failure_lines_name_claims():
         (["verify", "su3-hopf", "--seed", "-1"], "--seed must be at least 0"),
         (["catalog", "--rank-cap", "25"], "--rank-cap"),
         (["catalog", "--rank-cap", "1000000000"], "--rank-cap"),
-        # the floor of 1 stays, though only the log round trips take
-        # restarts now
-        (["verify", "so6-stiefel", "--restarts", "0"], "--restarts must be at least 1"),
-        # caps from above: the LM stack grows with the restarts and the
-        # chord stack with the samples
-        (["verify", "su3-hopf", "--restarts", "65"], "--restarts must be at most 64"),
-        (["verify", "su3-hopf", "--restarts", "100000000000"], "--restarts must be at most 64"),
+        # a cap from above: the chord stack grows with the samples
         (["verify", "su3-hopf", "--samples", "1025"], "--samples must be at most 1024"),
     ],
 )
@@ -725,7 +745,11 @@ def test_nonsensical_input_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_catalog", None)
     monkeypatch.setattr(cli, "cmd_verify", None)
     monkeypatch.setattr(cli, "cmd_selfcheck", None)
-    assert run_main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    try:
+        code = run_main(argv)
+    except SystemExit as exc:  # an option the parser does not know
+        code = exc.code
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(("error:", "isofib: error:")) and message in last
     assert not (tmp_path / "missing-dir").exists()

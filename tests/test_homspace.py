@@ -810,7 +810,7 @@ def test_log_roundtrip(su3, so6):
         c = rng.normal(size=model.dim_m1)
         xi = model.from_m1_coords(0.4 * c / np.linalg.norm(c))
         y = geodesic(x, xi, 1.0)
-        log = riemannian_log(x, y, restarts=2, seed=17)
+        log = riemannian_log(x, y)
         assert log.converged and log.residual < 1e-8
         assert log.upper == pytest.approx(0.4, abs=1e-6)
 
@@ -828,7 +828,7 @@ def test_log_matches_recorded_upper(case_id, seed, upper):
     model = model_for(case_id)
     rng = np.random.default_rng(seed)
     x, y = two_points(model, rng)
-    log = riemannian_log(x, y, restarts=2, seed=7)
+    log = riemannian_log(x, y)
     assert log.converged
     assert log.upper == pytest.approx(upper, rel=0, abs=1e-12)
 
@@ -837,19 +837,19 @@ def test_log_matches_recorded_upper(case_id, seed, upper):
     "case_id", ["su3-hopf", "so6-stiefel", "su3-su1u2--k1-t1", "so8-so3so5--k1-0so3"]
 )
 def test_profile_uppers_do_not_depend_on_the_batch(case_id):
-    # the profile solves all (point, start) problems in one lockstep stack;
-    # each must end exactly where its point's own log ends
+    # the profile solves its points' problems in one lockstep stack; each
+    # must end exactly where its point's own log ends
     model = model_for(case_id)
     rng = np.random.default_rng(35)
     gam = Isometry(model, left=sample_subgroup_element(model, model.k2_factors, rng))
-    seed, n, restarts = 9, 6, 2
-    report = displacement_profile(gam, n_samples=n, seed=seed, restarts=restarts)
+    seed, n = 9, 6
+    report = displacement_profile(gam, n_samples=n, seed=seed)
     prng = np.random.default_rng(seed)
     points = concat([base_point(model), haar_points(model, prng, n - 1)])
 
     def solo(i):
         p = points[i : i + 1]
-        return riemannian_log(p, gam.apply(p), restarts=restarts, seed=seed + 1000 + i).upper
+        return riemannian_log(p, gam.apply(p)).upper
 
     assert report.uppers == tuple(solo(i) for i in range(n))
 
@@ -862,21 +862,20 @@ def test_joint_logs_match_solo_logs(case_id):
     # in one lockstep call; each pair must end exactly where it ends alone
     model = model_for(case_id)
     rng = np.random.default_rng(36)
-    xs, ys, seeds = [], [], []
+    xs, ys = [], []
     for factors in (model.k1_factors, model.k2_factors):
         gam = Isometry(model, left=sample_subgroup_element(model, factors, rng))
         sample = homspace.sample_profile(gam, n_samples=3, seed=11)
         xs.append(sample.points)
         ys.append(sample.images)
-        seeds += sample.log_seeds
-    for seed in (5, 6):
+    for _ in range(2):
         xs.append(haar_points(model, rng, 1))
         ys.append(haar_points(model, rng, 1))
-        seeds.append(seed)
     xs, ys = concat(xs), concat(ys)
-    joint = homspace.riemannian_logs(xs, ys, seeds, restarts=2)
-    for i, (seed, log) in enumerate(zip(seeds, joint)):
-        solo = riemannian_log(xs[i : i + 1], ys[i : i + 1], restarts=2, seed=seed)
+    joint = homspace.riemannian_logs(xs, ys)
+    assert len(joint) == len(xs)
+    for i, log in enumerate(joint):
+        solo = riemannian_log(xs[i : i + 1], ys[i : i + 1])
         assert (log.upper, log.residual, log.converged) == (
             solo.upper,
             solo.residual,
@@ -987,26 +986,28 @@ def test_shared_logs_only_lower_uppers_by_converged_geodesics(case_id):
     samples = [homspace.sample_profile(gam, n_samples=8, seed=12) for gam in gammas]
     adopted = []
     for sample in samples:
-        logs = homspace.riemannian_logs(
-            sample.points, sample.images, sample.log_seeds, restarts=1
-        )
-        shared = share_logs(sample, logs)
-        adopted.append(sum(log is not own for own, log in zip(logs, shared)))
-        for i, (own, log) in enumerate(zip(logs, shared)):
+        logs = homspace.riemannian_logs(sample.points, sample.images)
+        # the central profile carries its closed-form base-point log, the
+        # others their base point's own log
+        base = homspace.central_log(sample.gamma) if sample is samples[0] else logs[0]
+        shared = share_logs(sample, base)
+        assert shared[0] is base
+        adopted.append(sum(log.converged for log in shared[1:]))
+        for i, log in enumerate(shared):
             p, q = sample.points[i : i + 1], sample.images[i : i + 1]
-            assert log.upper <= own.upper
-            if log is not own:
-                # an adopted log is a converged geodesic from p to q's coset
-                assert log.converged and log.residual < homspace.COSET_TOL
+            if log.converged:
+                # a carried log is a converged geodesic from p to q's coset
+                assert log.xi is base.xi and log.residual < homspace.COSET_TOL
                 assert log.upper == pytest.approx(model.m1_norm(log.xi), rel=1e-12)
                 assert chord(model, geodesic(p, log.xi, 1.0), q)[1] < homspace.COSET_TOL
         if sample is samples[0]:
             # a central isometry poses one problem at every point: the
-            # uppers agree
+            # uppers agree, and none is above the point's own solved log
             assert len({log.upper for log in shared}) == 1
-    # the central profile's points adopt its shortest log; away from its
-    # own point a non-central profile's shortest log misses the image coset
-    assert adopted[0] > 0 and adopted[1:] == [0, 0]
+            assert all(log.upper <= own.upper for own, log in zip(logs, shared))
+    # every point of the central profile takes its log; away from its own
+    # point a non-central profile's base log misses the image coset
+    assert adopted == [len(samples[0].points) - 1, 0, 0]
 
 
 @pytest.mark.parametrize("case_id", ["so6-stiefel", "su3-hopf"])
@@ -1021,11 +1022,12 @@ def test_base_point_log_reaches_every_point_only_for_a_central_isometry(case_id)
     noncentral = Isometry(model, left=sample_subgroup_element(model, model.k2_factors, rng))
     for gamma in (central, noncentral):
         sample = homspace.sample_profile(gamma, n_samples=8, seed=13)
-        base = homspace.riemannian_logs(
-            sample.points[:1], sample.images[:1], sample.log_seeds[:1], restarts=2
-        )
+        if gamma is central:
+            base = [homspace.central_log(gamma)]
+        else:
+            base = homspace.riemannian_logs(sample.points[:1], sample.images[:1])
         assert base[0].converged
-        shared = share_logs(sample, base)
+        shared = share_logs(sample, base[0])
         assert len(shared) == len(sample.points) and shared[0] is base[0]
         lowers = distance_lower_bound(sample.points, sample.images).tolist()
         report = homspace.profile_report(sample, shared, lowers)
@@ -1044,7 +1046,7 @@ def test_base_point_log_reaches_every_point_only_for_a_central_isometry(case_id)
 
 def test_log_of_same_point_is_zero(su3):
     x = haar_points(su3, np.random.default_rng(18), 1)
-    log = riemannian_log(x, x, restarts=1, seed=0)
+    log = riemannian_log(x, x)
     assert log.converged and log.upper < 1e-9
 
 
@@ -1052,25 +1054,9 @@ def test_log_fiber_arc_small(su3):
     # distance along the fiber: t = 0.3 of unit speed
     e = base_point(su3)
     y = Cosets(su3, matrix_exp((0.3 / 6.0) * su3.circle_mat)[None])
-    log = riemannian_log(e, y, restarts=2, seed=19)
+    log = riemannian_log(e, y)
     assert log.converged
     assert log.upper == pytest.approx(0.3, abs=1e-6)
-
-
-def test_riemannian_logs_rejects_negative_restarts(su3):
-    x, y = two_points(su3, np.random.default_rng(33))
-    with pytest.raises(ValueError, match="restarts"):
-        homspace.riemannian_logs(x, y, [0], restarts=-1)
-    # zero restarts keeps the smart start alone
-    assert homspace.riemannian_logs(x, x, [0], restarts=0)[0].converged
-
-
-def test_log_monotone_in_restarts(su3):
-    rng = np.random.default_rng(20)
-    x, y = two_points(su3, rng)
-    u_small = riemannian_log(x, y, restarts=0, seed=21).upper
-    u_big = riemannian_log(x, y, restarts=4, seed=21).upper
-    assert u_big <= u_small + 1e-12
 
 
 def test_log_never_reports_below_true_distance(su3):
@@ -1078,7 +1064,7 @@ def test_log_never_reports_below_true_distance(su3):
     rng = np.random.default_rng(22)
     for _ in range(5):
         x, y = two_points(su3, rng)
-        log = riemannian_log(x, y, restarts=2, seed=23)
+        log = riemannian_log(x, y)
         if log.converged:
             assert lower_bound(x, y) <= log.upper + 1e-9
 
@@ -1089,7 +1075,7 @@ def test_lower_bound_at_most_upper(su3, so6):
     for model in (su3, so6, model_for("su4-su1u3--k1-0a2")):
         for _ in range(5):
             x, y = two_points(model, rng)
-            log = riemannian_log(x, y, restarts=2, seed=25)
+            log = riemannian_log(x, y)
             if log.converged:
                 assert lower_bound(x, y) <= log.upper + 1e-9
 
@@ -1142,25 +1128,25 @@ def test_central_pair_constant(su3):
     omega = su3.center_elements[1]
     k2 = matrix_exp(0.7 * su3.circle_mat)
     gam = Isometry(su3, left=omega, right=k2, label="central")
-    rep = displacement_profile(gam, n_samples=12, seed=42, restarts=2)
+    rep = displacement_profile(gam, n_samples=12, seed=42)
     assert rep.verdict == "constant-within-tol"
     assert rep.rel_spread < 1e-6
 
 
 def test_right_translation_constant(su3, so6):
     gam = Isometry(su3, right=matrix_exp(0.9 * su3.circle_mat), label="r-circle")
-    rep = displacement_profile(gam, n_samples=12, seed=42, restarts=2)
+    rep = displacement_profile(gam, n_samples=12, seed=42)
     assert rep.verdict == "constant-within-tol"
     rng = np.random.default_rng(26)
     k2 = sample_subgroup_element(so6, so6.k2_factors, rng)
     rep = displacement_profile(
-        Isometry(so6, right=k2, label="r-so3"), n_samples=10, seed=42, restarts=2
+        Isometry(so6, right=k2, label="r-so3"), n_samples=10, seed=42
     )
     assert rep.verdict == "constant-within-tol"
 
 
 def test_identity_isometry_constant_zero(su3):
-    rep = displacement_profile(Isometry(su3, label="id"), n_samples=6, seed=1, restarts=1)
+    rep = displacement_profile(Isometry(su3, label="id"), n_samples=6, seed=1)
     assert rep.verdict == "constant-within-tol"
     assert max(rep.uppers) < 1e-9
 
@@ -1170,7 +1156,7 @@ def test_left_k1_translation_certified_nonconstant(su3, so6):
     for model in (su3, so6):
         k1 = sample_subgroup_element(model, model.k1_factors, rng)
         gam = Isometry(model, left=k1, label="k1-left")
-        rep = displacement_profile(gam, n_samples=10, seed=42, restarts=2)
+        rep = displacement_profile(gam, n_samples=10, seed=42)
         assert rep.verdict == "certified-nonconstant"
         # the identity coset is fixed, so the first upper bound vanishes
         assert rep.uppers[0] < 1e-9
@@ -1179,13 +1165,13 @@ def test_left_k1_translation_certified_nonconstant(su3, so6):
 
 def test_left_circle_translation_certified_nonconstant(su3):
     gam = Isometry(su3, left=matrix_exp(0.7 * su3.circle_mat), label="k2-left")
-    rep = displacement_profile(gam, n_samples=12, seed=42, restarts=2)
+    rep = displacement_profile(gam, n_samples=12, seed=42)
     assert rep.verdict == "certified-nonconstant"
 
 
 def test_displacement_bounds_ordered(su3):
     gam = Isometry(su3, left=su3.center_elements[1], label="central-left")
-    rep = displacement_profile(gam, n_samples=8, seed=3, restarts=2)
+    rep = displacement_profile(gam, n_samples=8, seed=3)
     for lo, up in zip(rep.lowers, rep.uppers):
         assert lo <= up + 1e-9
 
@@ -1280,7 +1266,7 @@ def test_central_log_reaches_the_image_in_closed_form(case_id, monkeypatch):
     assert log.upper == pytest.approx(math.sqrt(model.kappa_ip(log.xi, log.xi)), rel=1e-12)
     g = gamma.apply(base_point(model))
     assert chord(model, Cosets(model, matrix_exp(log.xi)[None]), g)[1] < 1e-10
-    shared = share_logs(sample, [log])
+    shared = share_logs(sample, log)
     assert shared[0] is log
     for i, own in enumerate(shared):
         p, q = sample.points[i : i + 1], sample.images[i : i + 1]
@@ -1303,8 +1289,35 @@ def test_central_log_reaches_every_point_up_to_su5_and_so10():
             k2 = sample_subgroup_element(model, model.k2_factors, rng)
             gamma = Isometry(model, left=z, right=k2)
             sample = homspace.sample_profile(gamma, n_samples=6, seed=15)
-            shared = share_logs(sample, [homspace.central_log(gamma)])
+            shared = share_logs(sample, homspace.central_log(gamma))
             assert all(log.converged for log in shared), (rec.slug, i)
+
+
+@pytest.mark.parametrize("case_id", ["so6-stiefel", "so8-so3so5--k1-0so3"])
+def test_central_profile_with_minus_one_takes_the_closed_form_log(case_id, monkeypatch):
+    # with z = -1 the smart start of a log never leaves the -1 eigenspace,
+    # so a solved log reaches no point; the profile of a central isometry
+    # carries its closed-form base-point log instead, and solves nothing
+    model = model_for(case_id)
+    z = model.center_elements[1]
+    assert np.array_equal(z, -np.eye(model.n))
+    k2 = sample_subgroup_element(model, model.k2_factors, np.random.default_rng(45))
+    calls = []
+    real_central, real_lm = homspace.central_log, homspace._lm
+
+    def counting_central(*args, **kwargs):
+        calls.append("central_log")
+        return real_central(*args, **kwargs)
+
+    def counting_lm(*args, **kwargs):
+        calls.append("_lm")
+        return real_lm(*args, **kwargs)
+
+    monkeypatch.setattr(homspace, "central_log", counting_central)
+    monkeypatch.setattr(homspace, "_lm", counting_lm)
+    report = displacement_profile(Isometry(model, left=z, right=k2), n_samples=10, seed=42)
+    assert report.verdict == "constant-within-tol"
+    assert calls == ["central_log"]
 
 
 # --- fixed fibers -----------------------------------------------------------------------

@@ -66,9 +66,9 @@ CATALOG_SET = (
 # its upper bounds came from multistart logs at Haar points), and at 1, 4242
 # and 5100, as su3-hopf at 6336 and 11, under the chord lower bound.
 # so8-so3so5--k1-0so3 at 1988, 3609, 4166 and 9292 and the last two
-# so6-stiefel seeds are where restart luck once decided the central
-# verdict: the closed-form central log must keep it there, and the round
-# trips, which still take restarts, must keep theirs.  The next three
+# so6-stiefel seeds are where the luck of random starts once decided the
+# central verdict: the closed-form central log must keep it there, and
+# the round trips, now one start each, must keep theirs.  The next three
 # cases cover the block shapes of `liealg.build_model` that the others leave
 # out: two SU blocks, an SU(3) block, and K1 as the second block.  The next
 # two have K1 with an SU(3) block and no circle: their k2-left profiles
