@@ -43,15 +43,14 @@ print(f"chord bounds on the endpoint: [{chord.lower[0]:.6f}, {chord.upper[0]:.6f
 
 # an orientation-reversing orthogonal map always preserves a plane of the
 # complementary dimension; the certificate returns an orthonormal basis
-# and the residual of invariance
-A = haar_matrices("o", 6, rng, 1)[0]
-if np.linalg.det(A) > 0:
-    A[:, 0] = -A[:, 0]
+# and the residual of invariance; it takes a stack of maps, one plane per row
+A = haar_matrices("o", 6, rng, 1)
+A[:, :, 0] *= -np.sign(np.linalg.det(A))[:, None]
 cert = fixed_point_certificate(A, 1, 1)
-print(f"\nreversal certificate: {cert.dimension}-plane, residual {cert.residual:.3e}")
-print(f"rotation angles used: {[f'{a:.3f}' for a in cert.rotation_angles]}")
+print(f"\nreversal certificate: {cert.dimension}-plane, residual {cert.residual[0]:.3e}")
+print(f"rotation angles used: {[f'{a:.3f}' for a in cert.rotation_angles[0]]}")
 
 # the split reversal fixes the leading coordinate plane exactly
 block = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-cert = fixed_point_certificate(block, 1, 1)
-print(f"split example basis:\n{cert.basis.T}")
+cert = fixed_point_certificate(block[None], 1, 1)
+print(f"split example basis:\n{cert.basis[0].T}")

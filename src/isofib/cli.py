@@ -315,12 +315,9 @@ def _verify_checks(cfg: RunConfig, model: liealg.GroupModel) -> list[dict]:
     factors = sorted(factors, key=lambda f: f.cols)
     if all(f.kind == "so" and len(f.cols) % 2 for f in factors):
         s, t = (len(f.cols) // 2 for f in factors)
-        worst = 0.0
-        for Q in homspace.haar_matrices("o", model.n, rng, 10):
-            if np.linalg.det(Q) > 0:
-                Q[:, 0] = -Q[:, 0]
-            cert = homspace.fixed_point_certificate(Q, s, t)
-            worst = max(worst, cert.residual)
+        Qs = homspace.haar_matrices("o", model.n, rng, 10)
+        Qs[:, :, 0] *= -np.sign(np.linalg.det(Qs))[:, None]
+        worst = float(homspace.fixed_point_certificate(Qs, s, t).residual.max())
         add(
             "reversal-certificates",
             "orientation-reversing-elements-fix-odd-planes",

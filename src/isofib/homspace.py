@@ -958,93 +958,114 @@ def fixed_fiber(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets | None,
 
 @dataclass(frozen=True)
 class PlaneCertificate:
-    basis: np.ndarray  # (n, 2s+1) orthonormal columns
-    residual: float
-    rotation_angles: tuple[float, ...]
+    """Invariant (2s+1)-planes of a stack of B reversals, one per row."""
+
+    basis: np.ndarray  # (B, n, 2s+1) orthonormal columns
+    residual: np.ndarray  # (B,)
+    rotation_angles: tuple[tuple[float, ...], ...]  # per row, ascending
 
     @property
     def dimension(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
 
-def _invariant_pieces(
-    A: np.ndarray,
-) -> tuple[list[tuple[float, np.ndarray]], list[np.ndarray], list[np.ndarray]]:
-    """(rotation planes with their angles in (0, pi], +1 lines, -1 lines)
-    of an orthogonal matrix, all orthonormal.  The pieces come from the
-    eigenpairs (lambda, x) of A, which `np.linalg.eig` computes with a small
-    residual A x - lambda x even where eigenvalues cluster.  An eigenvalue
-    with imaginary part above _HALF_TURN_TOL gives the rotation plane
-    span(Re x, Im x); every other eigenvalue gives +1 or -1 lines, by the
-    sign of its real part, from Re x (and Im x for a non-real one).  Each
-    piece is taken orthogonal to the pieces before it, planes first, so a
-    plane whose angle repeats or nearly repeats an earlier one is still
-    found."""
-    n = len(A)
+def _invariant_pieces(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, kind, angle) of a (B, n, n) stack of orthogonal matrices: the
+    orthonormal columns of each row of Q hold that row's invariant pieces,
+    first the rotation planes as column pairs (kind 0), then the +1 lines
+    (kind 1) and the -1 lines (kind -1).  `angle` holds a plane's angle in
+    (0, pi] on both its columns and 0 on a line.  The pieces come from the
+    eigenpairs (lambda, x) of one stacked `np.linalg.eig`, which gives a
+    small residual A x - lambda x even where eigenvalues cluster, and
+    |arg lambda| to roundoff (the eigenvalues of a normal matrix are
+    perfectly conditioned).  An eigenvalue with imaginary part above
+    _HALF_TURN_TOL gives the rotation plane span(Re x, Im x); every other
+    eigenvalue of each conjugate pair gives +1 or -1 lines, by the sign of
+    its real part, from Re x (and Im x for a non-real one).  Each row's
+    columns are laid out planes first, then lines, each in `eig` order, and
+    one stacked QR of them takes each piece orthogonal to the pieces before
+    it (a Householder QR keeps the nested spans), so a plane whose angle
+    repeats or nearly repeats an earlier one is still found."""
+    n = A.shape[-1]
     lam, X = np.linalg.eig(A)
-    done = np.zeros((n, 0))  # every piece so far, orthonormal columns
+    # candidate columns Re x_j (at j) and Im x_j (at n + j): Re x_j for the
+    # eigenvalue of each conjugate pair with imaginary part >= 0, Im x_j for
+    # a non-real one, n in all, planes first; the rest sort last
+    at = 2 * np.arange(n) + np.where(lam.imag > _HALF_TURN_TOL, 0, 2 * n)
+    key = np.concatenate(
+        [np.where(lam.imag >= 0, at, 4 * n), np.where(lam.imag > 0, at + 1, 4 * n)], axis=-1
+    )
+    cols = np.argsort(key, axis=-1)[:, :n]
+    lam = np.take_along_axis(np.concatenate([lam, lam], axis=-1), cols, axis=-1)
+    kind = np.where(lam.imag > _HALF_TURN_TOL, 0, np.where(lam.real > 0, 1, -1))
+    ordered = np.take_along_axis(np.concatenate([X.real, X.imag], axis=-1), cols[:, None], axis=-1)
+    return np.linalg.qr(ordered)[0], kind, np.where(kind == 0, np.abs(np.angle(lam)), 0.0)
 
-    def fresh(V: np.ndarray) -> np.ndarray:
-        """Orthonormal columns spanning V made orthogonal to every piece so
-        far (projected out twice, which is enough in floating point)."""
-        for _ in range(2):
-            V = V - done @ (done.T @ V)
-        return np.linalg.qr(V)[0]
 
-    planes: list[tuple[float, np.ndarray]] = []
-    for j in np.flatnonzero(lam.imag > _HALF_TURN_TOL):
-        P = fresh(np.column_stack([X[:, j].real, X[:, j].imag]))
-        B = P.T @ A @ P
-        planes.append((abs(math.atan2(B[1, 0] - B[0, 1], B[0, 0] + B[1, 1])), P))
-        done = np.column_stack([done, P])
-    plus_lines: list[np.ndarray] = []
-    minus_lines: list[np.ndarray] = []
-    # one eigenvalue of each conjugate pair
-    for j in np.flatnonzero((lam.imag >= 0) & (lam.imag <= _HALF_TURN_TOL)):
-        parts = [X[:, j].real] + ([X[:, j].imag] if lam[j].imag > 0 else [])
-        L = fresh(np.column_stack(parts))
-        (plus_lines if lam[j].real > 0 else minus_lines).extend(L.T)
-        done = np.column_stack([done, L])
-    return planes, plus_lines, minus_lines
+def _reject_rows(bad: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise `error` naming the first row of a stack where `bad` holds."""
+    if bad.any():
+        raise error(f"row {int(np.argmax(bad))}: {message}")
 
 
 def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
-    """Invariant (2s+1)-plane of an orthogonal matrix with determinant -1
-    on R^{2s+2+2t}: the +1 line that a negative determinant forces, plus s
-    two-dimensional invariant pieces (rotation planes by ascending angle,
-    then paired fixed lines, then paired -1 lines), the pieces of
-    `_invariant_pieces`."""
+    """Invariant (2s+1)-planes of a (B, n, n) stack of orthogonal matrices
+    with determinant -1 on R^n, n = 2s+2+2t, one per row: the +1 line that
+    a negative determinant forces, plus s two-dimensional invariant pieces
+    (rotation planes by ascending angle, then paired further fixed lines,
+    then paired -1 lines), the pieces of `_invariant_pieces`.  Every check
+    runs on the whole stack, and an error names the first bad row."""
     n = 2 * s + 2 + 2 * t
-    if A.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} matrix for (s, t) = ({s}, {t})")
-    if np.linalg.norm(A @ A.T - np.eye(n)) > 1e-9:
-        raise ValueError("matrix is not orthogonal")
-    if np.linalg.det(A) > 0:
-        raise ValueError("determinant +1: no invariant odd plane is implied")
+    if A.ndim != 3 or A.shape[1:] != (n, n):
+        raise ValueError(f"expected a (B, {n}, {n}) stack for (s, t) = ({s}, {t}), got {A.shape}")
+    err = np.linalg.norm(A @ np.swapaxes(A, 1, 2) - np.eye(n), axis=(1, 2))
+    _reject_rows(err > 1e-9, ValueError, "matrix is not orthogonal")
+    _reject_rows(
+        np.linalg.det(A) > 0, ValueError, "determinant +1: no invariant odd plane is implied"
+    )
 
-    planes, plus_lines, minus_lines = _invariant_pieces(A)
-    if not plus_lines:
-        raise AssertionError(
-            "no +1 eigenvector found; impossible for det -1 in even dimension"
-        )
-    planes.sort(key=lambda p: p[0])
-    pieces = [pair for _, pair in planes]
-    for lines in (plus_lines[1:], minus_lines):
-        for a in range(0, len(lines) - 1, 2):
-            pieces.append(np.column_stack([lines[a], lines[a + 1]]))
-    if len(pieces) < s:
-        raise AssertionError("not enough invariant two-planes; broken input")
-    cols = [plus_lines[0]] + [pieces[j][:, b] for j in range(s) for b in (0, 1)]
-    basis = np.column_stack(cols)
+    Q, kind, angle = _invariant_pieces(A)
+    plus, minus = kind == 1, kind == -1
+    _reject_rows(
+        ~plus.any(axis=1),
+        AssertionError,
+        "no +1 eigenvector found; impossible for det -1 in even dimension",
+    )
+    # the basis order: the first +1 line, then the two-pieces (planes,
+    # paired further +1 lines, paired -1 lines), then the unpaired lines
+    plus_rank, minus_rank = np.cumsum(plus, axis=1), np.cumsum(minus, axis=1)  # from 1
+    n_plus, n_minus = plus_rank[:, -1:], minus_rank[:, -1:]
+    tier = np.select(
+        [
+            plus & (plus_rank == 1),
+            kind == 0,
+            plus & (plus_rank <= n_plus - (n_plus - 1) % 2),
+            minus & (minus_rank <= n_minus - n_minus % 2),
+        ],
+        [0, 1, 2, 3],
+        4,
+    )
+    _reject_rows(
+        np.count_nonzero((tier > 0) & (tier < 4), axis=1) < 2 * s,
+        AssertionError,
+        "not enough invariant two-planes; broken input",
+    )
+    order = np.lexsort((angle, tier), axis=1)  # stable: ties keep Q's order
+    basis = np.take_along_axis(Q, order[:, None, : 2 * s + 1], axis=2)
     # orthonormal by construction; verify invariance
-    inner = basis.T @ A @ basis
-    residual = float(np.linalg.norm(A @ basis - basis @ inner))
-    if residual > CERT_RESIDUAL_TOL:
-        raise AssertionError(f"certificate residual {residual:.2e} too large")
+    image = A @ basis
+    residual = np.linalg.norm(image - basis @ (np.swapaxes(basis, 1, 2) @ image), axis=(1, 2))
+    _reject_rows(
+        residual > CERT_RESIDUAL_TOL,
+        AssertionError,
+        f"certificate residual too large (max {residual.max():.2e})",
+    )
     return PlaneCertificate(
         basis=basis,
         residual=residual,
-        rotation_angles=tuple(th for th, _ in planes),
+        rotation_angles=tuple(
+            tuple(np.sort(a[k == 0][::2]).tolist()) for a, k in zip(angle, kind)
+        ),
     )
 
 
@@ -1063,10 +1084,13 @@ def _so_frame(
     torus meets the largest angles; for odd n the row left over holds a
     fixed line."""
     n = model.n
-    planes, plus, minus = _invariant_pieces(k)
-    pieces = [np.column_stack(minus[i : i + 2]) for i in range(0, len(minus) - 1, 2)]
-    pieces += [P for _, P in sorted(planes, key=lambda p: -p[0])]
-    pieces += [np.column_stack(plus[i : i + 2]) for i in range(0, len(plus) - 1, 2)]
+    Q, kind, angle = (a[0] for a in _invariant_pieces(k[None]))
+    plus, minus = Q[:, kind == 1], Q[:, kind == -1]
+    first = np.flatnonzero(kind == 0)[::2]  # each plane's first column
+    first = first[np.argsort(-angle[first], kind="stable")]
+    pieces = [minus[:, i : i + 2] for i in range(0, minus.shape[1] - 1, 2)]
+    pieces += [Q[:, a : a + 2] for a in first]
+    pieces += [plus[:, i : i + 2] for i in range(0, plus.shape[1] - 1, 2)]
     slots = [f.cols[i : i + 2] for f in factors for i in range(0, len(f.cols) - 1, 2)]
     taken = {r for slot in slots for r in slot}
     rest = [r for r in range(n) if r not in taken]
@@ -1075,7 +1099,7 @@ def _so_frame(
     for slot, P in zip(slots, pieces):
         x[:, slot] = P
     if n % 2:
-        x[:, rest[-1]] = plus[-1]
+        x[:, rest[-1]] = plus[:, -1]
     if np.linalg.det(x) < 0:
         x[:, -1] = -x[:, -1]  # reverses one plane's angle, or the fixed line
     return x, slots
@@ -1326,14 +1350,14 @@ def _so_central_log(model: GroupModel, g: np.ndarray) -> tuple[np.ndarray, np.nd
     slots, halves = [], []
     for f in model.k1_factors + model.k2_factors:
         rows = f.cols
-        planes, plus, minus = _invariant_pieces(g[np.ix_(rows, rows)])
-        pm, pp = len(minus) // 2 * 2, len(plus) // 2 * 2
-        cols = [*minus[:pm], *(v for _, P in planes for v in P.T), *plus]
-        x = np.column_stack(cols + minus[pm:])
+        Q, kind, _ = (a[0] for a in _invariant_pieces(g[np.ix_(rows, rows)][None]))
+        plus, minus = Q[:, kind == 1], Q[:, kind == -1]
+        n_plane, pm = np.count_nonzero(kind == 0), minus.shape[1] // 2 * 2
+        x = np.column_stack([minus[:, :pm], Q[:, :n_plane], plus, minus[:, pm:]])
         if np.linalg.det(x) < 0:
             x[:, -1] = -x[:, -1]  # reverses one plane's angle, or a line
         x0[np.ix_(rows, rows)] = x
-        slots += [rows[i : i + 2] for i in range(0, pm + 2 * len(planes) + pp, 2)]
-        halves += [rows[-1]] * (pm < len(minus))
+        slots += [rows[i : i + 2] for i in range(0, pm + n_plane + plus.shape[1] // 2 * 2, 2)]
+        halves += [rows[-1]] * (pm < minus.shape[1])
     slots += [tuple(halves[i : i + 2]) for i in range(0, len(halves) - 1, 2)]
     return x0, _slot_log(x0.T @ g @ x0, slots)

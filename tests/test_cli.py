@@ -420,6 +420,26 @@ def test_verify_job_makes_one_lm_call(monkeypatch):
     assert problems == [3]
 
 
+def test_verify_job_makes_one_certificate_call(monkeypatch):
+    # the 10 reversals of an odd Stiefel job are certified as one stack;
+    # a model without two odd SO blocks certifies none
+    stacks = []
+    real = homspace.fixed_point_certificate
+
+    def counting(A, s, t):
+        stacks.append(len(A))
+        return real(A, s, t)
+
+    monkeypatch.setattr(homspace, "fixed_point_certificate", counting)
+    code, _ = payload_for(["verify", "so6-stiefel", *FAST_VERIFY])
+    assert code == 0
+    assert stacks == [10]
+    stacks.clear()
+    code, _ = payload_for(["verify", "su3-hopf", *FAST_VERIFY])
+    assert code == 0
+    assert stacks == []
+
+
 def test_verify_job_checks_orthogonality_once_per_stack(monkeypatch):
     # points travel as stacks, each checked orthogonal in one batched
     # product, so the number of checks does not grow with --samples

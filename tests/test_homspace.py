@@ -1381,25 +1381,32 @@ def test_fixed_fiber_honest_negative(so6):
 # --- invariant-plane certificates ----------------------------------------------------------
 
 
+def _reversals(n, rng, count):
+    """A stack of count Haar reversals of R^n: column 0 of each O(n)
+    sample with determinant +1 negated."""
+    Q = haar_matrices("o", n, rng, count)
+    Q[:, :, 0] *= -np.sign(np.linalg.det(Q))[:, None]
+    return Q
+
+
 def test_certificate_reflection_block_exact():
     A = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    cert = fixed_point_certificate(A, 1, 1)
+    cert = fixed_point_certificate(A[None], 1, 1)
     assert cert.dimension == 3
-    proj = cert.basis @ cert.basis.T
+    assert cert.basis.shape == (1, 6, 3) and cert.residual.shape == (1,)
+    proj = cert.basis[0] @ cert.basis[0].T
     assert np.allclose(proj, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), atol=1e-12)
-    assert cert.residual < 1e-12
+    assert cert.residual[0] < 1e-12
 
 
 def test_certificate_random_reversals():
     rng = np.random.default_rng(29)
-    for Q in haar_matrices("o", 6, rng, 10):
-        if np.linalg.det(Q) > 0:
-            Q[:, 0] = -Q[:, 0]
-        cert = fixed_point_certificate(Q, 1, 1)
-        assert cert.residual < 1e-9
-        assert cert.dimension == 3
-        B = cert.basis
-        assert np.allclose(B.T @ B, np.eye(3), atol=1e-9)
+    cert = fixed_point_certificate(_reversals(6, rng, 10), 1, 1)
+    assert cert.dimension == 3
+    assert cert.residual.shape == (10,) and len(cert.rotation_angles) == 10
+    assert np.all(cert.residual < 1e-9)
+    B = cert.basis
+    assert np.allclose(np.swapaxes(B, 1, 2) @ B, np.eye(3), atol=1e-9)
 
 
 def test_certificate_other_signature():
@@ -1407,10 +1414,11 @@ def test_certificate_other_signature():
     Q = haar_matrices("o", 8, rng, 1)[0]
     if np.linalg.det(Q) > 0:
         Q[:, 0] = -Q[:, 0]
-    cert = fixed_point_certificate(Q, 2, 1)
+    cert = fixed_point_certificate(Q[None], 2, 1)
     assert cert.dimension == 5
-    assert cert.residual < 1e-9
-    assert list(cert.rotation_angles) == sorted(cert.rotation_angles)
+    assert cert.residual[0] < 1e-9
+    (angles,) = cert.rotation_angles
+    assert list(angles) == sorted(angles)
 
 
 def _schur_rotation_angles(A):
@@ -1430,27 +1438,46 @@ def _schur_rotation_angles(A):
 
 
 def _assert_certificate_matches_schur(A, s, t):
+    """Certify the (B, n, n) stack A and check every row against its real
+    Schur form."""
     cert = fixed_point_certificate(A, s, t)
-    assert cert.residual < CERT_RESIDUAL_TOL
+    assert np.all(cert.residual < CERT_RESIDUAL_TOL)
     assert cert.dimension == 2 * s + 1
-    np.testing.assert_allclose(cert.basis.T @ cert.basis, np.eye(2 * s + 1), rtol=0, atol=1e-12)
-    want = _schur_rotation_angles(A)
-    assert len(cert.rotation_angles) == len(want)
-    np.testing.assert_allclose(cert.rotation_angles, want, rtol=0, atol=1e-12)
+    B = cert.basis
+    np.testing.assert_allclose(np.swapaxes(B, 1, 2) @ B - np.eye(2 * s + 1), 0, atol=1e-12)
+    assert len(cert.rotation_angles) == len(A)
+    for row, angles in zip(A, cert.rotation_angles):
+        want = _schur_rotation_angles(row)
+        assert len(angles) == len(want)
+        np.testing.assert_allclose(angles, want, rtol=0, atol=1e-12)
 
 
 def test_certificate_angles_match_schur_on_haar_reversals():
     rng = np.random.default_rng(41)
+    shapes = ((1, 1), (2, 1), (1, 2), (0, 2), (3, 0))
+    stacks = {st: [] for st in shapes}
     for i in range(1000):
-        s, t = ((1, 1), (2, 1), (1, 2), (0, 2), (3, 0))[i % 5]
+        s, t = shapes[i % 5]
         Q = haar_matrices("o", 2 * s + 2 + 2 * t, rng, 1)[0]
         if np.linalg.det(Q) > 0:
             Q[:, 0] = -Q[:, 0]
-        _assert_certificate_matches_schur(Q, s, t)
+        stacks[s, t].append(Q)
+    for (s, t), rows in stacks.items():
+        _assert_certificate_matches_schur(np.stack(rows), s, t)
 
 
 def _rotation(theta):
     return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    D = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        D[i : i + len(b), i : i + len(b)] = b
+        i += len(b)
+    return D
 
 
 @pytest.mark.parametrize(
@@ -1478,27 +1505,57 @@ def _rotation(theta):
 )
 def test_certificate_angles_match_schur_on_degenerate_inputs(blocks, s):
     rng = np.random.default_rng(42)
-    n = sum(len(b) for b in blocks)
-    D = np.zeros((n, n))
-    i = 0
-    for b in blocks:
-        D[i : i + len(b), i : i + len(b)] = b
-        i += len(b)
-    for R in haar_matrices("so", n, rng, 20):
-        _assert_certificate_matches_schur(R @ D @ R.T, s, (n - 2 - 2 * s) // 2)
+    D = _block_diagonal(blocks)
+    n = len(D)
+    A = np.stack([R @ D @ R.T for R in haar_matrices("so", n, rng, 20)])
+    _assert_certificate_matches_schur(A, s, (n - 2 - 2 * s) // 2)
+
+
+def test_certificate_stack_never_mixes_rows():
+    # Haar rows and two degenerate rows of other piece layouts (three equal
+    # planes; lines alone) certified together: each row gives, bit for
+    # bit, what it gives as a stack of one
+    rng = np.random.default_rng(43)
+    A = _reversals(8, rng, 50)
+    for blocks, at in (
+        ([_rotation(0.7)] * 3 + [[[1.0]], [[-1.0]]], 7),
+        ([[[1.0]]] * 5 + [[[-1.0]]] * 3, 31),
+    ):
+        R = haar_matrices("so", 8, rng, 1)[0]
+        A = np.insert(A, at, R @ _block_diagonal(blocks) @ R.T, axis=0)
+    cert = fixed_point_certificate(A, 2, 1)
+    assert cert.basis.shape == (52, 8, 5)
+    for b in range(52):
+        one = fixed_point_certificate(A[b : b + 1], 2, 1)
+        assert np.array_equal(one.basis[0], cert.basis[b])
+        assert one.residual[0] == cert.residual[b]
+        assert one.rotation_angles[0] == cert.rotation_angles[b]
+    assert cert.rotation_angles[7] == pytest.approx((0.7,) * 3, abs=1e-12)
+    assert cert.rotation_angles[31] == ()
 
 
 def test_certificate_rejects_rotations():
-    with pytest.raises(ValueError, match="determinant"):
-        fixed_point_certificate(np.eye(6), 1, 1)
+    with pytest.raises(ValueError, match="row 0: determinant"):
+        fixed_point_certificate(np.eye(6)[None], 1, 1)
+    A = _reversals(6, np.random.default_rng(44), 4)
+    A[2, :, 0] = -A[2, :, 0]
+    with pytest.raises(ValueError, match="row 2: determinant"):
+        fixed_point_certificate(A, 1, 1)
 
 
 def test_certificate_rejects_bad_shape():
+    # a stack holds one shape, so a bad shape is the whole stack's
     with pytest.raises(ValueError, match="expected"):
-        fixed_point_certificate(np.eye(4), 1, 1)
+        fixed_point_certificate(np.eye(4)[None], 1, 1)
+    with pytest.raises(ValueError, match="expected a \\(B, 6, 6\\) stack"):
+        fixed_point_certificate(_reversals(6, np.random.default_rng(44), 1)[0], 1, 1)
 
 
 def test_certificate_rejects_non_orthogonal():
     A = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -2.0])
-    with pytest.raises(ValueError, match="orthogonal"):
-        fixed_point_certificate(A, 1, 1)
+    with pytest.raises(ValueError, match="row 0: matrix is not orthogonal"):
+        fixed_point_certificate(A[None], 1, 1)
+    stack = _reversals(6, np.random.default_rng(44), 4)
+    stack[2] = A
+    with pytest.raises(ValueError, match="row 2: matrix is not orthogonal"):
+        fixed_point_certificate(stack, 1, 1)
