@@ -655,9 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=RunConfig.seed)
         sp.add_argument("--samples", type=int, default=RunConfig.samples)
         sp.add_argument(
-            "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
+            "--format", choices=("json", "csv", "text"), default=RunConfig.fmt, dest="fmt"
         )
-        sp.add_argument("--out", default="", help="write the artifact to this path")
+        sp.add_argument("--out", default=RunConfig.out, help="write the artifact to this path")
         for name in DEFAULT_TOLERANCES:
             sp.add_argument(
                 f"--tol-{name}", type=float, default=None, dest=f"tol_{name}"
@@ -698,9 +698,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         families=tuple(args.family) if getattr(args, "family", None) else None,
         rank_cap=getattr(args, "rank_cap", RunConfig.rank_cap),
         classes=tuple(args.classes) if getattr(args, "classes", None) else None,
-        simple_k=getattr(args, "simple_k", False),
-        golden=getattr(args, "golden", False),
-        case_id=getattr(args, "case_id", ""),
+        simple_k=getattr(args, "simple_k", RunConfig.simple_k),
+        golden=getattr(args, "golden", RunConfig.golden),
+        case_id=getattr(args, "case_id", RunConfig.case_id),
         seed=args.seed,
         samples=args.samples,
         fmt=args.fmt,

@@ -27,15 +27,21 @@ translation predicted nonconstant (`witness_report`) takes one upper
 bound, at a closed-form torus witness point (`_torus_witness`): there x^-1
 k x lies in a maximal torus that contains one of K1, and what K1's torus
 cannot cancel has an explicit log, checked to reach the image coset.
+Each model type has one frame builder, `_su_frame` (eigenvectors per
+column block) or `_so_frame` (invariant planes per row block), and both
+share one torus log, `_torus_log` (the frame, the torus log modulo K1,
+its m1 part and the check that it reaches), which the witnesses take
+with one block aligned to K1 and the central logs on K's blocks.
 
-A fixed fiber (`fixed_fiber`) comes from the same alignment in closed
-form: a frame x with x^-1 g x in a maximal torus that contains K's (on an
-equal-rank model, one in K), checked to fix x K.  The Riemannian log is
-the one Levenberg-Marquardt solve, of coset residuals F = U exp(xi) k* -
-V, each evaluation needing the chord maximizer k*.  Its Jacobians (`_coset_jacobian`) come from one
-eigendecomposition of xi per problem and the k* of the residual: the
-columns hold k* fixed, less their projection onto the K1-orbit's tangent,
-which leaves J^T F the exact gradient and J exact at a zero residual.
+A fixed fiber (`fixed_fiber`) takes the frame alone, with one block
+aligned to K's torus: x^-1 g x then lies in a maximal torus that contains
+K's (on an equal-rank model, one in K), checked to fix x K.  The
+Riemannian log is the one Levenberg-Marquardt solve, of coset residuals
+F = U exp(xi) k* - V, each evaluation needing the chord maximizer k*.
+Its Jacobians (`_coset_jacobian`) come from one eigendecomposition of
+xi per problem and the k* of the residual: the columns hold k* fixed,
+less their projection onto the K1-orbit's tangent, which leaves J^T F
+the exact gradient and J exact at a zero residual.
 `_k_star_batch` computes k* and the chord's bound for a whole stack of
 points in one numpy pass (batched SO Procrustes; `_su_procrustes` for SU
 blocks, closed form for SU(2), one SVD and a Newton solve of the phase for
@@ -55,8 +61,8 @@ part of one batched real log, `_orthogonal_log`, of the chord-aligned
 difference); it draws no random numbers.  A verify job passes it its
 three log round trips.  A central isometry
 z . k2 poses the base point's problem at every point, and `central_log`
-solves that one in closed form, from a frame of z k2^T taken block by
-block of K and the torus log of the witnesses.  A bound-ordering
+solves that one in closed form, from the `_torus_log` of z k2^T on K's
+blocks.  A bound-ordering
 pair (x, y) needs no solve: the curve x exp(t xi0) K1 of its smart start
 xi0 has length ||xi0||, the upper bound, checked against the lower bound
 of its end x exp(xi0).  `distance_lower_bound` takes those ends and the
@@ -72,8 +78,8 @@ its `central_log`) to each of its points, which take it where it also
 reaches the image coset.  Every per-problem operation, the matrix
 exponential included, acts on that problem's rows alone, so a pair's
 result does not depend on the problems it is solved with.  The module
-needs numpy alone: the reversal certificates and the SO torus witnesses
-take their invariant planes from `np.linalg.eig`.
+needs numpy alone: the reversal certificates and the SO frames take
+their invariant planes from `np.linalg.eig`.
 """
 from __future__ import annotations
 
@@ -924,13 +930,13 @@ def witness_report(
 
 def fixed_fiber(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets | None, float]:
     """A base coset x K (K = K1 K2) that the left translation gamma by g
-    fixes, in closed form: on a unitary model x is the eigenvector frame
-    of g (`_su_frame`) scaled to det 1, so x^-1 g x is diagonal; on a real
-    model x is the invariant-plane frame of g (`_so_frame`) with the planes
-    of K's torus filled first.  Returns (x K, residual), x K a stack of
-    one and the residual the chord upper value between x and g x over K,
-    when it is below tol, and (None, residual) otherwise; nothing else is
-    searched.
+    fixes, in closed form: x is the frame of g on one block, aligned to
+    K's torus: on a unitary model the eigenvector frame (`_su_frame`, det
+    1), so x^-1 g x is diagonal; on a real model the invariant-plane frame
+    (`_so_frame`) with the planes of K's torus filled first.  Returns (x
+    K, residual), x K a stack of one and the residual the chord upper
+    value between x and g x over K, when it is below tol, and (None,
+    residual) otherwise; nothing else is searched.
 
     Why an equal-rank model always succeeds: there K contains a maximal
     torus T of G, the diagonal one on a unitary model (K's blocks are
@@ -943,12 +949,11 @@ def fixed_fiber(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets | None,
     model = gamma.model
     k = gamma.left if gamma.left is not None else np.eye(model.n)
     factors = model.k1_factors + model.k2_factors
+    whole = (tuple(range(model.complex_size or model.n)),)
     if model.complex_size:
-        x = _su_frame(complexify(k))
-        x[:, 0] /= np.linalg.det(x)
-        x = realify(x)
+        x = realify(_su_frame(complexify(k), whole))
     else:
-        x = _so_frame(model, k, factors)[0]
+        x = _so_frame(model, k, whole, factors)[0]
     resid = float(chord_to_coset(model, x[None], k @ x, factors).upper[0])
     return (Cosets(model, x[None]) if resid < tol else None), resid
 
@@ -1069,58 +1074,71 @@ def fixed_point_certificate(A: np.ndarray, s: int, t: int) -> PlaneCertificate:
     )
 
 
-# --- torus witnesses ---------------------------------------------------------------
+# --- torus frames and logs ---------------------------------------------------
 
 
 def _so_frame(
-    model: GroupModel, k: np.ndarray, factors: tuple[BlockFactor, ...]
+    model: GroupModel,
+    k: np.ndarray,
+    blocks: tuple[tuple[int, ...], ...],
+    lead: tuple[BlockFactor, ...],
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """(x, slots) for a real model: x in SO(n) whose column planes, the
-    row pairs `slots`, hold the invariant pieces of k (`_invariant_pieces`:
-    half turns, rotation planes by descending angle, then paired fixed
-    lines), so that x^T k x rotates within each slot.  The slots are first
-    the planes of the factors' torus (rows in pairs, m // 2 planes per
-    SO(m) block) and then the other rows in pairs, so that the factors'
-    torus meets the largest angles; for odd n the row left over holds a
-    fixed line."""
-    n = model.n
-    Q, kind, angle = (a[0] for a in _invariant_pieces(k[None]))
-    plus, minus = Q[:, kind == 1], Q[:, kind == -1]
-    first = np.flatnonzero(kind == 0)[::2]  # each plane's first column
-    first = first[np.argsort(-angle[first], kind="stable")]
-    pieces = [minus[:, i : i + 2] for i in range(0, minus.shape[1] - 1, 2)]
-    pieces += [Q[:, a : a + 2] for a in first]
-    pieces += [plus[:, i : i + 2] for i in range(0, plus.shape[1] - 1, 2)]
-    slots = [f.cols[i : i + 2] for f in factors for i in range(0, len(f.cols) - 1, 2)]
-    taken = {r for slot in slots for r in slot}
-    rest = [r for r in range(n) if r not in taken]
-    slots += [tuple(rest[i : i + 2]) for i in range(0, len(rest) - 1, 2)]
-    x = np.zeros((n, n))
-    for slot, P in zip(slots, pieces):
-        x[:, slot] = P
-    if n % 2:
-        x[:, rest[-1]] = plus[:, -1]
-    if np.linalg.det(x) < 0:
-        x[:, -1] = -x[:, -1]  # reverses one plane's angle, or the fixed line
-    return x, slots
+    """(x, slots) for a real model and k block-diagonal on the row blocks
+    `blocks`, which cover the rows: x in SO(n), block-diagonal on them
+    with det 1 on each, whose column planes, the row pairs `slots`, hold
+    the invariant pieces of k's blocks (`_invariant_pieces`), so that x^T
+    k x rotates within each slot.  In a block, half turns (paired -1
+    lines), then rotation planes by descending angle, then paired fixed
+    lines fill the block's rows of the torus planes of the factors `lead`
+    first (rows in pairs, m // 2 per SO(m) block), so that the lead torus
+    meets the largest angles, then its other rows in pairs.  An odd
+    block's leftover line (a fixed line, or a -1 line where its det is -1)
+    goes in its last free row; the blocks' leftover -1 lines are paired
+    across blocks into half-turn slots.  Reversing a block's last column
+    where its det is -1 reverses one plane's angle or a line."""
+    x = np.zeros((model.n, model.n))
+    slots, halves = [], []
+    for rows in blocks:
+        ix = np.ix_(rows, rows)
+        Q, kind, angle = (a[0] for a in _invariant_pieces(k[ix][None]))
+        plus, minus = Q[:, kind == 1], Q[:, kind == -1]
+        first = np.flatnonzero(kind == 0)[::2]  # each plane's first column
+        first = first[np.argsort(-angle[first], kind="stable")]
+        pieces = [minus[:, i : i + 2] for i in range(0, minus.shape[1] - 1, 2)]
+        pieces += [Q[:, a : a + 2] for a in first]
+        pieces += [plus[:, i : i + 2] for i in range(0, plus.shape[1] - 1, 2)]
+        pairs = [p for f in lead for p in zip(f.cols[::2], f.cols[1::2]) if p[0] in rows]
+        taken = sum(pairs, ())
+        rest = [r for r in rows if r not in taken]
+        pairs += zip(rest[::2], rest[1::2])
+        for pair, P in zip(pairs, pieces):
+            x[np.ix_(rows, pair)] = P
+        if len(rows) % 2:
+            odd = minus if minus.shape[1] % 2 else plus
+            x[rows, rest[-1]] = odd[:, -1]
+            if odd is minus:
+                halves.append(rest[-1])
+        if np.linalg.det(x[ix]) < 0:
+            x[rows, rows[-1]] *= -1
+        slots += pairs
+    return x, slots + list(zip(halves[::2], halves[1::2]))
 
 
-def _slot_log(R: np.ndarray, slots: list[tuple[int, ...]]) -> np.ndarray:
-    """The log L of the rotations of R within the row pairs `slots`, each
-    angle in [-pi, pi]: R = exp(L) wherever R rotates within each slot and
-    fixes every other row."""
-    L = np.zeros_like(R)
-    for a, b in slots:
-        L[b, a] = math.atan2(R[b, a] - R[a, b], R[a, a] + R[b, b])
-        L[a, b] = -L[b, a]
-    return L
-
-
-def _so_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, L) for a real model: x the frame of `_so_frame` that fills K1's
-    torus planes first, and L the log of x^T k x on x's column planes."""
-    x, slots = _so_frame(model, k, model.k1_factors)
-    return x, _slot_log(x.T @ k @ x, slots)
+def _su_frame(kc: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """A frame of the m x m unitary kc, block-diagonal on its column blocks
+    `blocks` and the identity elsewhere: on each block, orthonormal
+    eigenvectors of kc's block, as columns, with the first scaled to det
+    1.  They are those of `eigh` of the Hermitian part of e^{-i} times the
+    block, whose eigenvalues cos(alpha - 1) keep the block's eigenphases
+    alpha apart unless two of them add up to 2 mod 2 pi."""
+    x = np.eye(len(kc), dtype=complex)
+    for cols in blocks:
+        ix = np.ix_(cols, cols)
+        h = np.exp(-1j) * kc[ix]
+        v = np.linalg.eigh((h + h.conj().T) / 2)[1]
+        v[:, 0] /= np.linalg.det(v)
+        x[ix] = v
+    return x
 
 
 def _assignments(classes: list[tuple[int, ...]], free: tuple[int, ...]) -> list[dict[int, int]]:
@@ -1133,29 +1151,6 @@ def _assignments(classes: list[tuple[int, ...]], free: tuple[int, ...]) -> list[
         for chosen in itertools.combinations(free, len(classes[0]))
         for tail in _assignments(classes[1:], tuple(i for i in free if i not in chosen))
     ]
-
-
-def _su_frame(kc: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors, as columns, of the m x m unitary kc: those
-    of `eigh` of the Hermitian part of e^{-i} kc, whose eigenvalues
-    cos(alpha - 1) keep the eigenphases alpha of kc apart unless two of
-    them add up to 2 mod 2 pi."""
-    h = np.exp(-1j) * kc
-    return np.linalg.eigh((h + h.conj().T) / 2)[1]
-
-
-def _su_torus_log(model: GroupModel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, L) for a unitary model, both realified: x in SU(m) with
-    eigenvectors of k as columns, the eigenvectors of `_su_frame` in the
-    order `_su_phase_log` chooses, and its L = i diag(phi), with exp(L) =
-    x^H k x k1 for some k1 in K1's torus."""
-    kc = complexify(k)
-    vecs = _su_frame(kc)
-    alpha = np.angle(np.einsum("ij,ik,kj->j", vecs.conj(), kc, vecs))
-    perm, phi = _su_phase_log(model, alpha, reorder=True)
-    x = vecs[:, perm]
-    x[:, 0] /= np.linalg.det(x)
-    return realify(x), realify(np.diag(1j * phi))
 
 
 def _su_phase_log(
@@ -1237,10 +1232,57 @@ def _su_phase_log(
     return perms[best // C], T[best] @ W
 
 
+def _torus_log(
+    model: GroupModel,
+    k: np.ndarray,
+    blocks: tuple[tuple[int, ...], ...],
+    align: bool,
+    tol: float = COSET_TOL,
+) -> tuple[np.ndarray, LogResult]:
+    """(x, log) for k block-diagonal on `blocks` (complex columns on a
+    unitary model, rows on a real one): x the frame of k on those blocks,
+    `_su_frame` or `_so_frame`, so that x^-1 k x is a torus element; L its
+    torus log modulo K1; and log the m1 part xi of L, with upper bound
+    ||xi||, converged only when x exp(xi) reaches k x K1 with a chord upper
+    value below tol.  On a unitary model L = i diag(phi) of
+    `_su_phase_log`; on a real one L holds the angle in [-pi, pi] of x^T
+    k x in each slot of `_so_frame`.  Aligned (`align`), the frame meets
+    K1's torus: on a unitary model `_su_phase_log` searches the order of
+    its columns, and on a real model K1's torus planes take the largest
+    angles; unaligned, the frame keeps its order.  It draws no random
+    numbers."""
+    if model.complex_size:
+        kc = complexify(k)
+        x = _su_frame(kc, blocks)
+        alpha = np.angle(np.einsum("ij,ik,kj->j", x.conj(), kc, x))
+        perm, phi = _su_phase_log(model, alpha, reorder=align)
+        x = x[:, perm]
+        if align:
+            x[:, 0] /= np.linalg.det(x)  # an odd reordering turns det to -1
+        x, L = realify(x), realify(np.diag(1j * phi))
+    else:
+        x, slots = _so_frame(model, k, blocks, model.k1_factors if align else ())
+        R, L = x.T @ k @ x, np.zeros_like(k)
+        for a, b in slots:
+            L[b, a] = math.atan2(R[b, a] - R[a, b], R[a, a] + R[b, b])
+            L[a, b] = -L[b, a]
+    c = model.m1_coords(L)
+    xi = model.from_m1_coords(c)
+    end = (x @ matrix_exp(xi))[None]
+    resid = float(chord_to_coset(model, end, k @ x, model.k1_factors).upper[0])
+    if resid < tol:
+        return x, LogResult(xi, float(np.linalg.norm(c)), resid)
+    return x, LogResult(None, math.inf, resid)
+
+
+# --- torus witnesses and central logs ----------------------------------------
+
+
 def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets, LogResult]:
     """A point x K1 (a stack of one) where the left translation gamma by k
-    moves little, with an explicit log to its image: xi, the m1 part of the
-    torus log L of `_so_torus_log` or `_su_torus_log`, and upper bound ||xi||.
+    moves little, with an explicit log to its image: the `_torus_log` of k
+    with one block, aligned to K1, so that xi is the m1 part of the torus
+    log L of x^-1 k x, with upper bound ||xi||.
 
     Why it is an upper bound: x^-1 k x k1 = exp(L) for some k1 in K1, with
     L in a Cartan subalgebra t that contains K1's t1.  L's k1 part lies in
@@ -1253,30 +1295,25 @@ def _torus_witness(gamma: Isometry, tol: float = COSET_TOL) -> tuple[Cosets, Log
     upper value below tol; otherwise it gives no upper bound (inf).  It
     draws no random numbers."""
     model = gamma.model
-    k = gamma.left
-    x, L = (_su_torus_log if model.complex_size else _so_torus_log)(model, k)
-    c = model.m1_coords(L)
-    xi = model.from_m1_coords(c)
-    end = (x @ matrix_exp(xi))[None]
-    resid = float(chord_to_coset(model, end, k @ x, model.k1_factors).upper[0])
-    if resid < tol:
-        return Cosets(model, x[None]), LogResult(xi, float(np.linalg.norm(c)), resid)
-    return Cosets(model, x[None]), LogResult(None, math.inf, resid)
-
-
-# --- central logs ------------------------------------------------------------------
+    whole = (tuple(range(model.complex_size or model.n)),)
+    x, log = _torus_log(model, gamma.left, whole, True, tol)
+    return Cosets(model, x[None]), log
 
 
 def central_log(gamma: Isometry, tol: float = COSET_TOL) -> LogResult:
     """The log at the base coset of a central isometry gamma = z . k2 (z
     central, k2 in K2), in closed form: xi in m1 with exp(xi) in g K1, g =
     z k2^T, so that x exp(xi) K1 = x g K1 = gamma(x K1) at every point x
-    (`share_logs` checks that point by point).  A frame x0 of g taken
-    block by block of K (`_su_central_log`, `_so_central_log`) makes R =
-    x0^-1 g x0 a torus element, L its torus log modulo K1, and xi =
-    Ad(x0) (m1 part of L), with upper bound ||xi||; converged only when
-    exp(xi) reaches g K1 with a chord upper value below tol.  It draws no
-    random numbers.
+    (`share_logs` checks that point by point).  The `_torus_log` of g on
+    K's SU or SO blocks, unaligned, gives a frame x0 of g, block by block
+    of K, that makes R = x0^-1 g x0 a torus element, and xi' the m1 part
+    of its torus log L modulo K1; then xi = Ad(x0) xi', with upper bound
+    ||xi||, converged only when x0 exp(xi') reaches g x0 K1 with a chord
+    upper value below tol.  On a unitary model, reordering the
+    eigenvectors within a block of K leaves the m1 part unchanged (on a
+    block of K1 only the phase sum enters; a block of K2 holds single
+    columns of one circle speed, since the circle commutes with the
+    block), so no order is searched.  It draws no random numbers.
 
     Why exp(xi) lies in g K1:
     - x0 normalizes K1.  g is block-diagonal in K's blocks (z is scalar
@@ -1293,8 +1330,13 @@ def central_log(gamma: Isometry, tol: float = COSET_TOL) -> LogResult:
       sum of rotations in disjoint coordinate planes, which are Killing-
       orthogonal, so its k1 part is the sum of those within K1's rows:
       they commute with the rest and exponentiate into K1's SO block.
-      So exp(m1 part) = exp(L) exp(-k1 part) lies in exp(L) K1 = R K1,
-      and exp(xi) = x0 exp(m1 part) x0^-1 lies in x0 R K1 x0^-1 = g K1.
+      So exp(xi') = exp(L) exp(-k1 part) lies in exp(L) K1 = R K1, and
+      exp(xi) = x0 exp(xi') x0^-1 lies in x0 R K1 x0^-1 = g K1.
+    - The reach checked at x0 is the reach at the base.  For k1 in K1,
+      x0 exp(xi') k1 - g x0 = (exp(xi) k1' - g) x0 with k1' = x0 k1 x0^-1,
+      and x0 is orthogonal; as x0 normalizes K1, k1' runs over K1 with
+      k1.  So the chord from x0 exp(xi') to g x0 over K1 is the chord from
+      exp(xi) to g over K1.
     - The half-turn pairing is valid on real models.  A real model's K is
       SO(p) x SO(q) on the rows, and z = -1 is not in K when p and q are
       odd: on each odd block, g has det -1 and an odd number of -1 lines,
@@ -1306,58 +1348,9 @@ def central_log(gamma: Isometry, tol: float = COSET_TOL) -> LogResult:
       rotates within the slots and exp(L) = R."""
     model = gamma.model
     g = gamma.apply(base_point(model)).reps[0]
-    x0, L = (_su_central_log if model.complex_size else _so_central_log)(model, g)
-    c = model.m1_coords(x0 @ model.project_m1(L) @ x0.T)
-    xi = model.from_m1_coords(c)
-    end = matrix_exp(xi)
-    k = _k_star_batch(model, end[None], g, model.k1_factors)[0][0]
-    resid = float(np.linalg.norm(end @ k - g))  # the chord upper value
-    if resid < tol:
-        return LogResult(xi, float(np.linalg.norm(c)), resid)
-    return LogResult(None, math.inf, resid)
-
-
-def _su_central_log(model: GroupModel, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x0, L) of `central_log` on a unitary model, both realified: x0 the
-    eigenvectors of `_su_frame` on each SU block of K (scaled to det 1) and
-    the identity on the single columns, and L the `_su_phase_log` of x0^H g
-    x0 in the frame's order.  Reordering the eigenvectors within a block
-    of K leaves the m1 part unchanged (on a block of K1 only the phase sum
-    enters; a block of K2 holds single columns of one circle speed, since
-    the circle commutes with the block), so no order is searched."""
-    gc = complexify(g)
-    x0 = np.eye(model.complex_size, dtype=complex)
-    for f in model.k1_factors + model.k2_factors:
-        if f.kind == "su":
-            ix = np.ix_(f.cols, f.cols)
-            v = _su_frame(gc[ix])
-            v[:, 0] /= np.linalg.det(v)
-            x0[ix] = v
-    alpha = np.angle(np.einsum("ij,ik,kj->j", x0.conj(), gc, x0))
-    phi = _su_phase_log(model, alpha, reorder=False)[1]
-    return realify(x0), realify(np.diag(1j * phi))
-
-
-def _so_central_log(model: GroupModel, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x0, L) of `central_log` on a real model: on each SO block of K, x0
-    holds the invariant pieces of g's block (`_invariant_pieces`: paired
-    -1 lines, rotation planes, paired fixed lines, then any fixed line and
-    any -1 line left over), in slots of consecutive rows, with its last
-    column reversed if the block's det is -1.  The leftover -1 lines of
-    the blocks are paired into half-turn slots across blocks, and L is the
-    `_slot_log` of x0^T g x0."""
-    x0 = np.zeros((model.n, model.n))
-    slots, halves = [], []
-    for f in model.k1_factors + model.k2_factors:
-        rows = f.cols
-        Q, kind, _ = (a[0] for a in _invariant_pieces(g[np.ix_(rows, rows)][None]))
-        plus, minus = Q[:, kind == 1], Q[:, kind == -1]
-        n_plane, pm = np.count_nonzero(kind == 0), minus.shape[1] // 2 * 2
-        x = np.column_stack([minus[:, :pm], Q[:, :n_plane], plus, minus[:, pm:]])
-        if np.linalg.det(x) < 0:
-            x[:, -1] = -x[:, -1]  # reverses one plane's angle, or a line
-        x0[np.ix_(rows, rows)] = x
-        slots += [rows[i : i + 2] for i in range(0, pm + n_plane + plus.shape[1] // 2 * 2, 2)]
-        halves += [rows[-1]] * (pm < minus.shape[1])
-    slots += [tuple(halves[i : i + 2]) for i in range(0, len(halves) - 1, 2)]
-    return x0, _slot_log(x0.T @ g @ x0, slots)
+    blocks = tuple(f.cols for f in model.k1_factors + model.k2_factors if f.kind != "circle")
+    x0, log = _torus_log(model, g, blocks, False, tol)
+    if not log.converged:
+        return log
+    c = model.m1_coords(x0 @ log.xi @ x0.T)
+    return LogResult(model.from_m1_coords(c), float(np.linalg.norm(c)), log.residual)

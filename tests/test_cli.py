@@ -133,6 +133,17 @@ def test_default_tolerances_have_one_source():
         assert cli.DEFAULT_TOLERANCES[key] is getattr(isofib, name) is getattr(homspace, name)
 
 
+def test_parser_defaults_are_run_config_defaults():
+    # every option left out reads RunConfig's default; selfcheck keeps its
+    # own smaller rank cap
+    for argv, want in (
+        (["catalog"], cli.RunConfig("catalog")),
+        (["verify", "su3-hopf"], cli.RunConfig("verify", case_id="su3-hopf")),
+        (["selfcheck"], cli.RunConfig("selfcheck", rank_cap=4)),
+    ):
+        assert cli.config_from_args(cli.build_parser().parse_args(argv)) == want
+
+
 @pytest.mark.parametrize("case", ["su3-su1u2--k1-t1", "so6-stiefel"])
 def test_verify_runs_without_scipy(case):
     # a fresh interpreter in which any scipy import fails

@@ -1276,6 +1276,44 @@ def test_central_log_reaches_the_image_in_closed_form(case_id, monkeypatch):
     assert homspace.profile_report(sample, shared, lowers).verdict == "constant-within-tol"
 
 
+@pytest.mark.parametrize(
+    "case_id",
+    [
+        "so8-so3so5--k1-0so3",  # z = -1: a half turn across the blocks
+        "su4-su2u2--k1-t1",  # K1 = a circle, K2 = SU(2) x SU(2)
+        "su5-su2u3--k1-0a1-1a2",  # K1 = SU(2) x SU(3), K2 = a circle
+    ],
+)
+def test_central_frame_lies_in_k_and_normalizes_k1(case_id):
+    # the first step of central_log's proof: the frame x0 of g = z k2^T
+    # is block-diagonal on K's blocks with det 1 on each, so Ad(x0) keeps
+    # k1 (and m1), and the reach checked at x0 is the chord at the base
+    model = model_for(case_id)
+    z = model.center_elements[1]
+    k2 = sample_subgroup_element(model, model.k2_factors, np.random.default_rng(46))
+    gamma = Isometry(model, left=z, right=k2)
+    g = gamma.apply(base_point(model))
+    blocks = tuple(
+        f.cols for f in model.k1_factors + model.k2_factors if f.kind != "circle"
+    )
+    x0, log = homspace._torus_log(model, g.reps[0], blocks, False)
+    assert log.converged
+    frame = complexify(x0) if model.complex_size else x0
+    covered = {j for cols in blocks for j in cols}
+    parts = list(blocks) + [(j,) for j in range(len(frame)) if j not in covered]
+    inside = np.zeros(frame.shape, dtype=bool)
+    for cols in parts:
+        inside[np.ix_(cols, cols)] = True
+        assert abs(np.linalg.det(frame[np.ix_(cols, cols)]) - 1) < 1e-12
+    assert not frame[~inside].any()
+    for B in model.k1.basis:
+        assert model.k1.membership_residual(x0 @ B @ x0.T) < 1e-12
+    central = homspace.central_log(gamma)
+    assert np.abs(central.xi - x0 @ log.xi @ x0.T).max() < 1e-12
+    base = chord(model, Cosets(model, matrix_exp(central.xi)[None]), g)[1]
+    assert abs(log.residual - base) < 1e-12
+
+
 def test_central_log_reaches_every_point_up_to_su5_and_so10():
     # every model record of rank at most 4 (SU(3) to SU(5), SO(6) to
     # SO(10)) and every center element: the shared log reaches the image

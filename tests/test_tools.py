@@ -1,5 +1,8 @@
 """The repository's tools, run as a user runs them."""
+import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +34,8 @@ def test_verify_sweep_reports_each_record_and_seed():
     for r in lines:
         assert r["exit"] == 0 and r["failing"] == {}
         assert r["k2_left_gap"] > 0.0 and r["wall_s"] > 0.0
+        assert re.fullmatch("[0-9a-f]{16}", r["stdout_sha256"])
+    assert len({r["stdout_sha256"] for r in lines}) == 4
     assert [r["k1"] for r in lines] == ["SU(2)", "SU(2)", "SO(3)", "SO(3)"]
     assert summary == [
         "K1 SO(3): 2 runs, 0 failed (0 timed out), min k2-left gap "
@@ -55,3 +60,22 @@ def test_verify_sweep_kills_a_request_past_its_timeout():
 def test_verify_sweep_rejects_an_unknown_record():
     code, lines, _ = run_sweep("nope")
     assert (code, lines) == (2, [])
+
+
+def test_verify_sweep_hashes_each_request_stdout():
+    # two runs of one request print one hash, the hash of the stdout that
+    # the request prints when run by hand (the sweep names su3-hopf by its
+    # slug)
+    code, lines, _ = run_sweep("su3-hopf", "--seeds", "1,1", "--timeout", "60")
+    assert code == 0
+    assert [r["seed"] for r in lines] == [1, 1]
+    assert lines[0]["stdout_sha256"] == lines[1]["stdout_sha256"]
+    request = [sys.executable, "-m", "isofib.cli", "verify", "su3-su1u2--k1-0a1"]
+    out = subprocess.run(
+        [*request, "--seed", "1", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest()[:16] == lines[0]["stdout_sha256"]

@@ -12,9 +12,12 @@ is killed and counts as failed.
 
 Prints one JSON line per (record, seed), in that order: the slug, the
 seed, K1's shape, the exit code (null after a timeout), each failing
-check's detail, the `k2-left` gap of the noncentral check and the wall
-time.  Then one summary line per K1 shape.  Two sweeps of one tree print
-the same lines apart from the wall times.  Exits 1 when any run failed,
+check's detail, the `k2-left` gap of the noncentral check, the first 16
+hex digits of the SHA-256 of the request's stdout and the wall time.
+Then one summary line per K1 shape.  Two sweeps of one tree print the
+same lines apart from the wall times, and two trees whose output is
+byte-identical print the same lines too, so their sweeps diff to byte
+parity, not just to equal verdicts.  Exits 1 when any run failed,
 2 on a usage error.  SIGTERM or SIGINT stops the running requests before
 the tool exits.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -100,6 +104,7 @@ def result(rec, seed: int, code: int | None, stdout: bytes, wall: float) -> dict
         "exit": code,
         "failing": failing,
         "k2_left_gap": gap,
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest()[:16],
         "wall_s": round(wall, 2),
     }
 
